@@ -14,21 +14,34 @@ operators. Estimated operators follow as compositions
 The limit of F_r is K_r T_r, whose eigenvalues lie at or below those of
 the Galerkin projection of F; finite-sample estimates are biased upward.
 
-Sampling uses inverse-CDF lookups on precomputed cumulative row sums
-with numpy's PCG64 generator, so all draws are reproducible from the
-seed alone.
+Sampling draws uniforms from numpy's PCG64 generator, so all draws are
+reproducible from the seed alone. Each step is an inverse-CDF lookup
+inside the walker's row of S, over cumulative row sums kept in the CSR
+layout of S: O(nnz) memory whatever the degrees. The Grams are built
+from visit counts and the sparse pair-count matrix C,
+
+    Gxx = Phi diag(visits of x) Phi^T / m,  Gxy = Phi C Phi^T / m,
+
+which for 0/1 indicator bases are the gathered sums above, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import EmptySampleError, ParseError, SingularGramError
+from .errors import (
+    EmptySampleError,
+    IndexOutOfRangeError,
+    ParseError,
+    SingularGramError,
+)
 from .galerkin import Basis
 from .graph import TransitionMatrix
 from .operators import Density
@@ -46,6 +59,7 @@ __all__ = [
 ]
 
 SampleMode = Literal["independent_pairs", "single_trajectory"]
+_SAMPLE_MODES = get_args(SampleMode)
 
 
 @dataclass(frozen=True)
@@ -77,29 +91,68 @@ class EstimatedOperators(NamedTuple):
     b: np.ndarray
 
 
-def _cumulative_rows(s: TransitionMatrix) -> np.ndarray:
-    return np.cumsum(s.dense(), axis=1)
+class _CumulativeRows(NamedTuple):
+    """Per-row cumulative transition probabilities in CSR layout.
 
-
-def _draw_categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw from one cumulative distribution row."""
-    return np.searchsorted(cum, u, side="right").clip(max=len(cum) - 1)
-
-
-def _step_all(cum_rows: np.ndarray, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One walk step for every walker, grouped by current vertex.
-
-    Equivalent to drawing ys[i] from row xs[i] with uniform u[i]; the
-    grouping only batches the searchsorted calls.
+    ``cum[indptr[v]:indptr[v + 1]]`` is the sequential cumsum of row v's
+    stored probabilities in column order, and ``indices`` holds their
+    columns. Adding the unstored zeros changes no partial sum, so these
+    are the values of the dense row cumsum at the stored columns, bit for
+    bit.
     """
-    ys = np.empty_like(xs)
-    order = np.argsort(xs, kind="stable")
-    sorted_xs = xs[order]
-    boundaries = np.flatnonzero(np.diff(sorted_xs)) + 1
-    for chunk in np.split(order, boundaries):
-        v = xs[chunk[0]]
-        ys[chunk] = _draw_categorical(cum_rows[v], u[chunk])
-    return ys
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    cum: np.ndarray
+
+
+def _cumulative_rows(s: TransitionMatrix) -> _CumulativeRows:
+    csr = s.s
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    indptr = csr.indptr.astype(np.int64)
+    cum = csr.data.astype(np.float64)  # a copy: the cumsum runs in place
+    # Position j of every row with more than j entries in one vectorised
+    # step: O(nnz) work in max-degree steps, with no padding to max degree.
+    degree = np.diff(indptr)
+    order = np.argsort(degree, kind="stable")
+    degree, starts = degree[order], indptr[:-1][order]
+    for j in range(1, int(degree[-1]) if len(degree) else 0):
+        pos = starts[np.searchsorted(degree, j, side="right") :] + j
+        cum[pos] += cum[pos - 1]
+    return _CumulativeRows(indptr=indptr, indices=csr.indices, cum=cum)
+
+
+def _draw_density(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from a probability vector, onto its support only.
+
+    A draw at or above the floating total takes the last support vertex.
+    """
+    support = np.flatnonzero(p)
+    k = np.searchsorted(np.cumsum(p[support]), u, side="right")
+    return support[np.minimum(k, len(support) - 1)]
+
+
+def _draw_in_rows(rows: _CumulativeRows, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One walk step for every walker: ys[i] is drawn from row v[i] with u[i].
+
+    A bisection run on all walkers at once; each walker's search is
+    ``searchsorted(cum[lo:hi], u[i], side="right")`` inside its own row,
+    falling back to the row's last stored neighbour at or above its total.
+    """
+    lo = rows.indptr[v]
+    hi = rows.indptr[v + 1]
+    last = hi - 1  # hi moves during the bisection
+    top = len(rows.cum) - 1
+    max_degree = int(np.diff(rows.indptr).max()) if len(rows.cum) else 0
+    for _ in range(max_degree.bit_length()):
+        mid = (lo + hi) // 2
+        active = lo < hi
+        right = active & (rows.cum[np.minimum(mid, top)] <= u)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(active & ~right, mid, hi)
+    return rows.indices[np.minimum(lo, last)].astype(np.int64)
 
 
 def sample_pairs(
@@ -107,13 +160,8 @@ def sample_pairs(
 ) -> WalkSample:
     """m independent walkers: start from mu, take one step of S."""
     rng = np.random.default_rng(seed)
-    cum_mu = np.cumsum(mu.p)
-    xs = _draw_categorical(cum_mu, rng.random(m)).astype(np.int64)
-    ys = (
-        _step_all(_cumulative_rows(s), xs, rng.random(m))
-        if m
-        else np.empty(0, dtype=np.int64)
-    )
+    xs = _draw_density(mu.p, rng.random(m))
+    ys = _draw_in_rows(_cumulative_rows(s), xs, rng.random(m))
     return WalkSample(xs=xs, ys=ys, mode="independent_pairs", seed=seed)
 
 
@@ -125,28 +173,46 @@ def sample_trajectory(
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return WalkSample(xs=empty, ys=empty, mode="single_trajectory", seed=seed)
-    cum_rows = _cumulative_rows(s)
-    path = np.empty(m + 1, dtype=np.int64)
-    path[0] = _draw_categorical(np.cumsum(start_density.p), rng.random(1))[0]
-    u = rng.random(m)
-    for i in range(m):
-        path[i + 1] = _draw_categorical(cum_rows[path[i]], u[i : i + 1])[0]
+    rows = _cumulative_rows(s)
+    v = int(_draw_density(start_density.p, rng.random(1))[0])
+    # bisect_right on Python floats has searchsorted's side="right" semantics.
+    indptr, indices, cum = rows.indptr.tolist(), rows.indices.tolist(), rows.cum.tolist()
+    path = [v]
+    for u in rng.random(m).tolist():
+        lo, hi = indptr[v], indptr[v + 1]
+        k = bisect_right(cum, u, lo, hi)
+        v = indices[k if k < hi else hi - 1]
+        path.append(v)
+    walk = np.asarray(path, dtype=np.int64)
     return WalkSample(
-        xs=path[:-1], ys=path[1:], mode="single_trajectory", seed=seed
+        xs=walk[:-1], ys=walk[1:], mode="single_trajectory", seed=seed
     )
 
 
+def _check_vertices(vertices: np.ndarray, n: int) -> None:
+    outside = (vertices < 0) | (vertices >= n)
+    if outside.any():
+        bad = int(vertices[np.argmax(outside)])
+        raise IndexOutOfRangeError(f"walk vertex {bad} outside [0, {n})")
+
+
 def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
-    """Empirical covariance matrices of the basis evaluated on the walk."""
+    """Empirical covariance matrices of the basis evaluated on the walk.
+
+    Built from visit counts and the sparse pair-count matrix C, so memory
+    is O(m + r n): Gxx = Phi diag(count x) Phi^T / m and Gxy = Phi C Phi^T / m.
+    """
     if sample.m == 0:
         raise EmptySampleError("cannot estimate from an empty sample")
-    phi_x = basis.phi_v[:, sample.xs]
-    phi_y = basis.phi_v[:, sample.ys]
-    m = sample.m
+    phi, n, m = basis.phi_v, basis.n, sample.m
+    xs, ys = np.asarray(sample.xs), np.asarray(sample.ys)
+    _check_vertices(xs, n)
+    _check_vertices(ys, n)
+    pairs = sp.csr_matrix((np.ones(m), (xs, ys)), shape=(n, n))
     return EmpiricalGrams(
-        gxx=phi_x @ phi_x.T / m,
-        gyy=phi_y @ phi_y.T / m,
-        gxy=phi_x @ phi_y.T / m,
+        gxx=(phi * np.bincount(xs, minlength=n)) @ phi.T / m,
+        gyy=(phi * np.bincount(ys, minlength=n)) @ phi.T / m,
+        gxy=phi @ (pairs @ phi.T) / m,
         m=m,
     )
 
@@ -198,8 +264,17 @@ def read_walks(path: str | Path) -> WalkSample:
                 for token in stripped[1:].split():
                     if token.startswith("mode="):
                         mode = token[5:]  # type: ignore[assignment]
+                        if mode not in _SAMPLE_MODES:
+                            raise ParseError(
+                                f"unknown walk mode '{mode}', expected one of "
+                                + ", ".join(_SAMPLE_MODES),
+                                lineno,
+                            )
                     elif token.startswith("seed="):
-                        seed = int(token[5:])
+                        try:
+                            seed = int(token[5:])
+                        except ValueError:
+                            raise ParseError(f"cannot parse seed '{token[5:]}'", lineno)
                 continue
             if stripped == "x,y":
                 continue

@@ -231,6 +231,18 @@ class TestEstimate:
         assert payload["m"] == 5000
         assert payload["seed"] == 1
 
+    def test_unknown_walk_mode_data_error(self, tmp_path, capsys):
+        partition = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([range(0, 2), range(2, 4)], partition)
+        walks = tmp_path / "bad.csv"
+        walks.write_text("# mode=trajectory seed=0\nx,y\n0,1\n1,2\n")
+        code = main([
+            "estimate", "--walks", str(walks), "--basis", str(partition),
+            "-o", str(tmp_path / "est.json"),
+        ])
+        assert code == 3
+        assert "line 1" in capsys.readouterr().err
+
     def test_graph_or_walks_required(self, tmp_path, capsys):
         partition = tmp_path / "partition.csv"
         tosca.galerkin.write_partition([[0]], partition)

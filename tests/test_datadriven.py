@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import tosca
-from tosca.errors import EmptySampleError
+from tosca import datadriven
+from tosca.errors import EmptySampleError, IndexOutOfRangeError, ParseError
 
 from conftest import example_block_matrix, random_undirected_graph
 
@@ -16,6 +19,138 @@ def five_vertex_setup(rng=None):
     s = tosca.transition_matrix(g)
     mu = tosca.uniform_density(5)
     return g, s, mu
+
+
+def dsbm_self_loop_graph():
+    params = tosca.DSBMParams(r_b=3, n_b=40, e=example_block_matrix()[:3, :3], seed=5)
+    return tosca.add_self_loops(tosca.dsbm_sample(params), 1.0)
+
+
+def hub_graph(n, seed=0):
+    """Vertex 0 links to all n vertices; every other vertex to its successor and 0."""
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, n)
+    triples = [(0, j, float(weights[j])) for j in range(n)]
+    triples += [(i, (i + 1) % n, 1.0) for i in range(1, n)]
+    triples += [(i, 0, 0.5) for i in range(1, n)]
+    return tosca.from_edge_list(n, triples)
+
+
+def sparse_graph(n, out_degree, seed=0):
+    rng = np.random.default_rng(seed)
+    targets = rng.integers(0, n, (n, out_degree))
+    triples = [(i, int(j), 1.0) for i in range(n) for j in targets[i]]
+    return tosca.add_self_loops(tosca.from_edge_list(n, triples), 1.0)
+
+
+def dense_reference_walk(s, start, m, seed, trajectory):
+    """The samplers' definition on dense cumulative rows, with their RNG call order."""
+    rng = np.random.default_rng(seed)
+    cum_rows = np.cumsum(s.dense(), axis=1)
+    cum_start = np.cumsum(start.p)
+    if trajectory:
+        path = [np.searchsorted(cum_start, rng.random(1)[0], side="right")]
+        for u in rng.random(m):
+            path.append(np.searchsorted(cum_rows[path[-1]], u, side="right"))
+        path = np.asarray(path)
+        return path[:-1], path[1:]
+    xs = np.searchsorted(cum_start, rng.random(m), side="right")
+    ys = np.array([
+        np.searchsorted(cum_rows[x], u, side="right")
+        for x, u in zip(xs, rng.random(m))
+    ])
+    return xs, ys
+
+
+def fallback_graph():
+    """Vertex 0 has 10 equal out-edges, whose cumulative sum ends below 1."""
+    triples = [(0, j, 1.0) for j in range(1, 11)] + [(j, 0, 1.0) for j in range(1, 12)]
+    return tosca.transition_matrix(tosca.from_edge_list(12, triples))
+
+
+class _TopRng:
+    """Stands in for default_rng: every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestDrawsPinned:
+    GRAPHS = {
+        "five_vertex": lambda: five_vertex_setup()[0],
+        "dsbm_self_loops": dsbm_self_loop_graph,
+        "hub": lambda: hub_graph(150),
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("trajectory", [False, True])
+    def test_bitwise_equal_to_dense_inverse_cdf(self, graph, trajectory):
+        g = self.GRAPHS[graph]()
+        s = tosca.transition_matrix(g)
+        mu = tosca.uniform_density(g.n)
+        sampler = tosca.sample_trajectory if trajectory else tosca.sample_pairs
+        for seed in (0, 1, 7, 123):
+            sample = sampler(s, mu, 1500, seed=seed)
+            xs, ys = dense_reference_walk(s, mu, 1500, seed, trajectory)
+            assert np.array_equal(sample.xs, xs)
+            assert np.array_equal(sample.ys, ys)
+            assert sample.xs.dtype == sample.ys.dtype == np.int64
+
+    def test_cumulative_rows_match_dense_cumsum(self):
+        for g in (dsbm_self_loop_graph(), hub_graph(150)):
+            s = tosca.transition_matrix(g)
+            rows = datadriven._cumulative_rows(s)
+            dense = np.cumsum(s.dense(), axis=1)
+            row_of = np.repeat(np.arange(g.n), np.diff(rows.indptr))
+            assert np.array_equal(rows.cum, dense[row_of, rows.indices])
+
+
+class TestDrawFallback:
+    def test_draw_at_row_total_stays_on_neighbour(self):
+        rows = datadriven._cumulative_rows(fallback_graph())
+        assert rows.cum[rows.indptr[1] - 1] < 1.0
+        u = np.array([np.nextafter(1.0, 0.0)])
+        assert datadriven._draw_in_rows(rows, np.array([0]), u).tolist() == [10]
+
+    def test_samplers_fall_back_to_last_support_vertex(self, monkeypatch):
+        s = fallback_graph()
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _TopRng())
+        at_zero = tosca.Density(np.eye(12)[0])
+        assert tosca.sample_pairs(s, at_zero, 3).ys.tolist() == [10] * 3
+        # ten masses of 0.1 sum to 1 - 2^-53; vertices 10 and 11 carry none
+        tenths = tosca.Density(np.r_[np.full(10, 0.1), 0.0, 0.0])
+        assert tosca.sample_pairs(s, tenths, 2).xs.tolist() == [9, 9]
+        walk = tosca.sample_trajectory(s, tenths, 4)
+        assert walk.xs.tolist() == [9, 0, 10, 0]
+        assert walk.ys.tolist() == [0, 10, 0, 10]
+
+
+class TestMemory:
+    BOUND_MIB = 32.0
+
+    @pytest.mark.parametrize("make_graph", [
+        lambda: sparse_graph(5000, 6), lambda: hub_graph(5000),
+    ], ids=["out_degree_6", "hub"])
+    def test_sampling_peak(self, make_graph):
+        s = tosca.transition_matrix(make_graph())
+        mu = tosca.uniform_density(s.n)
+        for sampler in (tosca.sample_pairs, tosca.sample_trajectory):
+            assert peak_mib(sampler, s, mu, 100_000, 3) < self.BOUND_MIB
+
+    def test_grams_peak(self):
+        s = tosca.transition_matrix(sparse_graph(5000, 6))
+        sample = tosca.sample_pairs(s, tosca.uniform_density(5000), 100_000, seed=3)
+        sets = [range(100 * j, 100 * (j + 1)) for j in range(50)]
+        basis = tosca.indicator_basis(5000, sets)
+        assert peak_mib(tosca.empirical_grams, sample, basis) < self.BOUND_MIB
 
 
 class TestSamplePairs:
@@ -96,6 +231,43 @@ class TestEmpiricalGrams:
             counts = np.zeros((5, 5))
             np.add.at(counts, (sample.xs, sample.ys), 1.0)
             assert np.array_equal(grams.gxy, counts / sample.m)
+            visits_x = np.bincount(sample.xs, minlength=5)
+            visits_y = np.bincount(sample.ys, minlength=5)
+            assert np.array_equal(grams.gxx, np.diag(visits_x) / sample.m)
+            assert np.array_equal(grams.gyy, np.diag(visits_y) / sample.m)
+
+    def test_indicator_basis_bitwise_equal_to_gather(self):
+        g = dsbm_self_loop_graph()
+        s = tosca.transition_matrix(g)
+        sets = [range(0, 40), range(40, 80), range(85, 120)]
+        basis = tosca.indicator_basis(g.n, sets)
+        for sampler in (tosca.sample_pairs, tosca.sample_trajectory):
+            sample = sampler(s, tosca.uniform_density(g.n), 4000, seed=2)
+            grams = tosca.empirical_grams(sample, basis)
+            reference = gather_grams(sample, basis)
+            assert np.array_equal(grams.gxx, reference.gxx)
+            assert np.array_equal(grams.gyy, reference.gyy)
+            assert np.array_equal(grams.gxy, reference.gxy)
+
+    def test_dense_basis_matches_gather(self):
+        g = dsbm_self_loop_graph()
+        sample = tosca.sample_pairs(
+            tosca.transition_matrix(g), tosca.uniform_density(g.n), 5000, seed=4
+        )
+        phi = np.random.default_rng(8).standard_normal((6, g.n))
+        grams = tosca.empirical_grams(sample, tosca.Basis(phi_v=phi))
+        reference = gather_grams(sample, tosca.Basis(phi_v=phi))
+        for got, want in ((grams.gxx, reference.gxx), (grams.gyy, reference.gyy),
+                          (grams.gxy, reference.gxy)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("xs, ys", [([0, 5], [1, 2]), ([0, 1], [2, -1])])
+    def test_vertex_outside_basis_rejected(self, xs, ys):
+        sample = tosca.WalkSample(
+            xs=np.array(xs), ys=np.array(ys), mode="independent_pairs", seed=0
+        )
+        with pytest.raises(IndexOutOfRangeError):
+            tosca.empirical_grams(sample, tosca.indicator_basis(5, [[0, 1], [2, 3, 4]]))
 
     def test_symmetric_psd(self):
         _, s, mu = five_vertex_setup()
@@ -114,6 +286,16 @@ class TestEmpiricalGrams:
         assert np.abs(grams.gxy - g_xy).max() < 0.01
         g_xx = np.diag(mu.p)
         assert np.abs(grams.gxx - g_xx).max() < 0.01
+
+
+def gather_grams(sample, basis):
+    """Grams from the basis gathered at every walk position (r x m)."""
+    phi_x = basis.phi_v[:, sample.xs]
+    phi_y = basis.phi_v[:, sample.ys]
+    m = sample.m
+    return tosca.EmpiricalGrams(
+        gxx=phi_x @ phi_x.T / m, gyy=phi_y @ phi_y.T / m, gxy=phi_x @ phi_y.T / m, m=m
+    )
 
 
 def exact_grams(s, mu, basis):
@@ -194,3 +376,11 @@ class TestWalkIO:
         assert back.seed == sample.seed
         assert np.array_equal(back.xs, sample.xs)
         assert np.array_equal(back.ys, sample.ys)
+
+    @pytest.mark.parametrize("header", ["# mode=pairs seed=2", "# seed=two"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "walks.csv"
+        path.write_text(f"x,y\n{header}\n0,1\n")
+        with pytest.raises(ParseError) as info:
+            tosca.read_walks(path)
+        assert info.value.line == 2
