@@ -21,7 +21,7 @@ import numpy as np
 
 from . import galerkin, generators, graph as graph_io
 from .baselines import ddbs_cluster, herm_cluster
-from .clustering import Clustering, KMeansConfig, kmeans
+from .clustering import Clustering, KMeansConfig, cluster_graph
 from .datadriven import (
     estimated_operators,
     empirical_grams,
@@ -86,21 +86,6 @@ def _write_labels(path: str, clustering: Clustering, seed: int) -> None:
             fh.write(f"{i},{int(label)}\n")
 
 
-def _read_labels(path: str) -> np.ndarray:
-    pairs = []
-    with open(path) as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if stripped == "vertex_index,label":
-                continue
-            vertex, label = stripped.split(",")
-            pairs.append((int(vertex), int(label)))
-    pairs.sort()
-    return np.asarray([label for _, label in pairs], dtype=np.int64)
-
-
 def _emit(args, summary: dict) -> None:
     if getattr(args, "json", False):
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -130,15 +115,12 @@ def _cmd_cluster(args) -> int:
     cfg = KMeansConfig(restarts=args.restarts, seed=args.seed)
     summary: dict = {"method": args.method, "k": args.k, "seed": args.seed}
     if args.method == "fb":
-        mu = _resolve_mu(args.mu, g)
-        spec = fb_spectrum(transition_matrix(g), mu, args.k)
-        feats = {"phi": spec.phi, "psi": spec.psi,
-                 "both": np.hstack([spec.phi, spec.psi])}[args.use]
-        if args.drop_first:
-            feats = feats[:, 1:]
-        clustering = kmeans(feats, args.k, cfg)
-        summary["kappa"] = [float(x) for x in spec.kappa]
-        summary["lambda"] = [float(x) for x in spec.lam]
+        clustering = cluster_graph(
+            g, args.k, mu=_resolve_mu(args.mu, g), cfg=cfg,
+            use=args.use, drop_first=args.drop_first,
+        )
+        summary["kappa"] = [float(x) for x in clustering.spectrum.kappa]
+        summary["lambda"] = [float(x) for x in clustering.spectrum.lam]
     elif args.method == "ddbs":
         clustering = ddbs_cluster(g, args.k, cfg)
     else:
@@ -241,8 +223,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    labels = _read_labels(args.labels)
-    truth = _read_labels(args.truth)
+    labels = galerkin.read_labels(args.labels)
+    truth = galerkin.read_labels(args.truth)
     metrics = {
         "ari": adjusted_rand_index(labels, truth),
         "nmv": misclassified_fraction(labels, truth),
@@ -257,7 +239,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_reorder(args) -> int:
     g = _load_graph(args.graph)
-    labels = _read_labels(args.labels)
+    labels = galerkin.read_labels(args.labels)
     reordered, perm = graph_io.reorder_by_cluster(g, labels)
     graph_io.write_matrix_market(reordered, args.output, comments=[f"seed={args.seed}"])
     if args.perm:

@@ -9,7 +9,7 @@ deterministic: same (points, k, seed) gives the same labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Literal
 
 import numpy as np
@@ -19,10 +19,11 @@ from .errors import (
     EmptySubsetError,
     IndexOutOfRangeError,
     KTooLargeError,
+    NonPositiveDensityError,
 )
 from .graph import Graph, transition_matrix
-from .operators import Density, forward_backward, uniform_density
-from .spectral import fb_spectrum
+from .operators import Density, image_density, uniform_density
+from .spectral import SpectrumResult, fb_spectrum
 
 __all__ = [
     "Clustering",
@@ -49,12 +50,17 @@ class KMeansConfig:
 
 @dataclass(frozen=True)
 class Clustering:
-    """Per-vertex labels with the inertia and seed that produced them."""
+    """Per-vertex labels with the inertia and seed that produced them.
+
+    ``spectrum`` holds the eigenfunctions the labels were computed from
+    when the clustering came from ``cluster_graph``.
+    """
 
     labels: np.ndarray
     k: int
     inertia: float
     seed: int
+    spectrum: SpectrumResult | None = None
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,7 +161,8 @@ def cluster_graph(
 
     Runs k-means on the rows of [phi_1 .. phi_k] (or psi, or both
     concatenated). ``drop_first`` removes the constant phi_1 column
-    before clustering; the default keeps it.
+    before clustering; the default keeps it. The spectrum comes back as
+    ``.spectrum``.
     """
     mu = mu or uniform_density(g.n)
     s = transition_matrix(g)
@@ -170,14 +177,16 @@ def cluster_graph(
         raise ValueError(f"unknown feature choice {use!r}")
     if drop_first:
         feats = feats[:, 1:]
-    return kmeans(feats, k, cfg)
+    return replace(kmeans(feats, k, cfg), spectrum=spec)
 
 
 def coherence_score(g: Graph, mu: Density | None, subset: Iterable[int]) -> float:
     """Probability that a forward-backward walk from the set returns to it.
 
     Averages the in-set row mass of F over the set; 1 means every
-    forward-backward path starting inside stays inside.
+    forward-backward path starting inside stays inside. With F = S
+    D_nu^-1 S^T D_mu this is 1_A^T S D_nu^-1 S^T (mu o 1_A) / |A|, two
+    sparse products.
     """
     idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.int64)
     if len(idx) == 0:
@@ -187,5 +196,13 @@ def coherence_score(g: Graph, mu: Density | None, subset: Iterable[int]) -> floa
             f"vertex index {int(idx.max())} outside [0, {g.n})"
         )
     mu = mu or uniform_density(g.n)
-    f = forward_backward(transition_matrix(g), mu).m
-    return float(f[np.ix_(idx, idx)].sum() / len(idx))
+    if not mu.strictly_positive():
+        raise NonPositiveDensityError("mu", int(np.argmin(mu.p)))
+    s = transition_matrix(g)
+    nu = image_density(s, mu)
+    if not nu.strictly_positive():
+        raise NonPositiveDensityError("nu", int(np.argmin(nu.p)))
+    weighted = np.zeros(g.n)
+    weighted[idx] = mu.p[idx]
+    back = s.s @ ((s.s.T @ weighted) / nu.p)
+    return float(back[idx].sum() / len(idx))

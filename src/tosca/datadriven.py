@@ -39,6 +39,7 @@ import scipy.sparse as sp
 from .errors import (
     EmptySampleError,
     IndexOutOfRangeError,
+    LengthMismatchError,
     ParseError,
     SingularGramError,
 )
@@ -70,6 +71,12 @@ class WalkSample:
     ys: np.ndarray
     mode: SampleMode
     seed: int
+
+    def __post_init__(self):
+        if len(self.xs) != len(self.ys):
+            raise LengthMismatchError(
+                f"walk sample has {len(self.xs)} start and {len(self.ys)} end vertices"
+            )
 
     @property
     def m(self) -> int:
@@ -282,10 +289,13 @@ def read_walks(path: str | Path) -> WalkSample:
             if len(parts) != 2:
                 raise ParseError("expected 'x,y'", lineno)
             try:
-                xs.append(int(parts[0]))
-                ys.append(int(parts[1]))
+                x, y = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"cannot parse entry '{stripped}'", lineno)
+            if x < 0 or y < 0:
+                raise ParseError(f"negative walk vertex in '{stripped}'", lineno)
+            xs.append(x)
+            ys.append(y)
     return WalkSample(
         xs=np.asarray(xs, dtype=np.int64),
         ys=np.asarray(ys, dtype=np.int64),

@@ -10,7 +10,7 @@ back to vertex functions through the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,6 +33,7 @@ __all__ = [
     "project",
     "reduced_eigenfunctions",
     "read_partition",
+    "read_labels",
     "write_partition",
     "GRAM_CONDITION_LIMIT",
 ]
@@ -147,25 +148,56 @@ def reduced_eigenfunctions(
     return vals[:k], funcs
 
 
-def read_partition(path) -> list[list[int]]:
-    """Partition CSV: 'vertex_index,set_index' per line, '#' comments."""
-    groups: dict[int, list[int]] = {}
+def _read_vertex_rows(path, header: str) -> Iterator[tuple[int, int, int]]:
+    """(vertex, value, line number) for each 'vertex,value' integer row.
+
+    Blank lines, '#' comments and the header line are skipped.
+    """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if stripped == "vertex_index,set_index":
+            if not stripped or stripped.startswith("#") or stripped == header:
                 continue
             parts = stripped.split(",")
             if len(parts) != 2:
-                raise ParseError("expected 'vertex_index,set_index'", lineno)
+                raise ParseError(f"expected '{header}'", lineno)
             try:
-                vertex, group = int(parts[0]), int(parts[1])
+                vertex, value = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"cannot parse entry '{stripped}'", lineno)
-            groups.setdefault(group, []).append(vertex)
+            yield vertex, value, lineno
+
+
+def read_partition(path) -> list[list[int]]:
+    """Partition CSV: 'vertex_index,set_index' per line, '#' comments."""
+    groups: dict[int, list[int]] = {}
+    for vertex, group, _ in _read_vertex_rows(path, "vertex_index,set_index"):
+        groups.setdefault(group, []).append(vertex)
     return [groups[key] for key in sorted(groups)]
+
+
+def read_labels(path) -> np.ndarray:
+    """Label CSV: 'vertex_index,label' per line, '#' comments.
+
+    The n rows must name the vertices 0..n-1, each once, in any order;
+    entry i of the result is the label of vertex i.
+    """
+    rows = list(_read_vertex_rows(path, "vertex_index,label"))
+    n = len(rows)
+    labels = np.empty(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    for vertex, label, lineno in rows:
+        if not 0 <= vertex < n:
+            raise ParseError(
+                f"vertex {vertex} outside [0, {n}): {n} rows must name "
+                f"the vertices 0..{n - 1}, each once",
+                lineno,
+            )
+        if seen[vertex]:
+            raise ParseError(f"vertex {vertex} appears twice", lineno)
+        seen[vertex] = True
+        labels[vertex] = label
+    return labels
 
 
 def write_partition(sets: Sequence[Iterable[int]], path) -> None:

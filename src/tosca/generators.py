@@ -9,10 +9,8 @@ import numpy as np
 
 from .clustering import KMeansConfig, cluster_graph
 from .errors import ToscaError
-from .graph import Graph, add_self_loops, from_edge_list, transition_matrix
+from .graph import Graph, add_self_loops, from_edge_list
 from .metrics import adjusted_rand_index
-from .operators import uniform_density
-from .spectral import fb_spectrum
 
 __all__ = [
     "DSBMParams",
@@ -101,17 +99,15 @@ def two_block_sweep(
             for seed in seeds:
                 params = DSBMParams(r_b=2, n_b=n_b, e=e, seed=seed)
                 g = add_self_loops(dsbm_sample(params), 1.0)
-                mu = uniform_density(g.n)
-                spec = fb_spectrum(transition_matrix(g), mu, 2)
                 cell_cfg = cfg or KMeansConfig(seed=seed)
-                labels = cluster_graph(g, 2, mu=mu, cfg=cell_cfg).labels
+                clustering = cluster_graph(g, 2, cfg=cell_cfg)
                 rows.append(
                     SweepRow(
                         p=float(p),
                         q=float(q),
                         seed=int(seed),
-                        kappa2=float(spec.kappa[1]),
-                        ari=adjusted_rand_index(truth, labels),
+                        kappa2=float(clustering.spectrum.kappa[1]),
+                        ari=adjusted_rand_index(truth, clustering.labels),
                     )
                 )
     return rows

@@ -11,7 +11,9 @@ F, so the eigenpairs of F and B follow as
     kappa = sigma,  lambda = sigma^2,
     phi = D_mu^{-1/2} u,  psi = D_nu^{-1/2} v.
 
-This keeps the numerics real and stable for directed graphs.
+This keeps the numerics real and stable for directed graphs. Both
+spectra come from restarted Lanczos (ARPACK) with a residual check on
+every returned vector; a dense solve answers only where Lanczos cannot.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ __all__ = [
     "koopman_spectrum",
     "spectral_gap",
     "embed_coordinates",
-    "DENSE_LIMIT",
 ]
 
-# Above this size the SVD switches to a restarted Lanczos solver.
-DENSE_LIMIT = 2000
 _ITER_TOL = 1e-10
 _ITER_MAXITER_PER_K = 300
+# Largest accepted per-column residual of a Lanczos answer; above it the
+# dense solve is used instead.
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,50 @@ def _fix_signs(phi: np.ndarray, *others: np.ndarray) -> None:
                 other[:, j] = -other[:, j]
 
 
+def _top_k(
+    m: sp.spmatrix, k: int, symmetric: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-k (values, left, right) of the square matrix m, descending.
+
+    The top singular triplets (sigma, u, v), or for symmetric m the
+    eigenpairs with the largest values (lambda, x, x). Restarted Lanczos
+    (ARPACK, from a fixed start vector) answers unless it cannot: for
+    k >= n - 1, which ARPACK does not accept, when ARPACK fails, or when
+    a column (value w, left u, right v) misses ||m v - w u|| <= tol or
+    ||m^T u - w v|| <= tol, tol = _RESIDUAL_TOL. The dense solve answers
+    those cases.
+    """
+    n = m.shape[0]
+    if k < n - 1:
+        v0 = np.full(n, 1.0 / np.sqrt(n))
+        try:
+            if symmetric:
+                vals, u = spla.eigsh(m, k=k, which="LA", tol=_ITER_TOL, v0=v0)
+                v = u
+            else:
+                u, vals, vt = spla.svds(
+                    m, k=k, tol=_ITER_TOL, maxiter=_ITER_MAXITER_PER_K * k, v0=v0
+                )
+                v = vt.T
+        except spla.ArpackError:
+            pass
+        else:
+            order = np.argsort(vals)[::-1]
+            vals, u, v = vals[order], u[:, order], v[:, order]
+            residual = max(
+                np.linalg.norm(m @ v - u * vals, axis=0).max(),
+                np.linalg.norm(m.T @ u - v * vals, axis=0).max(),
+            )
+            if residual <= _RESIDUAL_TOL:
+                return vals, u, v
+    if symmetric:
+        vals, u = np.linalg.eigh(m.toarray())
+        u = u[:, ::-1][:, :k]
+        return vals[::-1][:k], u, u
+    u, vals, vt = np.linalg.svd(m.toarray())
+    return vals[:k], u[:, :k], vt[:k, :].T
+
+
 def fb_spectrum(s: TransitionMatrix, mu: Density, k: int) -> SpectrumResult:
     """Top-k paired eigenfunctions of the forward-backward operators."""
     n = s.n
@@ -111,19 +157,8 @@ def fb_spectrum(s: TransitionMatrix, mu: Density, k: int) -> SpectrumResult:
 
     sqrt_mu = np.sqrt(mu.p)
     inv_sqrt_nu = 1.0 / np.sqrt(nu.p)
-    if n <= DENSE_LIMIT or k >= n - 1:
-        m = sqrt_mu[:, None] * s.dense() * inv_sqrt_nu[None, :]
-        u, sigma, vt = np.linalg.svd(m)
-        u, sigma, v = u[:, :k], sigma[:k], vt[:k, :].T
-    else:
-        m = sp.diags(sqrt_mu) @ s.s @ sp.diags(inv_sqrt_nu)
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        u, sigma, vt = spla.svds(
-            m, k=k, tol=_ITER_TOL, maxiter=_ITER_MAXITER_PER_K * k, v0=v0
-        )
-        order = np.argsort(sigma)[::-1]
-        u, sigma, v = u[:, order], sigma[order], vt[order, :].T
-
+    m = sp.diags(sqrt_mu) @ s.s @ sp.diags(inv_sqrt_nu)
+    sigma, u, v = _top_k(m, k)
     kappa = np.clip(sigma, 0.0, 1.0)
     phi = u / sqrt_mu[:, None]
     psi = v * inv_sqrt_nu[:, None]
@@ -149,15 +184,7 @@ def koopman_spectrum(g: Graph, k: int, lazy: bool = False) -> KoopmanSpectrum:
         s = lazy_chain(s)
     sqrt_pi = np.sqrt(pi.p)
     sym = sp.diags(sqrt_pi) @ s.s @ sp.diags(1.0 / sqrt_pi)
-    if g.n <= DENSE_LIMIT or k >= g.n - 1:
-        vals, vecs = np.linalg.eigh(sym.toarray())
-        vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
-    else:
-        sym = sp.csr_matrix((sym + sym.T) / 2.0)
-        v0 = np.full(g.n, 1.0 / np.sqrt(g.n))
-        vals, vecs = spla.eigsh(sym, k=k, which="LA", tol=_ITER_TOL, v0=v0)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
+    vals, vecs, _ = _top_k(sp.csr_matrix((sym + sym.T) / 2.0), k, symmetric=True)
     vectors = vecs / sqrt_pi[:, None]
     _fix_signs(vectors)
     return KoopmanSpectrum(values=vals, vectors=vectors)

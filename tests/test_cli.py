@@ -243,6 +243,18 @@ class TestEstimate:
         assert code == 3
         assert "line 1" in capsys.readouterr().err
 
+    def test_negative_walk_vertex_data_error(self, tmp_path, capsys):
+        partition = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([range(0, 2), range(2, 4)], partition)
+        walks = tmp_path / "bad.csv"
+        walks.write_text("# mode=independent_pairs seed=0\nx,y\n0,1\n-1,2\n")
+        code = main([
+            "estimate", "--walks", str(walks), "--basis", str(partition),
+            "-o", str(tmp_path / "est.json"),
+        ])
+        assert code == 3
+        assert "line 4:" in capsys.readouterr().err
+
     def test_graph_or_walks_required(self, tmp_path, capsys):
         partition = tmp_path / "partition.csv"
         tosca.galerkin.write_partition([[0]], partition)
@@ -269,6 +281,18 @@ class TestEvalReorder:
         labels.write_text("vertex_index,label\n0,0\n")
         truth.write_text("vertex_index,label\n0,0\n1,1\n")
         assert main(["eval", str(labels), str(truth)]) == 3
+
+    @pytest.mark.parametrize(
+        "rows,line", [("0,0\n1,1\n3,1\n", 4), ("0,0\n1\n2,1\n", 3)]
+    )
+    def test_eval_bad_label_file_data_error(self, tmp_path, capsys, rows, line):
+        # a vertex gap used to be scored as if the rows were 0..n-1
+        labels = tmp_path / "labels.csv"
+        truth = tmp_path / "truth.csv"
+        labels.write_text("vertex_index,label\n" + rows)
+        truth.write_text("vertex_index,label\n0,0\n1,1\n2,1\n")
+        assert main(["eval", str(labels), str(truth)]) == 3
+        assert f"line {line}:" in capsys.readouterr().err
 
     def test_reorder_round_trip(self, tmp_path, cycles_tsv, capsys):
         labels_path = tmp_path / "labels.csv"
@@ -319,3 +343,30 @@ class TestGridCornerRoundTrips:
         ]) == 0
         back = tosca.read_matrix_market(reordered)
         assert back.n == 40
+
+
+class TestDegenerateSpectrum:
+    # Most vertices of these graphs are isolated with a self-loop, so
+    # sigma = 1 is highly degenerate and ARPACK stops early; the dense
+    # solve answers instead.
+    @pytest.mark.parametrize("p,n_b", [(0.01, 20), (0.001, 100)])
+    def test_cluster_exits_zero_and_repeats_bytes(self, tmp_path, capsys, p, n_b):
+        probs = tmp_path / "probs.csv"
+        probs.write_text(f"{p},{p}\n{p},{p}\n")
+        graph_path = tmp_path / "g.tsv"
+        assert main([
+            "generate", "dsbm", "--blocks", "2", "--block-size", str(n_b),
+            "--probs", str(probs), "--seed", "0", "-o", str(graph_path),
+        ]) == 0
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            capsys.readouterr()
+            assert main([
+                "cluster", str(graph_path), "-k", "2", "--self-loops", "1.0",
+                "--seed", "0", "--json", "-o", str(tmp_path / name),
+            ]) == 0
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
+        g = tosca.add_self_loops(tosca.read_edge_list(graph_path), 1.0)
+        spec = tosca.fb_spectrum(tosca.transition_matrix(g), tosca.uniform_density(g.n), 2)
+        assert json.loads(capsys.readouterr().out)["kappa"] == spec.kappa.tolist()

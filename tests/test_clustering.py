@@ -5,9 +5,14 @@ import pytest
 
 import tosca
 from tosca.clustering import _lloyd
-from tosca.errors import DegeneratePointsError, EmptySubsetError, KTooLargeError
+from tosca.errors import (
+    DegeneratePointsError,
+    EmptySubsetError,
+    KTooLargeError,
+    NonPositiveDensityError,
+)
 
-from conftest import example_block_matrix, three_cycles_graph
+from conftest import example_block_matrix, random_directed_graph, three_cycles_graph
 
 
 class TestKMeans:
@@ -124,6 +129,16 @@ class TestClusterGraph:
         permuted = tosca.cluster_graph(relabeled, 3).labels
         assert tosca.adjusted_rand_index(base, permuted[perm]) == 1.0
 
+    @pytest.mark.parametrize("use,drop_first", [("phi", False), ("both", True)])
+    def test_spectrum_is_fb_spectrum(self, rng, use, drop_first):
+        g = random_directed_graph(30, rng)
+        raw = rng.uniform(0.5, 2.0, 30)
+        mu = tosca.Density(raw / raw.sum())
+        result = tosca.cluster_graph(g, 3, mu=mu, use=use, drop_first=drop_first)
+        spec = tosca.fb_spectrum(tosca.transition_matrix(g), mu, 3)
+        for field in ("kappa", "lam", "phi", "psi"):
+            assert np.array_equal(getattr(result.spectrum, field), getattr(spec, field))
+
     def test_two_block_median_ari(self):
         e = np.array([[0.99, 0.01], [0.01, 0.99]])
         truth = np.repeat([0, 1], 50)
@@ -159,9 +174,28 @@ class TestCoherenceScore:
         with pytest.raises(EmptySubsetError):
             tosca.coherence_score(g, None, set())
 
-    def test_in_unit_interval(self, rng):
-        from conftest import random_directed_graph
+    def test_matches_dense_forward_backward(self, rng):
+        for _ in range(5):
+            n = int(rng.integers(5, 40))
+            g = random_directed_graph(n, rng, density=0.2)
+            raw = rng.uniform(0.2, 3.0, n)
+            mu = tosca.Density(raw / raw.sum())
+            f = tosca.forward_backward(tosca.transition_matrix(g), mu).m
+            subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            dense = f[np.ix_(subset, subset)].sum() / len(subset)
+            assert abs(tosca.coherence_score(g, mu, subset) - dense) < 1e-12
 
+    def test_zero_density_rejected(self):
+        g = three_cycles_graph()
+        with pytest.raises(NonPositiveDensityError):
+            tosca.coherence_score(g, tosca.Density(np.eye(12)[0]), {0, 1})
+        # vertex 0 has no in-edges, so nu vanishes there
+        g = tosca.from_edge_list(2, [(0, 1, 1.0), (1, 1, 1.0)])
+        with pytest.raises(NonPositiveDensityError) as info:
+            tosca.coherence_score(g, None, {0})
+        assert info.value.which == "nu"
+
+    def test_in_unit_interval(self, rng):
         g = random_directed_graph(15, rng)
         subset = rng.choice(15, size=5, replace=False)
         score = tosca.coherence_score(g, None, subset)

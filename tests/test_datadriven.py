@@ -5,7 +5,12 @@ import pytest
 
 import tosca
 from tosca import datadriven
-from tosca.errors import EmptySampleError, IndexOutOfRangeError, ParseError
+from tosca.errors import (
+    EmptySampleError,
+    IndexOutOfRangeError,
+    LengthMismatchError,
+    ParseError,
+)
 
 from conftest import example_block_matrix, random_undirected_graph
 
@@ -376,6 +381,21 @@ class TestWalkIO:
         assert back.seed == sample.seed
         assert np.array_equal(back.xs, sample.xs)
         assert np.array_equal(back.ys, sample.ys)
+
+    @pytest.mark.parametrize("row", ["-1,2", "0,-3"])
+    def test_negative_vertex_rejected(self, tmp_path, row):
+        path = tmp_path / "walks.csv"
+        path.write_text(f"x,y\n0,1\n{row}\n")
+        with pytest.raises(ParseError) as info:
+            tosca.read_walks(path)
+        assert info.value.line == 3
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(LengthMismatchError):
+            tosca.WalkSample(
+                xs=np.array([0, 1, 2]), ys=np.array([1, 2]),
+                mode="independent_pairs", seed=0,
+            )
 
     @pytest.mark.parametrize("header", ["# mode=pairs seed=2", "# seed=two"])
     def test_bad_header_rejected(self, tmp_path, header):

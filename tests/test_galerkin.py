@@ -6,6 +6,7 @@ from tosca.errors import (
     EmptySetError,
     KOutOfRangeError,
     OverlappingSetsError,
+    ParseError,
     SingularGramError,
 )
 
@@ -192,3 +193,27 @@ class TestPartitionIO:
         tosca.galerkin.write_partition(sets, path)
         back = tosca.galerkin.read_partition(path)
         assert [sorted(group) for group in back] == [[0, 1, 4], [2, 3]]
+
+
+class TestLabelIO:
+    def test_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("# seed=0\nvertex_index,label\n2,7\n0,5\n1,6\n")
+        assert tosca.galerkin.read_labels(path).tolist() == [5, 6, 7]
+
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            ("0,0\n1,0\n3,1\n", 4),  # gap: vertex 2 missing
+            ("0,0\n1,0\n1,1\n", 4),  # duplicate vertex
+            ("0,0\n-1,0\n", 3),  # negative vertex
+            ("0,0\n1\n", 3),  # no comma
+            ("0,0\n1,a\n", 3),  # not an integer
+        ],
+    )
+    def test_bad_rows_rejected_with_line(self, tmp_path, rows, line):
+        path = tmp_path / "labels.csv"
+        path.write_text("vertex_index,label\n" + rows)
+        with pytest.raises(ParseError) as info:
+            tosca.galerkin.read_labels(path)
+        assert info.value.line == line

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,29 @@ class TestTwoBlockSweep:
 
         assert corr_sign(0.99, 0.01) == 1.0
         assert corr_sign(0.01, 0.99) == -1.0
+
+    def test_one_spectrum_per_cell(self, monkeypatch):
+        # wrap fb_spectrum wherever a tosca module bound it
+        calls = []
+        original = tosca.spectral.fb_spectrum
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tosca") and getattr(module, "fb_spectrum", None) is original:
+                monkeypatch.setattr(module, "fb_spectrum", counting)
+        rows = tosca.two_block_sweep(20, [0.9, 0.5], [0.1], seeds=[0, 1, 2])
+        assert len(rows) == 6
+        assert len(calls) == 6
+
+    def test_kappa2_is_that_of_the_clustered_spectrum(self):
+        row = tosca.two_block_sweep(30, [0.9], [0.1], seeds=[4])[0]
+        params = tosca.DSBMParams(r_b=2, n_b=30, e=np.array([[0.9, 0.1], [0.1, 0.9]]), seed=4)
+        g = tosca.add_self_loops(tosca.dsbm_sample(params), 1.0)
+        spec = tosca.fb_spectrum(tosca.transition_matrix(g), tosca.uniform_density(60), 2)
+        assert row.kappa2 == float(spec.kappa[1])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ToscaError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import tosca
 from tosca.errors import (
@@ -16,6 +17,21 @@ def fb_setup(g, mu=None):
     s = tosca.transition_matrix(g)
     mu = mu or tosca.uniform_density(g.n)
     return s, mu
+
+
+def dense_fb_reference(s, mu, k):
+    """Top-k kappa and phi from a full dense SVD of D_mu^1/2 S D_nu^-1/2.
+
+    Columns of phi are signed so that their first largest-magnitude
+    entry is positive.
+    """
+    sqrt_mu = np.sqrt(mu.p)
+    inv_sqrt_nu = 1.0 / np.sqrt(tosca.image_density(s, mu).p)
+    u, sigma, _ = np.linalg.svd(sqrt_mu[:, None] * s.dense() * inv_sqrt_nu[None, :])
+    phi = u[:, :k] / sqrt_mu[:, None]
+    pivots = np.argmax(np.abs(phi), axis=0)
+    phi *= np.sign(phi[pivots, np.arange(k)])
+    return sigma[:k], phi
 
 
 class TestFbSpectrum:
@@ -97,14 +113,51 @@ class TestFbSpectrum:
             pivot = np.argmax(np.abs(spec.phi[:, ell]))
             assert spec.phi[pivot, ell] > 0
 
-    def test_iterative_route_matches_dense(self, rng, monkeypatch):
+    def test_iterative_route_matches_dense(self, rng):
         g = random_directed_graph(60, rng)
         s, mu = fb_setup(g)
-        dense = tosca.fb_spectrum(s, mu, 5)
-        monkeypatch.setattr(tosca.spectral, "DENSE_LIMIT", 10)
-        sparse = tosca.fb_spectrum(s, mu, 5)
-        assert np.abs(dense.kappa - sparse.kappa).max() < 1e-9
-        assert np.abs(dense.phi - sparse.phi).max() < 1e-6
+        kappa, phi = dense_fb_reference(s, mu, 5)
+        spec = tosca.fb_spectrum(s, mu, 5)
+        assert np.abs(kappa - spec.kappa).max() < 1e-9
+        assert np.abs(phi - spec.phi).max() < 1e-6
+
+    def test_degenerate_graph_falls_back_to_dense(self, monkeypatch):
+        # two sparse blocks with unit self-loops: most vertices are
+        # isolated, so sigma = 1 is highly degenerate and ARPACK gives up
+        e = np.full((2, 2), 0.001)
+        g = tosca.dsbm_sample(tosca.DSBMParams(r_b=2, n_b=100, e=e, seed=0))
+        s, mu = fb_setup(tosca.add_self_loops(g, 1.0))
+        failures = []
+        svds = spla.svds
+
+        def spy(*args, **kwargs):
+            try:
+                return svds(*args, **kwargs)
+            except spla.ArpackError as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(spla, "svds", spy)
+        spec = tosca.fb_spectrum(s, mu, 2)
+        assert len(failures) == 1
+        kappa, phi = dense_fb_reference(s, mu, 2)
+        assert np.abs(kappa - spec.kappa).max() < 1e-9
+        assert np.abs(phi - spec.phi).max() < 1e-6
+
+    def test_inaccurate_lanczos_answer_is_replaced(self, rng, monkeypatch):
+        g = random_directed_graph(60, rng)
+        s, mu = fb_setup(g)
+        svds = spla.svds
+
+        def perturbed(*args, **kwargs):
+            u, sigma, vt = svds(*args, **kwargs)
+            return u, sigma * (1.0 + 1e-6), vt
+
+        monkeypatch.setattr(spla, "svds", perturbed)
+        spec = tosca.fb_spectrum(s, mu, 5)
+        kappa, phi = dense_fb_reference(s, mu, 5)
+        assert np.abs(kappa - spec.kappa).max() < 1e-12
+        assert np.abs(phi - spec.phi).max() < 1e-6
 
     def test_nonuniform_mu_matches_dense_f(self, rng):
         g = random_directed_graph(15, rng)
@@ -162,13 +215,16 @@ class TestKoopmanSpectrum:
         gram = spec.vectors.T @ np.diag(pi.p) @ spec.vectors
         assert np.abs(gram - np.eye(5)).max() < 1e-10
 
-    def test_iterative_route_matches_dense(self, rng, monkeypatch):
+    def test_iterative_route_matches_dense(self, rng):
         g = random_undirected_graph(40, rng)
-        dense = tosca.koopman_spectrum(g, 4)
-        monkeypatch.setattr(tosca.spectral, "DENSE_LIMIT", 10)
-        sparse = tosca.koopman_spectrum(g, 4)
-        assert np.abs(dense.values - sparse.values).max() < 1e-9
-        assert np.abs(np.abs(dense.vectors) - np.abs(sparse.vectors)).max() < 1e-6
+        pi = tosca.stationary_density(g).p
+        s = tosca.transition_matrix(g).dense()
+        sym = np.sqrt(pi)[:, None] * s / np.sqrt(pi)[None, :]
+        vals, vecs = np.linalg.eigh((sym + sym.T) / 2.0)
+        values, vectors = vals[::-1][:4], vecs[:, ::-1][:, :4] / np.sqrt(pi)[:, None]
+        spec = tosca.koopman_spectrum(g, 4)
+        assert np.abs(values - spec.values).max() < 1e-9
+        assert np.abs(np.abs(vectors) - np.abs(spec.vectors)).max() < 1e-6
 
     def test_subspace_agreement_lazy(self, rng):
         # same leading subspace from K and from F for the lazy walk
