@@ -60,7 +60,8 @@ def _resolve_mu(spec: str, g: Graph) -> Density:
         return uniform_density(g.n)
     if spec == "stationary":
         return stationary_density(g)
-    masses = np.loadtxt(spec, ndmin=1)
+    # One mass per line, or all masses on one line.
+    masses = np.atleast_1d(np.squeeze(graph_io._read_numeric_rows(spec)))
     if len(masses) != g.n:
         raise LengthMismatchError(
             f"density file has {len(masses)} entries for {g.n} vertices"

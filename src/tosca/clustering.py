@@ -80,9 +80,21 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(len(points)), labels]
+    """Nearest centroid per point, and the squared distance to it.
+
+    The argmin runs on ||c||^2 - 2 X C^T, one matrix product. The chosen
+    distance is then recomputed as sum((x - c_label)^2) from a centroid
+    array laid out like ``points``, so numpy reduces it in the order it
+    reduces the (n, k, d) broadcast ((points[:, None] - centroids[None])
+    ** 2).sum(axis=2): pairwise for row-major points, column by column
+    for column-major ones. The distances, and so the inertia, are
+    bitwise those of the broadcast.
+    """
+    scores = (centroids**2).sum(axis=1) - 2.0 * (points @ centroids.T)
+    labels = np.argmin(scores, axis=1)
+    chosen = np.empty_like(points)
+    chosen[...] = centroids[labels]
+    return labels, ((points - chosen) ** 2).sum(axis=1)
 
 
 def _lloyd(

@@ -184,6 +184,9 @@ def read_labels(path) -> np.ndarray:
     """
     rows = list(_read_vertex_rows(path, "vertex_index,label"))
     n = len(rows)
+    if n == 0:
+        with open(path) as fh:
+            raise ParseError("no label rows", max(1, sum(1 for _ in fh)))
     labels = np.empty(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     for vertex, label, lineno in rows:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .clustering import KMeansConfig, cluster_graph
 from .errors import ToscaError
-from .graph import Graph, add_self_loops, from_edge_list
+from .graph import Graph, _from_arrays, _read_numeric_rows, add_self_loops
 from .metrics import adjusted_rand_index
 
 __all__ = [
@@ -57,14 +57,22 @@ def dsbm_sample(params: DSBMParams) -> Graph:
     probability e[i, j]; present edges all carry ``params.weight``. The
     generator never adds self-loops beyond what the blocks produce;
     regularization is the caller's explicit step.
+
+    The uniforms are drawn one block row (n_b x n) at a time. The
+    generator fills arrays in C order, so the draws, and the graph, are
+    those of a single n x n draw compared with the block-constant
+    threshold matrix; memory stays at n_b x n.
     """
-    n = params.n
+    n, n_b = params.n, params.n_b
     rng = np.random.default_rng(params.seed)
-    thresholds = np.kron(params.e, np.ones((params.n_b, params.n_b)))
-    mask = rng.random((n, n)) < thresholds
-    src, dst = np.nonzero(mask)
-    triples = zip(src.tolist(), dst.tolist(), [params.weight] * len(src))
-    return from_edge_list(n, triples, directed=True)
+    src, dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i in range(params.r_b):
+        rows, cols = np.nonzero(rng.random((n_b, n)) < np.repeat(params.e[i], n_b))
+        src.append(rows + i * n_b)
+        dst.append(cols)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    weight = np.full(len(src), float(params.weight))
+    return _from_arrays(n, src, dst, weight, directed=True)
 
 
 @dataclass(frozen=True)
@@ -114,8 +122,12 @@ def two_block_sweep(
 
 
 def read_prob_matrix(path) -> np.ndarray:
-    """Read a block probability matrix from CSV (one row per line)."""
-    e = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a block probability matrix from CSV (one row per line).
+
+    '#' starts a comment; a malformed entry or a ragged row raises
+    ParseError with its line.
+    """
+    e = _read_numeric_rows(path, delimiter=",")
     if e.shape[0] != e.shape[1]:
         raise ToscaError(f"probability matrix must be square, got {e.shape}")
     return e

@@ -145,6 +145,13 @@ def from_edge_list(
         src = np.empty(0, dtype=np.int64)
         dst = np.empty(0, dtype=np.int64)
         weight = np.empty(0, dtype=np.float64)
+    return _from_arrays(n, src, dst, weight, directed)
+
+
+def _from_arrays(
+    n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray, directed: bool
+) -> Graph:
+    """``from_edge_list`` on int64 ``src``/``dst`` and float64 ``weight``."""
     if n < 0:
         raise IndexOutOfRangeError(f"vertex count {n} is negative")
     _validate_triples(n, src, dst, weight)
@@ -204,6 +211,33 @@ def _shift_weights(values: np.ndarray) -> np.ndarray:
         return values
     delta = 1e-3 * (values.max() - values.min())
     return values + (-values.min() + delta)
+
+
+def _read_numeric_rows(path: str | Path, delimiter: str | None = None) -> np.ndarray:
+    """Rows of numbers, one row per line, as a (rows, columns) float array.
+
+    Text after '#' and blank lines are skipped; ``delimiter=None`` splits
+    on whitespace. An entry that is not a number, or a row whose length
+    differs from the first row's, raises ParseError with its line. A file
+    without rows gives shape (0, 1), as ``np.loadtxt(..., ndmin=2)`` does.
+    """
+    rows: list[list[float]] = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            try:
+                row = [float(field) for field in stripped.split(delimiter)]
+            except ValueError:
+                raise ParseError(f"cannot parse numbers in '{stripped}'", lineno)
+            if rows and len(row) != len(rows[0]):
+                raise ParseError(
+                    f"expected {len(rows[0])} values like the first row, found {len(row)}",
+                    lineno,
+                )
+            rows.append(row)
+    return np.array(rows, dtype=np.float64) if rows else np.empty((0, 1))
 
 
 def read_matrix_market(path: str | Path) -> Graph:
@@ -276,9 +310,7 @@ def read_matrix_market(path: str | Path) -> Graph:
     if count != nnz:
         raise ParseError(f"expected {nnz} entries, found {count}", len(lines))
 
-    val = _shift_weights(val)
-    triples = list(zip(src.tolist(), dst.tolist(), val.tolist()))
-    return from_edge_list(rows, triples, directed=not symmetric)
+    return _from_arrays(rows, src, dst, _shift_weights(val), directed=not symmetric)
 
 
 def write_matrix_market(
@@ -290,8 +322,8 @@ def write_matrix_market(
         for c in comments:
             fh.write(f"% {c}\n")
         fh.write(f"{g.n} {g.n} {g.num_edges}\n")
-        for s, d, w in zip(g.src, g.dst, g.weight):
-            fh.write(f"{int(s) + 1} {int(d) + 1} {w:.17g}\n")
+        for s, d, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()):
+            fh.write(f"{s + 1} {d + 1} {w:.17g}\n")
 
 
 def read_edge_list(path: str | Path, n: int | None = None, directed: bool = True) -> Graph:
@@ -336,8 +368,8 @@ def write_edge_list(g: Graph, path: str | Path, comments: Sequence[str] = ()) ->
         fh.write(f"# n={g.n} directed={int(g.directed)}\n")
         for c in comments:
             fh.write(f"# {c}\n")
-        for s, d, w in zip(g.src, g.dst, g.weight):
-            fh.write(f"{int(s)}\t{int(d)}\t{w:.17g}\n")
+        for s, d, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()):
+            fh.write(f"{s}\t{d}\t{w:.17g}\n")
 
 
 def reorder_by_cluster(g: Graph, labels: Sequence[int]) -> tuple[Graph, np.ndarray]:

@@ -61,6 +61,17 @@ class TestGenerate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("text,line", [("0.5,0.5\n0.5,x\n", 2), ("0.5,0.5\n0.5\n", 2)])
+    def test_malformed_probs_data_error(self, tmp_path, capsys, text, line):
+        probs = tmp_path / "bad.csv"
+        probs.write_text(text)
+        code = main([
+            "generate", "dsbm", "--blocks", "2", "--block-size", "4",
+            "--probs", str(probs), "-o", str(tmp_path / "g.tsv"),
+        ])
+        assert code == 3
+        assert f"line {line}:" in capsys.readouterr().err
+
     def test_deterministic_bytes(self, tmp_path, probs_csv):
         out_a, out_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         args = ["generate", "dsbm", "--blocks", "2", "--block-size", "10",
@@ -123,6 +134,31 @@ class TestCluster:
             "-o", str(tmp_path / "l.csv"),
         ])
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1\n2\n3\n1\n2\n3\n1\n2\n3\n1\n2\n3\n", "# masses\n1 2 3 1 2 3 1 2 3 1 2 3\n"],
+    )
+    def test_mu_file_one_column_or_one_row(self, tmp_path, cycles_tsv, capsys, text):
+        mu = tmp_path / "mu.txt"
+        mu.write_text(text)
+        code = main([
+            "cluster", cycles_tsv, "-k", "3", "--self-loops", "1.0", "--mu", str(mu),
+            "-o", str(tmp_path / "l.csv"), "--json",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["lambda"][0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("text,line", [("abc\n", 1), ("# c\n0.5\n0.5 x\n", 3)])
+    def test_malformed_mu_file_data_error(self, tmp_path, cycles_tsv, capsys, text, line):
+        mu = tmp_path / "mu.txt"
+        mu.write_text(text)
+        code = main([
+            "cluster", cycles_tsv, "-k", "3", "--self-loops", "1.0", "--mu", str(mu),
+            "-o", str(tmp_path / "l.csv"),
+        ])
+        assert code == 3
+        assert f"line {line}:" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path, cycles_tsv):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -293,6 +329,12 @@ class TestEvalReorder:
         truth.write_text("vertex_index,label\n0,0\n1,1\n2,1\n")
         assert main(["eval", str(labels), str(truth)]) == 3
         assert f"line {line}:" in capsys.readouterr().err
+
+    def test_eval_header_only_labels_data_error(self, tmp_path, capsys):
+        labels = tmp_path / "e.csv"
+        labels.write_text("vertex_index,label\n")
+        assert main(["eval", str(labels), str(labels)]) == 3
+        assert "line 1: no label rows" in capsys.readouterr().err
 
     def test_reorder_round_trip(self, tmp_path, cycles_tsv, capsys):
         labels_path = tmp_path / "labels.csv"

@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tosca
-from tosca.clustering import _lloyd
+from tosca import clustering
+from tosca.clustering import _assign, _lloyd
 from tosca.errors import (
     DegeneratePointsError,
     EmptySubsetError,
@@ -80,6 +83,92 @@ class TestKMeans:
         points = rng.normal(size=(50, 2))
         result = tosca.kmeans(points, 7)
         assert set(result.labels.tolist()) == set(range(7))
+
+
+def broadcast_assign(points, centroids):
+    """Brute force: every point-centroid distance from one (n, k, d) array."""
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(len(points)), labels]
+
+
+def _layout(a, order):
+    return np.asfortranarray(a) if order == "F" else np.ascontiguousarray(a)
+
+
+@st.composite
+def points_and_centroids(draw):
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    order = draw(st.sampled_from("CF"))
+    points = _layout(draw(arrays(np.float64, (n, d), elements=unit)), order)
+    centroids = draw(arrays(np.float64, (k, d), elements=unit))
+    return points, centroids
+
+
+class TestGemmAssign:
+    @settings(max_examples=300, deadline=None)
+    @given(points_and_centroids())
+    def test_matches_brute_force_off_ties(self, case):
+        points, centroids = case
+        labels, dist2 = _assign(points, centroids)
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        best_two = np.sort(d2, axis=1)[:, :2]
+        clear = (
+            np.ones(len(points), dtype=bool)
+            if d2.shape[1] == 1
+            else best_two[:, 1] - best_two[:, 0] > 1e-12
+        )
+        assert np.array_equal(labels[clear], np.argmin(d2, axis=1)[clear])
+        # the reported distance is the broadcast one at the chosen label,
+        # bit for bit, near-ties included
+        assert np.array_equal(dist2, d2[np.arange(len(points)), labels])
+
+    @pytest.mark.parametrize("order", ["C", "F", "F-slice", "rows"])
+    def test_distances_bitwise_in_every_layout(self, rng, order):
+        # row-major points are reduced pairwise by numpy, column-major
+        # ones column by column; the distances follow either way
+        base = rng.normal(size=(400, 33))
+        points = {
+            "C": np.ascontiguousarray(base[:, :32]),
+            "F": np.asfortranarray(base[:, :32]),
+            "F-slice": np.asfortranarray(base)[:, 1:],
+            "rows": base[::2, :32],
+        }[order]
+        centroids = rng.normal(size=(32, 32))
+        labels, dist2 = _assign(points, centroids)
+        ref_labels, ref_dist2 = broadcast_assign(points, centroids)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(dist2, ref_dist2)
+
+    @pytest.mark.parametrize(
+        "n,k,d,order",
+        [(200, 4, 1, "C"), (12, 12, 3, "C"), (600, 16, 32, "C"), (600, 16, 32, "F")],
+    )
+    def test_kmeans_bitwise_equal_to_broadcast_assign(self, monkeypatch, n, k, d, order):
+        rng = np.random.default_rng(n + k + d)
+        centres = rng.normal(scale=3.0, size=(k, d))
+        points = _layout(centres[rng.integers(k, size=n)] + rng.normal(size=(n, d)), order)
+        cfg = tosca.KMeansConfig(restarts=4, seed=5)
+        gemm = tosca.kmeans(points, k, cfg)
+        monkeypatch.setattr(clustering, "_assign", broadcast_assign)
+        brute = tosca.kmeans(points, k, cfg)
+        assert np.array_equal(gemm.labels, brute.labels)
+        assert gemm.inertia == brute.inertia
+
+    def test_cluster_graph_bitwise_equal_to_broadcast_assign(self, monkeypatch):
+        # the spectral solver's phi is column-major, as in the CLI
+        e = 0.02 + 0.3 * np.eye(6)
+        g = tosca.add_self_loops(
+            tosca.dsbm_sample(tosca.DSBMParams(r_b=6, n_b=40, e=e, seed=2)), 1.0
+        )
+        gemm = tosca.cluster_graph(g, 6)
+        monkeypatch.setattr(clustering, "_assign", broadcast_assign)
+        brute = tosca.cluster_graph(g, 6)
+        assert np.array_equal(gemm.labels, brute.labels)
+        assert gemm.inertia == brute.inertia
 
 
 class TestClusterGraph:

@@ -217,3 +217,13 @@ class TestLabelIO:
         with pytest.raises(ParseError) as info:
             tosca.galerkin.read_labels(path)
         assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "text,line", [("vertex_index,label\n", 1), ("# seed=0\nvertex_index,label\n\n", 3), ("", 1)]
+    )
+    def test_no_rows_rejected(self, tmp_path, text, line):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="no label rows") as info:
+            tosca.galerkin.read_labels(path)
+        assert info.value.line == line

@@ -1,10 +1,11 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tosca
-from tosca.errors import ToscaError
+from tosca.errors import ParseError, ToscaError
 
 from conftest import example_block_matrix
 
@@ -61,6 +62,50 @@ class TestDsbmSample:
                 ).labels
                 aris.append(tosca.adjusted_rand_index(labels, truth))
             assert np.median(aris) == 1.0
+
+
+def dense_dsbm_edges(params):
+    """Reference sampler: one n x n uniform draw against kron(e, ones)."""
+    rng = np.random.default_rng(params.seed)
+    blocks = np.ones((params.n_b, params.n_b))
+    mask = rng.random((params.n, params.n)) < np.kron(params.e, blocks)
+    return np.nonzero(mask)
+
+
+class TestBlockRowSampler:
+    @pytest.mark.parametrize(
+        "r_b,n_b,e,seed",
+        [
+            (1, 30, [[0.3]], 0),
+            (1, 5, [[1.0]], 1),
+            (2, 6, [[0.0, 1.0], [1.0, 0.0]], 2),
+            (3, 10, [[0.5, 0.0, 0.2], [0.1, 0.9, 0.0], [1.0, 0.05, 0.4]], 4),
+            (4, 25, "example", 11),
+            (5, 1, [[0.5] * 5] * 5, 9),
+            (0, 4, np.zeros((0, 0)), 1),
+            (2, 0, [[0.5, 0.5], [0.5, 0.5]], 1),
+        ],
+    )
+    def test_edges_equal_dense_reference(self, r_b, n_b, e, seed):
+        e = example_block_matrix() if isinstance(e, str) else np.asarray(e)
+        params = tosca.DSBMParams(r_b=r_b, n_b=n_b, e=e, weight=1.5, seed=seed)
+        g = tosca.dsbm_sample(params)
+        src, dst = dense_dsbm_edges(params)
+        assert np.array_equal(g.src, src)
+        assert np.array_equal(g.dst, dst)
+        assert g.weight.tolist() == [1.5] * len(src)
+
+    def test_memory_is_one_block_row(self):
+        e = np.full((16, 16), 0.001) + 0.049 * np.eye(16)
+        params = tosca.DSBMParams(r_b=16, n_b=250, e=e, seed=0)
+        tracemalloc.start()
+        try:
+            tosca.dsbm_sample(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n x n float draw alone would be 122 MiB
+        assert peak < 32 * 2**20
 
 
 class TestTwoBlockSweep:
@@ -130,6 +175,45 @@ class TestProbMatrixIO:
         path.write_text("0.8,0.1\n0.1,0.8\n")
         e = tosca.generators.read_prob_matrix(path)
         assert np.array_equal(e, [[0.8, 0.1], [0.1, 0.8]])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# blocks\n0.8, 0.1\n\n0.1 ,0.8 # last row\n",
+            "0.3\n",
+            "0.1,0.2\r\n0.3,0.4\r\n",
+        ],
+    )
+    def test_loads_as_loadtxt(self, tmp_path, text):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        e = tosca.generators.read_prob_matrix(path)
+        assert np.array_equal(e, np.loadtxt(path, delimiter=",", ndmin=2))
+
+    def test_benchmark_format_round_trip(self, tmp_path):
+        probs = np.full((32, 32), 0.001)
+        np.fill_diagonal(probs, 0.05)
+        probs[0, 1] = 0.1 + 0.2
+        path = tmp_path / "probs.csv"
+        np.savetxt(path, probs, delimiter=",", fmt="%.17g")
+        assert np.array_equal(tosca.generators.read_prob_matrix(path), probs)
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [("0.5,0.5\n0.5,x\n", 2), ("# c\n0.5,0.5\n\n0.5\n", 4), ("0.5,,0.5\n", 1)],
+    )
+    def test_malformed_rows_raise_parse_error(self, tmp_path, text, line):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            tosca.generators.read_prob_matrix(path)
+        assert info.value.line == line
+
+    def test_non_square_rejected(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("0.5,0.5\n")
+        with pytest.raises(ToscaError, match="square"):
+            tosca.generators.read_prob_matrix(path)
 
     def test_sweep_csv(self, tmp_path):
         rows = tosca.two_block_sweep(10, [0.9], [0.1], seeds=[0, 1])

@@ -11,7 +11,17 @@ from tosca.errors import (
     ParseError,
 )
 
+from tosca.graph import _from_arrays, _shift_weights
+
 from conftest import random_undirected_graph
+
+
+def assert_same_graph(a, b):
+    assert (a.n, a.directed) == (b.n, b.directed)
+    for name in ("src", "dst", "weight"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
 
 
 class TestFromEdgeList:
@@ -52,6 +62,29 @@ class TestFromEdgeList:
     def test_undirected_self_loop_not_doubled(self):
         g = tosca.from_edge_list(2, [(0, 0, 1.5)], directed=False)
         assert g.edge_multiset() == {(0, 0): 1.5}
+
+
+class TestArrayBuilder:
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_equals_triples_builder(self, rng, directed):
+        # duplicates, reversed pairs and loops, with weights whose sums
+        # depend on the order they are added in
+        m = 300
+        src = rng.integers(0, 12, m)
+        dst = rng.integers(0, 12, m)
+        weight = rng.uniform(0.1, 2.0, m)
+        triples = list(zip(src.tolist(), dst.tolist(), weight.tolist()))
+        assert_same_graph(
+            _from_arrays(12, src, dst, weight, directed),
+            tosca.from_edge_list(12, triples, directed=directed),
+        )
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_empty_input(self, directed):
+        empty_int = np.empty(0, dtype=np.int64)
+        g = _from_arrays(4, empty_int, empty_int, np.empty(0), directed)
+        assert_same_graph(g, tosca.from_edge_list(4, [], directed=directed))
+        assert g.num_edges == 0
 
 
 class TestSelfLoops:
@@ -211,6 +244,37 @@ class TestMatrixMarket:
         assert np.abs(np.sort(back.weight) - np.sort(g.weight)).max() < 1e-9
 
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_read_equals_triples_builder(self, tmp_path, rng, symmetric):
+        # negative entries exercise the shift; duplicates the summation
+        rows = [(int(i), int(j), float(rng.normal())) for i, j in rng.integers(1, 9, (40, 2))]
+        if symmetric:
+            rows = [(max(i, j), min(i, j), v) for i, j, v in rows]
+        kind = "symmetric" if symmetric else "general"
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate real {kind}\n8 8 {len(rows)}\n"
+            + "".join(f"{i} {j} {v!r}\n" for i, j, v in rows)
+        )
+        shifted = _shift_weights(np.array([v for _, _, v in rows]))
+        triples = [(i - 1, j - 1, w) for (i, j, _), w in zip(rows, shifted.tolist())]
+        assert_same_graph(
+            tosca.read_matrix_market(path),
+            tosca.from_edge_list(8, triples, directed=not symmetric),
+        )
+
+    def test_written_bytes(self, tmp_path):
+        g = tosca.from_edge_list(
+            3, [(0, 1, 0.1 + 0.2), (2, 0, 1 / 3), (1, 1, 3.0), (1, 2, 2.5e20)]
+        )
+        path = tmp_path / "g.mtx"
+        tosca.write_matrix_market(g, path, comments=["seed=4"])
+        assert path.read_text() == (
+            "%%MatrixMarket matrix coordinate real general\n% seed=4\n3 3 4\n"
+            "1 2 0.30000000000000004\n2 2 3\n2 3 2.5e+20\n3 1 0.33333333333333331\n"
+        )
+
+
 class TestEdgeListIO:
     def test_round_trip(self, tmp_path, rng):
         n = 10
@@ -225,6 +289,15 @@ class TestEdgeListIO:
         back = tosca.read_edge_list(path)
         assert back.n == g.n
         assert back.edge_multiset() == g.edge_multiset()
+
+    def test_written_bytes(self, tmp_path):
+        g = tosca.from_edge_list(3, [(0, 1, 0.1 + 0.2), (2, 0, 1 / 3), (1, 1, 3.0)])
+        path = tmp_path / "g.tsv"
+        tosca.write_edge_list(g, path)
+        assert path.read_text() == (
+            "# n=3 directed=1\n0\t1\t0.30000000000000004\n1\t1\t3\n"
+            "2\t0\t0.33333333333333331\n"
+        )
 
     def test_header_preserves_isolated_vertices(self, tmp_path):
         g = tosca.from_edge_list(5, [(0, 1, 1.0)])
