@@ -2,8 +2,8 @@
 
 Two comparison methods: degree-discounted bibliometric symmetrization
 (common in-links and out-links weighted by degrees) and clustering of
-the Hermitian matrix i(A - A^T), realized through the real SVD of the
-skew-symmetric part of the normalized adjacency matrix.
+the Hermitian matrix i(A - A^T) of the normalized adjacency matrix.
+Both get their eigenvectors from spectral._top_k and form no n x n array.
 """
 
 from __future__ import annotations
@@ -12,10 +12,13 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .clustering import Clustering, KMeansConfig, kmeans
 from .errors import DegenerateSpectrumError, KTooLargeError, ZeroDegreeError
 from .graph import Graph, degree_info
+from .spectral import _fix_signs, _top_k
 
 __all__ = [
     "SymmetrizedMatrix",
@@ -41,70 +44,67 @@ def _pseudo_inv_sqrt(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetrize(g: Graph, scheme: Literal["ddbs", "naive_sum"] = "ddbs") -> SymmetrizedMatrix:
-    """Symmetric nonnegative similarity matrix for a directed graph."""
-    a = g.adjacency.toarray()
-    if scheme == "naive_sum":
-        return SymmetrizedMatrix(m=a + a.T, scheme=scheme)
+def _ddbs_operator(g: Graph) -> spla.LinearOperator:
+    """Do^-1/2 A Di^-1/2 A^T Do^-1/2 + Di^-1/2 A^T Do^-1/2 A Di^-1/2, four sparse products."""
+    a = g.adjacency
     deg = degree_info(g)
-    do = _pseudo_inv_sqrt(deg.out_degrees)
-    di = _pseudo_inv_sqrt(deg.in_degrees)
-    # Degree-discounted coupling + co-citation:
-    #   Do^-1/2 A Di^-1/2 A^T Do^-1/2  +  Di^-1/2 A^T Do^-1/2 A Di^-1/2
-    left = (do[:, None] * a) @ (di[:, None] * a.T * do[None, :])
-    right = (di[:, None] * a.T) @ (do[:, None] * a * di[None, :])
-    m = left + right
+    do = _pseudo_inv_sqrt(deg.out_degrees)[:, None]
+    di = _pseudo_inv_sqrt(deg.in_degrees)[:, None]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        x = x.reshape(g.n, -1)
+        return do * (a @ (di * (a.T @ (do * x)))) + di * (a.T @ (do * (a @ (di * x))))
+
+    return spla.LinearOperator((g.n, g.n), matvec=apply, matmat=apply, dtype=np.float64)
+
+
+def symmetrize(g: Graph, scheme: Literal["ddbs", "naive_sum"] = "ddbs") -> SymmetrizedMatrix:
+    """Symmetric nonnegative similarity matrix for a directed graph (dense)."""
+    if scheme == "naive_sum":
+        a = g.adjacency.toarray()
+        return SymmetrizedMatrix(m=a + a.T, scheme=scheme)
+    m = _ddbs_operator(g) @ np.eye(g.n)
     return SymmetrizedMatrix(m=(m + m.T) / 2.0, scheme="ddbs")
 
 
-def _spectral_features(m: np.ndarray, k: int) -> np.ndarray:
-    """Top-k random-walk eigenvectors of a symmetric similarity matrix."""
-    deg = m.sum(axis=1)
+def ddbs_cluster(g: Graph, k: int, cfg: KMeansConfig | None = None) -> Clustering:
+    """Spectral clustering of the degree-discounted symmetrization M.
+
+    k-means runs on D^-1/2 x for the top-k eigenvectors x of
+    D^-1/2 M D^-1/2, where D = diag(M 1).
+    """
+    if not 1 <= k <= g.n:
+        raise KTooLargeError(f"k={k} outside [1, {g.n}]")
+    m = _ddbs_operator(g)
+    deg = m @ np.ones(g.n)
     if not (deg > 0.0).any():
         raise ZeroDegreeError("similarity matrix has zero degrees everywhere")
     dinv = _pseudo_inv_sqrt(deg)
-    sym = dinv[:, None] * m * dinv[None, :]
-    vals, vecs = np.linalg.eigh(sym)
-    return vecs[:, ::-1][:, :k] * dinv[:, None]
-
-
-def ddbs_cluster(g: Graph, k: int, cfg: KMeansConfig | None = None) -> Clustering:
-    """Spectral clustering of the degree-discounted symmetrization."""
-    if not 1 <= k <= g.n:
-        raise KTooLargeError(f"k={k} outside [1, {g.n}]")
-    sym = symmetrize(g, "ddbs")
-    feats = _spectral_features(sym.m, k)
-    return kmeans(feats, k, cfg)
+    scale = spla.aslinearoperator(sp.diags(dinv))
+    _, x, _ = _top_k(scale @ m @ scale, k, symmetric=True)
+    return kmeans(x * dinv[:, None], k, cfg)
 
 
 def herm_cluster(g: Graph, k: int, cfg: KMeansConfig | None = None) -> Clustering:
     """Cluster by the spectrum of the Hermitian matrix i(A_nn - A_nn^T).
 
-    The eigenpairs of H = iC for real skew-symmetric C follow from the
-    SVD of C: C v = sigma u and C u = -sigma v give eigenvalues
-    +-sigma with eigenvectors (u -+ iv)/sqrt(2). Each singular value of
-    C appears twice, so consecutive SVD triplets 2j, 2j+1 span one
-    eigenpair subspace; the stacked columns [u_j, v_j] of the leading
-    ceil(k/2) pairs feed k-means.
+    H = iC with C = A_nn - A_nn^T real skew-symmetric has eigenvalues
+    +-sigma for the singular values sigma of C. The eigenvectors x_j of
+    the leading ceil(k/2) positive eigenvalues, each with its phase
+    fixed, give the 2 ceil(k/2) feature columns Re x_j, Im x_j; they
+    span the planes of the singular-vector pairs [u_j, v_j] of C.
     """
     if not 1 <= k <= g.n:
         raise KTooLargeError(f"k={k} outside [1, {g.n}]")
-    a = g.adjacency.toarray()
     deg = degree_info(g)
     do = _pseudo_inv_sqrt(deg.out_degrees)
     di = _pseudo_inv_sqrt(deg.in_degrees)
-    a_nn = do[:, None] * a * di[None, :]
-    c = a_nn - a_nn.T
-    u, sigma, vt = np.linalg.svd(c)
-    if sigma[0] <= _DEGENERATE_TOL:
+    a_nn = sp.diags(do) @ g.adjacency @ sp.diags(di)
+    vals, x, _ = _top_k(1j * (a_nn - a_nn.T), (k + 1) // 2, symmetric=True)
+    if vals[0] <= _DEGENERATE_TOL:
         raise DegenerateSpectrumError(
             "skew-symmetric part vanishes; the graph carries no "
             "directional information"
         )
-    n_pairs = (k + 1) // 2
-    cols = []
-    for j in range(n_pairs):
-        cols.append(u[:, 2 * j])
-        cols.append(vt[2 * j, :])
-    feats = np.column_stack(cols)
-    return kmeans(feats, k, cfg)
+    _fix_signs(x)
+    return kmeans(np.stack([x.real, x.imag], axis=2).reshape(g.n, -1), k, cfg)

@@ -10,7 +10,7 @@ back to vertex functions through the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -148,11 +148,14 @@ def reduced_eigenfunctions(
     return vals[:k], funcs
 
 
-def _read_vertex_rows(path, header: str) -> Iterator[tuple[int, int, int]]:
+def _read_vertex_rows(path, header: str, what: str) -> list[tuple[int, int, int]]:
     """(vertex, value, line number) for each 'vertex,value' integer row.
 
-    Blank lines, '#' comments and the header line are skipped.
+    Blank lines, '#' comments and the header line are skipped. A file
+    without rows raises ParseError "no <what> rows" at its last line.
     """
+    rows = []
+    lineno = 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -165,13 +168,16 @@ def _read_vertex_rows(path, header: str) -> Iterator[tuple[int, int, int]]:
                 vertex, value = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"cannot parse entry '{stripped}'", lineno)
-            yield vertex, value, lineno
+            rows.append((vertex, value, lineno))
+    if not rows:
+        raise ParseError(f"no {what} rows", max(1, lineno))
+    return rows
 
 
 def read_partition(path) -> list[list[int]]:
     """Partition CSV: 'vertex_index,set_index' per line, '#' comments."""
     groups: dict[int, list[int]] = {}
-    for vertex, group, _ in _read_vertex_rows(path, "vertex_index,set_index"):
+    for vertex, group, _ in _read_vertex_rows(path, "vertex_index,set_index", "partition"):
         groups.setdefault(group, []).append(vertex)
     return [groups[key] for key in sorted(groups)]
 
@@ -182,11 +188,8 @@ def read_labels(path) -> np.ndarray:
     The n rows must name the vertices 0..n-1, each once, in any order;
     entry i of the result is the label of vertex i.
     """
-    rows = list(_read_vertex_rows(path, "vertex_index,label"))
+    rows = _read_vertex_rows(path, "vertex_index,label", "label")
     n = len(rows)
-    if n == 0:
-        with open(path) as fh:
-            raise ParseError("no label rows", max(1, sum(1 for _ in fh)))
     labels = np.empty(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     for vertex, label, lineno in rows:

@@ -7,7 +7,6 @@ from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import LengthMismatchError
 
@@ -88,6 +87,10 @@ def misclassified_fraction(a: Sequence[int], b: Sequence[int]) -> float:
     contingency table (padded square when cluster counts differ), not a
     greedy matching.
     """
+    # Imported here: scipy.optimize costs every CLI process about 0.2 s
+    # at start-up, and only this function needs it.
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency_table(a, b)
     counts = table.counts
     size = max(counts.shape)

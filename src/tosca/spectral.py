@@ -87,31 +87,32 @@ class KoopmanSpectrum:
 
 
 def _fix_signs(phi: np.ndarray, *others: np.ndarray) -> None:
-    """Make the first largest-magnitude entry of each phi column positive.
+    """Make the first largest-magnitude entry of each phi column real and positive.
 
-    Companion matrices are flipped with phi so eigenpairs stay paired.
-    Operates in place.
+    Columns, and companion columns alike, are multiplied by its unit phase
+    (a sign flip if real); it is then set to its exact modulus. In place.
     """
     for j in range(phi.shape[1]):
         pivot = int(np.argmax(np.abs(phi[:, j])))
-        if phi[pivot, j] < 0.0:
-            phi[:, j] = -phi[:, j]
-            for other in others:
-                other[:, j] = -other[:, j]
+        phase = np.conj(phi[pivot, j]) / np.abs(phi[pivot, j])
+        for column in (phi, *others):
+            column[:, j] *= phase
+        phi[pivot, j] = np.abs(phi[pivot, j])
 
 
 def _top_k(
-    m: sp.spmatrix, k: int, symmetric: bool = False
+    m: sp.spmatrix | spla.LinearOperator, k: int, symmetric: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-k (values, left, right) of the square matrix m, descending.
 
-    The top singular triplets (sigma, u, v), or for symmetric m the
-    eigenpairs with the largest values (lambda, x, x). Restarted Lanczos
-    (ARPACK, from a fixed start vector) answers unless it cannot: for
-    k >= n - 1, which ARPACK does not accept, when ARPACK fails, or when
-    a column (value w, left u, right v) misses ||m v - w u|| <= tol or
-    ||m^T u - w v|| <= tol, tol = _RESIDUAL_TOL. The dense solve answers
-    those cases.
+    The top singular triplets (sigma, u, v), or for symmetric (real
+    symmetric or complex Hermitian) m the eigenpairs with the largest
+    values (lambda, x, x). Restarted Lanczos (ARPACK, from a fixed start
+    vector) answers unless it cannot: for k >= n - 1, which ARPACK does
+    not accept, when ARPACK fails, or when a column (value w, left u,
+    right v) misses ||m v - w u|| <= tol or, for singular triplets,
+    ||m^T u - w v|| <= tol, tol = _RESIDUAL_TOL. The dense solve of
+    m @ I answers those cases, so m may also be a LinearOperator.
     """
     n = m.shape[0]
     if k < n - 1:
@@ -130,17 +131,16 @@ def _top_k(
         else:
             order = np.argsort(vals)[::-1]
             vals, u, v = vals[order], u[:, order], v[:, order]
-            residual = max(
-                np.linalg.norm(m @ v - u * vals, axis=0).max(),
-                np.linalg.norm(m.T @ u - v * vals, axis=0).max(),
-            )
+            residual = np.linalg.norm(m @ v - u * vals, axis=0).max()
+            if not symmetric:
+                residual = max(residual, np.linalg.norm(m.T @ u - v * vals, axis=0).max())
             if residual <= _RESIDUAL_TOL:
                 return vals, u, v
     if symmetric:
-        vals, u = np.linalg.eigh(m.toarray())
+        vals, u = np.linalg.eigh(m @ np.eye(n))
         u = u[:, ::-1][:, :k]
         return vals[::-1][:k], u, u
-    u, vals, vt = np.linalg.svd(m.toarray())
+    u, vals, vt = np.linalg.svd(m @ np.eye(n))
     return vals[:k], u[:, :k], vt[:k, :].T
 
 

@@ -1,9 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import tosca
+from tosca import baselines
 from tosca.baselines import _pseudo_inv_sqrt
 from tosca.errors import DegenerateSpectrumError, ZeroDegreeError
+from tosca.spectral import _fix_signs, _top_k
+
+from conftest import random_directed_graph
 
 
 def diagonal_block_graph(seed, n_b=50, p=0.8, q=0.1, r_b=4):
@@ -20,6 +27,65 @@ def cyclic_block_graph(seed, n_b=50, p=0.8, q=0.1, r_b=4):
     return tosca.add_self_loops(g, 1.0)
 
 
+FIXTURES = {"diagonal": diagonal_block_graph, "cyclic": cyclic_block_graph}
+
+
+def dense_ddbs(g):
+    """Do^-1/2 A Di^-1/2 A^T Do^-1/2 + Di^-1/2 A^T Do^-1/2 A Di^-1/2, densely."""
+    a = g.adjacency.toarray()
+    deg = tosca.degree_info(g)
+    do = np.diag(_pseudo_inv_sqrt(deg.out_degrees))
+    di = np.diag(_pseudo_inv_sqrt(deg.in_degrees))
+    return do @ a @ di @ a.T @ do + di @ a.T @ do @ a @ di
+
+
+def dense_ddbs_labels(g, k, cfg):
+    """Dense DDBS pipeline: formula -> eigh of D^-1/2 M D^-1/2 -> k-means."""
+    m = dense_ddbs(g)
+    dinv = _pseudo_inv_sqrt(m.sum(axis=1))
+    _, vecs = np.linalg.eigh(dinv[:, None] * m * dinv[None, :])
+    return tosca.kmeans(vecs[:, ::-1][:, :k] * dinv[:, None], k, cfg).labels
+
+
+def skew_part(g):
+    """C = A_nn - A_nn^T with A_nn = Do^-1/2 A Di^-1/2, densely."""
+    a = g.adjacency.toarray()
+    deg = tosca.degree_info(g)
+    a_nn = (
+        _pseudo_inv_sqrt(deg.out_degrees)[:, None]
+        * a
+        * _pseudo_inv_sqrt(deg.in_degrees)[None, :]
+    )
+    return a_nn - a_nn.T
+
+
+def herm_features(g, k, monkeypatch):
+    """The points herm_cluster hands to k-means."""
+    seen = []
+
+    def spy(points, k, cfg=None):
+        seen.append(points)
+        return tosca.kmeans(points, k, cfg)
+
+    monkeypatch.setattr(baselines, "kmeans", spy)
+    tosca.herm_cluster(g, k)
+    return seen[0]
+
+
+def projector(cols):
+    q, _ = np.linalg.qr(cols)
+    return q @ q.T
+
+
+def peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 class TestSymmetrize:
     def test_naive_sum(self):
         g = tosca.from_edge_list(3, [(0, 1, 2.0), (2, 1, 1.0)])
@@ -28,10 +94,17 @@ class TestSymmetrize:
         assert np.array_equal(sym.m, a + a.T)
 
     def test_ddbs_symmetric_nonnegative(self, rng):
-        from conftest import random_directed_graph
-
         g = random_directed_graph(20, rng)
         sym = tosca.symmetrize(g, "ddbs")
+        assert np.array_equal(sym.m, sym.m.T)
+        assert sym.m.min() >= 0.0
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_ddbs_matches_dense_formula(self, rng, self_loops):
+        g = random_directed_graph(30, rng, density=0.2, self_loops=self_loops)
+        sym = tosca.symmetrize(g, "ddbs")
+        ref = dense_ddbs(g)
+        assert np.abs(sym.m - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(sym.m, sym.m.T)
         assert sym.m.min() >= 0.0
 
@@ -81,6 +154,14 @@ class TestDdbsCluster:
         ]
         assert np.median(aris) > 0.9
 
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_labels_match_dense_pipeline(self, fixture):
+        for seed in range(8):
+            g = FIXTURES[fixture](seed)
+            cfg = tosca.KMeansConfig(seed=seed)
+            labels = tosca.ddbs_cluster(g, 4, cfg).labels
+            assert tosca.adjusted_rand_index(labels, dense_ddbs_labels(g, 4, cfg)) == 1.0
+
 
 class TestHermCluster:
     def test_symmetric_graph_degenerate(self):
@@ -128,17 +209,8 @@ class TestHermCluster:
         assert np.median(aris) >= 0.9
 
     def test_skew_svd_pairing_identities(self, rng):
-        from conftest import random_directed_graph
-
         g = random_directed_graph(25, rng, density=0.2)
-        a = g.adjacency.toarray()
-        deg = tosca.degree_info(g)
-        a_nn = (
-            _pseudo_inv_sqrt(deg.out_degrees)[:, None]
-            * a
-            * _pseudo_inv_sqrt(deg.in_degrees)[None, :]
-        )
-        c = a_nn - a_nn.T
+        c = skew_part(g)
         u, sigma, vt = np.linalg.svd(c)
         for j in range(6):
             v = vt[j, :]
@@ -146,11 +218,73 @@ class TestHermCluster:
             assert np.abs(c @ u[:, j] + sigma[j] * v).max() < 1e-8
 
     def test_duplicated_singular_values(self, rng):
-        from conftest import random_directed_graph
-
         g = random_directed_graph(20, rng, density=0.3)
         a = g.adjacency.toarray()
         c = a - a.T
         sigma = np.linalg.svd(c, compute_uv=False)
         paired = sigma[: 2 * (len(sigma) // 2)].reshape(-1, 2)
         assert np.abs(paired[:, 0] - paired[:, 1]).max() < 1e-8
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_features_span_singular_vector_pairs(self, rng, monkeypatch, k):
+        g = random_directed_graph(40, rng, density=0.2)
+        feats = herm_features(g, k, monkeypatch)
+        u, _, vt = np.linalg.svd(skew_part(g))
+        pairs = (k + 1) // 2
+        ref = np.column_stack([col for j in range(pairs) for col in (u[:, 2 * j], vt[2 * j])])
+        assert feats.shape == (g.n, 2 * pairs)
+        assert np.abs(projector(feats) - projector(ref)).max() <= 1e-8
+
+    def test_eigenvector_phase_fixed(self, rng, monkeypatch):
+        g = random_directed_graph(40, rng, density=0.2)
+        feats = herm_features(g, 6, monkeypatch)
+        x = feats[:, 0::2] + 1j * feats[:, 1::2]
+        for j in range(x.shape[1]):
+            pivot = int(np.argmax(np.abs(x[:, j])))
+            assert x[pivot, j].imag == 0.0
+            assert x[pivot, j].real > 0.0
+
+
+class TestDenseFallback:
+    @pytest.mark.parametrize("cluster", [tosca.ddbs_cluster, tosca.herm_cluster])
+    def test_arpack_error_gives_lanczos_labels(self, monkeypatch, cluster):
+        g = cyclic_block_graph(0)
+        cfg = tosca.KMeansConfig(seed=0)
+        lanczos = cluster(g, 4, cfg).labels
+        calls = []
+
+        def failing(m, *args, **kwargs):
+            calls.append(m.dtype)
+            raise spla.ArpackError(-9999)
+
+        monkeypatch.setattr(spla, "eigsh", failing)
+        assert np.array_equal(cluster(g, 4, cfg).labels, lanczos)
+        expected = np.complex128 if cluster is tosca.herm_cluster else np.float64
+        assert calls == [expected]
+
+    def test_hermitian_k_beyond_lanczos_gives_lanczos_labels(self):
+        # k >= n - 1 sends _top_k to the dense solve; its leading
+        # eigenvectors must cluster like the Lanczos ones herm_cluster uses
+        g = cyclic_block_graph(0)
+        cfg = tosca.KMeansConfig(seed=0)
+        vals, x, _ = _top_k(1j * skew_part(g), g.n - 1, symmetric=True)
+        assert len(vals) == g.n - 1
+        x = x[:, :2].copy()
+        _fix_signs(x)
+        labels = tosca.kmeans(np.stack([x.real, x.imag], axis=2).reshape(g.n, -1), 4, cfg)
+        assert np.array_equal(labels.labels, tosca.herm_cluster(g, 4, cfg).labels)
+
+    def test_hermitian_tiny_graph_takes_dense_branch(self, monkeypatch):
+        # ceil(k/2) = 2 >= n - 1 for n = 3: ARPACK is never asked
+        g = tosca.from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        monkeypatch.setattr(spla, "eigsh", None)
+        labels = tosca.herm_cluster(tosca.add_self_loops(g, 1.0), 3).labels
+        assert sorted(labels.tolist()) == [0, 1, 2]
+
+
+class TestMemory:
+    @pytest.mark.parametrize("cluster", [tosca.ddbs_cluster, tosca.herm_cluster])
+    def test_no_dense_n_by_n(self, cluster):
+        # one 4000 x 4000 float array alone would be 122 MiB
+        g = cyclic_block_graph(0, n_b=500, p=0.05, q=0.003, r_b=8)
+        assert peak_mib(cluster, g, 8) < 32

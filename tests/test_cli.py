@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +178,17 @@ class TestCluster:
             "--method", "ddbs", "-o", str(out),
         ]) == 0
 
+    @pytest.mark.parametrize("method", ["ddbs", "herm"])
+    def test_baseline_byte_identical_reruns(self, tmp_path, cycles_tsv, method):
+        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = [
+            "cluster", cycles_tsv, "-k", "3", "--self-loops", "1.0", "--seed", "7",
+            "--method", method,
+        ]
+        assert main(args + ["-o", str(out_a)]) == 0
+        assert main(args + ["-o", str(out_b)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
 
 class TestSpectrum:
     def test_csv_and_gap(self, tmp_path, cycles_tsv, capsys):
@@ -290,6 +305,16 @@ class TestEstimate:
         ])
         assert code == 3
         assert "line 4:" in capsys.readouterr().err
+
+    def test_header_only_partition_data_error(self, tmp_path, cycles_tsv, capsys):
+        partition = tmp_path / "part.csv"
+        partition.write_text("vertex_index,set_index\n")
+        code = main([
+            "estimate", cycles_tsv, "--self-loops", "1.0", "--walkers", "100",
+            "--basis", str(partition), "-o", str(tmp_path / "est.json"),
+        ])
+        assert code == 3
+        assert "line 1: no partition rows" in capsys.readouterr().err
 
     def test_graph_or_walks_required(self, tmp_path, capsys):
         partition = tmp_path / "partition.csv"
@@ -412,3 +437,16 @@ class TestDegenerateSpectrum:
         g = tosca.add_self_loops(tosca.read_edge_list(graph_path), 1.0)
         spec = tosca.fb_spectrum(tosca.transition_matrix(g), tosca.uniform_density(g.n), 2)
         assert json.loads(capsys.readouterr().out)["kappa"] == spec.kappa.tolist()
+
+
+class TestImports:
+    def test_cli_does_not_load_scipy_optimize(self):
+        # only misclassified_fraction (tosca eval) needs scipy.optimize,
+        # and loading it costs every CLI process start-up time
+        src = str(Path(tosca.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, tosca, tosca.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -194,6 +194,16 @@ class TestPartitionIO:
         back = tosca.galerkin.read_partition(path)
         assert [sorted(group) for group in back] == [[0, 1, 4], [2, 3]]
 
+    @pytest.mark.parametrize(
+        "text,line", [("vertex_index,set_index\n", 1), ("# c\nvertex_index,set_index\n\n", 3), ("", 1)]
+    )
+    def test_no_rows_rejected(self, tmp_path, text, line):
+        path = tmp_path / "partition.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="no partition rows") as info:
+            tosca.galerkin.read_partition(path)
+        assert info.value.line == line
+
 
 class TestLabelIO:
     def test_rows_in_any_order(self, tmp_path):

@@ -10,6 +10,8 @@ from tosca.errors import (
     TooFewValuesError,
 )
 
+from tosca.spectral import _fix_signs
+
 from conftest import random_directed_graph, random_undirected_graph, three_cycles_graph
 
 
@@ -179,6 +181,35 @@ class TestFbSpectrum:
             tosca.fb_spectrum(s, mu, 13)
         with pytest.raises(KOutOfRangeError):
             tosca.fb_spectrum(s, mu, 0)
+
+
+class TestFixSigns:
+    def test_real_columns_bitwise_sign_flip(self, rng):
+        phi = rng.standard_normal((30, 6))
+        phi[:2] = [[0.0] * 6, [-0.0] * 6]
+        psi = rng.standard_normal((20, 6))
+        psi[0] = -0.0
+        ref_phi, ref_psi = phi.copy(), psi.copy()
+        for j in range(6):
+            pivot = np.argmax(np.abs(ref_phi[:, j]))
+            if ref_phi[pivot, j] < 0.0:
+                ref_phi[:, j] = -ref_phi[:, j]
+                ref_psi[:, j] = -ref_psi[:, j]
+        _fix_signs(phi, psi)
+        assert phi.tobytes() == ref_phi.tobytes()
+        assert psi.tobytes() == ref_psi.tobytes()
+
+    def test_complex_pivot_real_positive(self, rng):
+        x = rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))
+        companion = x.copy()
+        before = np.abs(x)
+        _fix_signs(x, companion)
+        assert np.abs(np.abs(x) - before).max() < 1e-15
+        assert np.abs(companion - x).max() < 1e-15
+        for j in range(5):
+            pivot = int(np.argmax(np.abs(x[:, j])))
+            assert x[pivot, j].imag == 0.0
+            assert x[pivot, j].real > 0.0
 
 
 class TestKoopmanSpectrum:
