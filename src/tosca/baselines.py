@@ -61,8 +61,8 @@ def _ddbs_operator(g: Graph) -> spla.LinearOperator:
 def symmetrize(g: Graph, scheme: Literal["ddbs", "naive_sum"] = "ddbs") -> SymmetrizedMatrix:
     """Symmetric nonnegative similarity matrix for a directed graph (dense)."""
     if scheme == "naive_sum":
-        a = g.adjacency.toarray()
-        return SymmetrizedMatrix(m=a + a.T, scheme=scheme)
+        a = g.adjacency
+        return SymmetrizedMatrix(m=(a + a.T) @ np.eye(g.n), scheme=scheme)
     m = _ddbs_operator(g) @ np.eye(g.n)
     return SymmetrizedMatrix(m=(m + m.T) / 2.0, scheme="ddbs")
 
