@@ -9,16 +9,17 @@ Both get their eigenvectors from spectral._top_k and form no n x n array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .clustering import Clustering, KMeansConfig, kmeans
 from .errors import DegenerateSpectrumError, KTooLargeError, ZeroDegreeError
 from .graph import Graph, degree_info
 from .spectral import _fix_signs, _top_k
+
+if TYPE_CHECKING:
+    import scipy.sparse.linalg as spla
 
 __all__ = [
     "SymmetrizedMatrix",
@@ -46,6 +47,8 @@ def _pseudo_inv_sqrt(values: np.ndarray) -> np.ndarray:
 
 def _ddbs_operator(g: Graph) -> spla.LinearOperator:
     """Do^-1/2 A Di^-1/2 A^T Do^-1/2 + Di^-1/2 A^T Do^-1/2 A Di^-1/2, four sparse products."""
+    import scipy.sparse.linalg as spla
+
     a = g.adjacency
     deg = degree_info(g)
     do = _pseudo_inv_sqrt(deg.out_degrees)[:, None]
@@ -75,6 +78,9 @@ def ddbs_cluster(g: Graph, k: int, cfg: KMeansConfig | None = None) -> Clusterin
     """
     if not 1 <= k <= g.n:
         raise KTooLargeError(f"k={k} outside [1, {g.n}]")
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     m = _ddbs_operator(g)
     deg = m @ np.ones(g.n)
     if not (deg > 0.0).any():
@@ -96,6 +102,8 @@ def herm_cluster(g: Graph, k: int, cfg: KMeansConfig | None = None) -> Clusterin
     """
     if not 1 <= k <= g.n:
         raise KTooLargeError(f"k={k} outside [1, {g.n}]")
+    import scipy.sparse as sp
+
     deg = degree_info(g)
     do = _pseudo_inv_sqrt(deg.out_degrees)
     di = _pseudo_inv_sqrt(deg.in_degrees)

@@ -179,6 +179,9 @@ def _cmd_estimate(args) -> int:
     if args.walks:
         sample = read_walks(args.walks)
         n = int(max(sample.xs.max(), sample.ys.max())) + 1 if sample.m else 0
+        # the walks fix no vertex count: the partition may widen it
+        sets = galerkin.read_partition(args.basis)
+        n = max(n, max(max(group) for group in sets) + 1)
     else:
         g = _prepare(args)
         mu = _resolve_mu(args.mu, g)
@@ -188,9 +191,8 @@ def _cmd_estimate(args) -> int:
         else:
             sample = sample_pairs(s, mu, args.walkers, args.seed)
         n = g.n
-    sets = galerkin.read_partition(args.basis)
-    max_vertex = max(max(group) for group in sets)
-    basis = galerkin.indicator_basis(max(n, max_vertex + 1), sets)
+        sets = galerkin.read_partition(args.basis, n)
+    basis = galerkin.indicator_basis(n, sets)
     grams = empirical_grams(sample, basis)
     est = estimated_operators(grams, args.ridge)
     eigenvalues = np.sort(np.linalg.eigvals(est.f).real)[::-1]

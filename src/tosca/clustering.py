@@ -107,24 +107,32 @@ def _lloyd(
     """One restart: k-means++ init then Lloyd iterations.
 
     Returns (labels, inertia, per-iteration inertia history). Empty
-    clusters are reseeded at the point farthest from its centroid.
+    clusters are reseeded at the point farthest from its centroid, in
+    cluster order, so a reseed that empties a later cluster reseeds that
+    one too. Each centroid is its members' sum, accumulated in row order
+    by one weighted bincount per column, over their count; for d >= 2
+    that is bitwise points[labels == j].mean(axis=0).
     """
     centroids = _kmeanspp_init(points, k, rng)
     history: list[float] = []
     labels, dist2 = _assign(points, centroids)
     for _ in range(max_iter):
+        counts = np.bincount(labels, minlength=k)
         for j in range(k):
-            if not (labels == j).any():
+            if counts[j] == 0:
                 far = int(np.argmax(dist2))
                 centroids[j] = points[far]
+                counts[labels[far]] -= 1
+                counts[j] = 1
                 labels[far] = j
                 dist2[far] = 0.0
         history.append(float(dist2.sum()))
+        sums = np.empty_like(centroids)
+        for c in range(points.shape[1]):
+            sums[:, c] = np.bincount(labels, weights=points[:, c], minlength=k)
         new_centroids = centroids.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centroids[j] = points[members].mean(axis=0)
+        filled = counts > 0
+        new_centroids[filled] = sums[filled] / counts[filled, None]
         shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
         labels, dist2 = _assign(points, centroids)

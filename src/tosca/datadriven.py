@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Literal, NamedTuple, get_args
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     EmptySampleError,
@@ -215,6 +214,8 @@ def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
     xs, ys = np.asarray(sample.xs), np.asarray(sample.ys)
     _check_vertices(xs, n)
     _check_vertices(ys, n)
+    import scipy.sparse as sp
+
     pairs = sp.csr_matrix((np.ones(m), (xs, ys)), shape=(n, n))
     return EmpiricalGrams(
         gxx=(phi * np.bincount(xs, minlength=n)) @ phi.T / m,

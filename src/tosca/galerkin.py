@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     EmptySetError,
@@ -119,6 +118,8 @@ def project(op: OperatorMatrix, basis: Basis) -> ReducedOperator:
             "basis is rank-deficient under the reference measure "
             f"(Gram eigenvalue range [{eigvals[0]:.3e}, {eigvals[-1]:.3e}])"
         )
+    import scipy.linalg as sla
+
     l_r = sla.cho_solve(sla.cho_factor((g0 + g0.T) / 2.0), g1)
     return ReducedOperator(l_r=l_r, g0=g0, g1=g1, basis=basis, kind=op.kind)
 
@@ -136,6 +137,8 @@ def reduced_eigenfunctions(
     if not 1 <= k <= r:
         raise KOutOfRangeError(f"k={k} outside [1, {r}]")
     if red.kind in _SELF_ADJOINT_KINDS:
+        import scipy.linalg as sla
+
         vals, xi = sla.eigh((red.g1 + red.g1.T) / 2.0, (red.g0 + red.g0.T) / 2.0)
         vals, xi = vals[::-1], xi[:, ::-1]
     else:
@@ -174,10 +177,20 @@ def _read_vertex_rows(path, header: str, what: str) -> list[tuple[int, int, int]
     return rows
 
 
-def read_partition(path) -> list[list[int]]:
-    """Partition CSV: 'vertex_index,set_index' per line, '#' comments."""
+def read_partition(path, n: int | None = None) -> list[list[int]]:
+    """Partition CSV: 'vertex_index,set_index' per line, '#' comments.
+
+    A row naming a negative vertex, or with ``n`` given a vertex >= n,
+    raises ParseError with its line.
+    """
     groups: dict[int, list[int]] = {}
-    for vertex, group, _ in _read_vertex_rows(path, "vertex_index,set_index", "partition"):
+    for vertex, group, lineno in _read_vertex_rows(
+        path, "vertex_index,set_index", "partition"
+    ):
+        if vertex < 0:
+            raise ParseError(f"negative vertex {vertex}", lineno)
+        if n is not None and vertex >= n:
+            raise ParseError(f"vertex {vertex} outside [0, {n})", lineno)
         groups.setdefault(group, []).append(vertex)
     return [groups[key] for key in sorted(groups)]
 

@@ -6,13 +6,13 @@ construction; dense matrices are only materialized downstream.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DanglingVertexError,
@@ -22,6 +22,11 @@ from .errors import (
     NonPositiveWeightError,
     ParseError,
 )
+
+# scipy is imported where it is used, so that processes which only
+# sample, read, write or score graphs load numpy alone.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Graph",
@@ -65,6 +70,8 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.csr_matrix(
             (self.weight, (self.src, self.dst)), shape=(self.n, self.n)
         )
@@ -194,6 +201,8 @@ def transition_matrix(g: Graph) -> TransitionMatrix:
     zero = deg.out_degrees == 0.0
     if zero.any():
         raise DanglingVertexError(int(np.argmax(zero)))
+    import scipy.sparse as sp
+
     data = g.weight / deg.out_degrees[g.src]
     s = sp.csr_matrix((data, (g.src, g.dst)), shape=(g.n, g.n))
     return TransitionMatrix(s=s)
@@ -201,6 +210,8 @@ def transition_matrix(g: Graph) -> TransitionMatrix:
 
 def lazy_chain(s: TransitionMatrix) -> TransitionMatrix:
     """Mix the walk with staying put: (S + I) / 2."""
+    import scipy.sparse as sp
+
     lazy = (s.s + sp.identity(s.n, format="csr")) * 0.5
     return TransitionMatrix(s=sp.csr_matrix(lazy))
 
@@ -286,11 +297,50 @@ def read_matrix_market(path: str | Path) -> Graph:
     if rows == 0 or nnz == 0:
         raise EmptyMatrixError(f"{path} holds an empty matrix")
 
+    entries = _load_entries(lines[entries_start:], rows, nnz)
+    if entries is None:
+        entries = _parse_entry_lines(lines, entries_start, rows, nnz)
+    src, dst, val = entries
+    return _from_arrays(rows, src, dst, _shift_weights(val), directed=not symmetric)
+
+
+_MM_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+
+def _load_entries(lines: list[str], rows: int, nnz: int):
+    """The entry block as 0-based (src, dst, value) from one ``np.loadtxt``.
+
+    Returns None when the block is not exactly ``nnz`` well-formed
+    entries with indices in 1..rows; ``_parse_entry_lines`` then decides,
+    so both accept the same files. Comments are off, so a '%' line among
+    the entries also goes to the line parser, which skips it.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty block warns; any warning means "let the line parser decide"
+            warnings.simplefilter("error")
+            entries = np.loadtxt(lines, dtype=_MM_ENTRY, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    i, j = entries["row"], entries["col"]
+    if len(entries) != nnz or min(i.min(), j.min()) < 1 or max(i.max(), j.max()) > rows:
+        return None
+    return i - 1, j - 1, np.ascontiguousarray(entries["value"])
+
+
+def _parse_entry_lines(lines: list[str], start: int, rows: int, nnz: int):
+    """Line-by-line parse of the entry block from ``lines[start]`` on.
+
+    Blank and '%' lines are skipped. Raises ParseError naming the first
+    bad line: a field count other than 3, an index that is not an
+    integer or lies outside 1..rows, a value that is not a number, or
+    more or fewer than ``nnz`` entries.
+    """
     src = np.empty(nnz, dtype=np.int64)
     dst = np.empty(nnz, dtype=np.int64)
     val = np.empty(nnz, dtype=np.float64)
     count = 0
-    for idx in range(entries_start, len(lines)):
+    for idx in range(start, len(lines)):
         stripped = lines[idx].strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -303,27 +353,37 @@ def read_matrix_market(path: str | Path) -> Graph:
             raise ParseError(f"cannot parse entry '{stripped}'", idx + 1)
         if count >= nnz:
             raise ParseError(f"more than {nnz} entries", idx + 1)
-        if not (1 <= i <= rows and 1 <= j <= cols):
+        if not (1 <= i <= rows and 1 <= j <= rows):
             raise ParseError(f"index ({i}, {j}) outside 1..{rows}", idx + 1)
         src[count], dst[count], val[count] = i - 1, j - 1, v
         count += 1
     if count != nnz:
         raise ParseError(f"expected {nnz} entries, found {count}", len(lines))
+    return src, dst, val
 
-    return _from_arrays(rows, src, dst, _shift_weights(val), directed=not symmetric)
+
+def _format_edges(first: np.ndarray, second: np.ndarray, weight: np.ndarray, sep: str) -> str:
+    """One 'first<sep>second<sep>weight' line per edge, weights as '%.17g'.
+
+    Each distinct weight is formatted once.
+    """
+    values, inverse = np.unique(weight, return_inverse=True)
+    text = np.array([f"{w:.17g}" for w in values.tolist()], dtype=object)[inverse]
+    return "".join(
+        f"{s}{sep}{d}{sep}{w}\n"
+        for s, d, w in zip(first.tolist(), second.tolist(), text.tolist())
+    )
 
 
 def write_matrix_market(
     g: Graph, path: str | Path, comments: Sequence[str] = ()
 ) -> None:
     """Write a graph as a Matrix Market coordinate real general file."""
+    header = "%%MatrixMarket matrix coordinate real general\n"
+    header += "".join(f"% {c}\n" for c in comments)
+    header += f"{g.n} {g.n} {g.num_edges}\n"
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        for c in comments:
-            fh.write(f"% {c}\n")
-        fh.write(f"{g.n} {g.n} {g.num_edges}\n")
-        for s, d, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()):
-            fh.write(f"{s + 1} {d + 1} {w:.17g}\n")
+        fh.write(header + _format_edges(g.src + 1, g.dst + 1, g.weight, " "))
 
 
 def read_edge_list(path: str | Path, n: int | None = None, directed: bool = True) -> Graph:
@@ -364,12 +424,10 @@ def read_edge_list(path: str | Path, n: int | None = None, directed: bool = True
 
 
 def write_edge_list(g: Graph, path: str | Path, comments: Sequence[str] = ()) -> None:
+    header = f"# n={g.n} directed={int(g.directed)}\n"
+    header += "".join(f"# {c}\n" for c in comments)
     with open(path, "w") as fh:
-        fh.write(f"# n={g.n} directed={int(g.directed)}\n")
-        for c in comments:
-            fh.write(f"# {c}\n")
-        for s, d, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()):
-            fh.write(f"{s}\t{d}\t{w:.17g}\n")
+        fh.write(header + _format_edges(g.src, g.dst, g.weight, "\t"))
 
 
 def reorder_by_cluster(g: Graph, labels: Sequence[int]) -> tuple[Graph, np.ndarray]:

@@ -80,6 +80,53 @@ def adjusted_rand_index(a: Sequence[int], b: Sequence[int]) -> float:
     return numerator / denominator
 
 
+def _max_weight_assignment(w: np.ndarray) -> np.ndarray:
+    """Column matched to each row by a maximum-weight perfect matching.
+
+    ``w`` is a square integer matrix. Shortest augmenting paths with
+    row and column potentials (the Hungarian method in the form of
+    Crouse, "On implementing 2D rectangular assignment algorithms",
+    IEEE TAES 2016), one row added per phase, each Dijkstra step
+    vectorised over the columns. Integer arithmetic keeps it exact.
+    """
+    n = w.shape[0]
+    cost = -np.asarray(w, dtype=np.int64)
+    inf = np.iinfo(np.int64).max // 4
+    # Index 0 is a virtual column; row_of[j] is the row matched to
+    # column j, 1-based, and 0 while column j is free.
+    u = np.zeros(n + 1, dtype=np.int64)
+    v = np.zeros(n + 1, dtype=np.int64)
+    row_of = np.zeros(n + 1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = np.full(n + 1, inf, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while row_of[j0] != 0:
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            free = ~used[1:]
+            better = free & (reduced < minv[1:])
+            minv[1:][better] = reduced[better]
+            way[1:][better] = j0
+            slack = np.where(free, minv[1:], inf)
+            j1 = int(np.argmin(slack)) + 1
+            delta = slack[j1 - 1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[1:][free] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    col_of = np.empty(n, dtype=np.int64)
+    col_of[row_of[1:] - 1] = np.arange(n)
+    return col_of
+
+
 def misclassified_fraction(a: Sequence[int], b: Sequence[int]) -> float:
     """Fraction of elements misassigned under the best label bijection.
 
@@ -87,15 +134,11 @@ def misclassified_fraction(a: Sequence[int], b: Sequence[int]) -> float:
     contingency table (padded square when cluster counts differ), not a
     greedy matching.
     """
-    # Imported here: scipy.optimize costs every CLI process about 0.2 s
-    # at start-up, and only this function needs it.
-    from scipy.optimize import linear_sum_assignment
-
     table = contingency_table(a, b)
     counts = table.counts
     size = max(counts.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: counts.shape[0], : counts.shape[1]] = counts
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    matched = int(padded[rows, cols].sum())
+    cols = _max_weight_assignment(padded)
+    matched = int(padded[np.arange(size), cols].sum())
     return (table.n - matched) / table.n

@@ -19,11 +19,9 @@ every returned vector; a dense solve answers only where Lanczos cannot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     IndexOutOfRangeError,
@@ -34,6 +32,10 @@ from .errors import (
 )
 from .graph import Graph, TransitionMatrix, lazy_chain, transition_matrix
 from .operators import Density, image_density, stationary_density
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 __all__ = [
     "SpectrumResult",
@@ -114,6 +116,8 @@ def _top_k(
     ||m^T u - w v|| <= tol, tol = _RESIDUAL_TOL. The dense solve of
     m @ I answers those cases, so m may also be a LinearOperator.
     """
+    import scipy.sparse.linalg as spla
+
     n = m.shape[0]
     if k < n - 1:
         v0 = np.full(n, 1.0 / np.sqrt(n))
@@ -155,6 +159,8 @@ def fb_spectrum(s: TransitionMatrix, mu: Density, k: int) -> SpectrumResult:
     if not nu.strictly_positive():
         raise NonPositiveDensityError("nu", int(np.argmin(nu.p)))
 
+    import scipy.sparse as sp
+
     sqrt_mu = np.sqrt(mu.p)
     inv_sqrt_nu = 1.0 / np.sqrt(nu.p)
     m = sp.diags(sqrt_mu) @ s.s @ sp.diags(inv_sqrt_nu)
@@ -173,6 +179,8 @@ def koopman_spectrum(g: Graph, k: int, lazy: bool = False) -> KoopmanSpectrum:
     ``lazy`` replaces S by (S + I)/2, which makes all eigenvalues
     nonnegative.
     """
+    import scipy.sparse as sp
+
     a = g.adjacency
     if (a != a.T).nnz != 0:
         raise NotUndirectedError("Koopman spectra are only real for undirected graphs")

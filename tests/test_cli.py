@@ -316,6 +316,45 @@ class TestEstimate:
         assert code == 3
         assert "line 1: no partition rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row,message", [("-1,1", "negative vertex -1"), ("12,1", "vertex 12 outside [0, 12)")]
+    )
+    def test_partition_vertex_outside_graph_data_error(
+        self, tmp_path, cycles_tsv, capsys, row, message
+    ):
+        partition = tmp_path / "part.csv"
+        partition.write_text(f"vertex_index,set_index\n0,0\n{row}\n")
+        code = main([
+            "estimate", cycles_tsv, "--self-loops", "1.0", "--walkers", "100",
+            "--basis", str(partition), "-o", str(tmp_path / "est.json"),
+        ])
+        assert code == 3
+        assert f"line 3: {message}" in capsys.readouterr().err
+
+    def test_walks_partition_negative_vertex_data_error(self, tmp_path, capsys):
+        walks = tmp_path / "walks.csv"
+        walks.write_text("# mode=independent_pairs seed=0\nx,y\n0,1\n1,0\n")
+        partition = tmp_path / "part.csv"
+        partition.write_text("vertex_index,set_index\n0,0\n-1,1\n")
+        code = main([
+            "estimate", "--walks", str(walks), "--basis", str(partition),
+            "-o", str(tmp_path / "est.json"),
+        ])
+        assert code == 3
+        assert "line 3: negative vertex -1" in capsys.readouterr().err
+
+    def test_walks_partition_widens_vertex_count(self, tmp_path):
+        # walks fix no vertex count, so a partition may name unvisited vertices
+        walks = tmp_path / "walks.csv"
+        walks.write_text("# mode=independent_pairs seed=0\nx,y\n0,1\n1,0\n0,0\n")
+        partition = tmp_path / "part.csv"
+        tosca.galerkin.write_partition([[0], [1, 5]], partition)
+        out = tmp_path / "est.json"
+        assert main([
+            "estimate", "--walks", str(walks), "--basis", str(partition), "-o", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["r"] == 2
+
     def test_graph_or_walks_required(self, tmp_path, capsys):
         partition = tmp_path / "partition.csv"
         tosca.galerkin.write_partition([[0]], partition)
@@ -439,6 +478,27 @@ class TestDegenerateSpectrum:
         assert json.loads(capsys.readouterr().out)["kappa"] == spec.kappa.tolist()
 
 
+SCIPY_MODULES = ("scipy.sparse", "scipy.linalg", "scipy.optimize")
+
+
+def run_python(code, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports this tosca."""
+    src = str(Path(tosca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True
+    )
+
+
+def scipy_left_loaded(statement):
+    """Code that runs ``statement`` and prints the scipy modules it loaded."""
+    return (
+        "import sys, tosca, tosca.cli\n"
+        f"{statement}\n"
+        f"print(sorted(m for m in {SCIPY_MODULES!r} if m in sys.modules))"
+    )
+
+
 class TestImports:
     def test_cli_does_not_load_scipy_optimize(self):
         # only misclassified_fraction (tosca eval) needs scipy.optimize,
@@ -450,3 +510,30 @@ class TestImports:
             "sys.exit('scipy.optimize' in sys.modules)"
         )
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_import_loads_no_scipy(self):
+        # scipy loads where a function first needs it, not at import
+        proc = run_python(scipy_left_loaded("pass"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_generate_and_eval_run_without_scipy(self, tmp_path, probs_csv):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("vertex_index,label\n" + "".join(f"{i},{i // 20}\n" for i in range(40)))
+        generate = (
+            f"tosca.cli.main(['generate', 'dsbm', '--blocks', '2', '--block-size', '20', "
+            f"'--probs', {probs_csv!r}, '--mtx', '-o', 'g.mtx', '--json'])"
+        )
+        proc = run_python(scipy_left_loaded(generate), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().endswith("[]")
+        # the scored labels are the blocks with vertex 0 moved to block 1
+        labels = tmp_path / "labels.csv"
+        labels.write_text(
+            "vertex_index,label\n0,1\n" + "".join(f"{i},{i // 20}\n" for i in range(1, 40))
+        )
+        evaluate = "tosca.cli.main(['eval', 'labels.csv', 'truth.csv'])"
+        proc = run_python(scipy_left_loaded(evaluate), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().endswith("[]")
+        assert '"nmv": 0.025' in proc.stdout

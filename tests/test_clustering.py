@@ -171,6 +171,72 @@ class TestGemmAssign:
         assert gemm.inertia == brute.inertia
 
 
+def mask_loop_lloyd(points, k, rng, max_iter, tol):
+    """Reference Lloyd restart: reseed and centroid update by one boolean
+    mask per cluster."""
+    centroids = clustering._kmeanspp_init(points, k, rng)
+    history = []
+    labels, dist2 = clustering._assign(points, centroids)
+    for _ in range(max_iter):
+        for j in range(k):
+            if not (labels == j).any():
+                far = int(np.argmax(dist2))
+                centroids[j] = points[far]
+                labels[far] = j
+                dist2[far] = 0.0
+        history.append(float(dist2.sum()))
+        new_centroids = centroids.copy()
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                new_centroids[j] = points[members].mean(axis=0)
+        shift = np.abs(new_centroids - centroids).max()
+        centroids = new_centroids
+        labels, dist2 = clustering._assign(points, centroids)
+        if shift <= tol:
+            break
+    history.append(float(dist2.sum()))
+    return labels, float(dist2.sum()), history
+
+
+def assert_same_restart(a, b):
+    assert np.array_equal(a[0], b[0])
+    assert a[1] == b[1]
+    assert a[2] == b[2]
+
+
+class TestCentroidUpdate:
+    @pytest.mark.parametrize("d", [2, 3, 32])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_equal_to_mask_loop(self, d, order):
+        rng = np.random.default_rng(d)
+        for trial in range(6):
+            n = int(rng.integers(20, 600))
+            k = int(rng.integers(1, 17))
+            points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+            if trial % 2:
+                points = np.round(points, 0)  # duplicates and ties
+            points = _layout(points, order)
+            assert_same_restart(
+                _lloyd(points, k, np.random.default_rng([1, trial]), 300, 1e-9),
+                mask_loop_lloyd(points, k, np.random.default_rng([1, trial]), 300, 1e-9),
+            )
+
+    def test_reseed_that_empties_a_later_cluster(self, monkeypatch):
+        # Centroid 1 duplicates centroid 0, so cluster 1 starts empty and
+        # is reseeded at the farthest point, (100, 0). That point was the
+        # only member of cluster 2, which must be reseeded in the same pass.
+        points = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [100.0, 0.0]])
+        init = np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]])
+        monkeypatch.setattr(clustering, "_kmeanspp_init", lambda p, k, rng: init.copy())
+        rng = np.random.default_rng(0)
+        for max_iter in (1, 300):
+            restart = _lloyd(points, 3, rng, max_iter, 1e-9)
+            assert_same_restart(restart, mask_loop_lloyd(points, 3, rng, max_iter, 1e-9))
+        assert restart[0].tolist() == [0, 0, 2, 1]
+        assert restart[2][0] == 1.0
+
+
 class TestClusterGraph:
     def test_three_cycles_recovered(self):
         g = three_cycles_graph()

@@ -205,6 +205,28 @@ class TestPartitionIO:
         assert info.value.line == line
 
 
+    @pytest.mark.parametrize(
+        "rows,n,line,message",
+        [
+            ("0,0\n-1,1\n", None, 3, "negative vertex -1"),
+            ("0,0\n-1,1\n", 4, 3, "negative vertex -1"),
+            ("0,0\n\n4,1\n", 4, 4, "vertex 4 outside \\[0, 4\\)"),
+        ],
+    )
+    def test_vertex_outside_rejected(self, tmp_path, rows, n, line, message):
+        path = tmp_path / "partition.csv"
+        path.write_text("vertex_index,set_index\n" + rows)
+        with pytest.raises(ParseError, match=message) as info:
+            tosca.galerkin.read_partition(path, n)
+        assert info.value.line == line
+
+    def test_vertex_count_is_optional(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        path.write_text("vertex_index,set_index\n0,0\n9,1\n")
+        assert tosca.galerkin.read_partition(path) == [[0], [9]]
+        assert tosca.galerkin.read_partition(path, 10) == [[0], [9]]
+
+
 class TestLabelIO:
     def test_rows_in_any_order(self, tmp_path):
         path = tmp_path / "labels.csv"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tosca
+from tosca import graph as graph_module
 from tosca.errors import (
     DanglingVertexError,
     EmptyMatrixError,
@@ -9,6 +11,7 @@ from tosca.errors import (
     LengthMismatchError,
     NonPositiveWeightError,
     ParseError,
+    ToscaError,
 )
 
 from tosca.graph import _from_arrays, _shift_weights
@@ -273,6 +276,144 @@ class TestMatrixMarket:
             "%%MatrixMarket matrix coordinate real general\n% seed=4\n3 3 4\n"
             "1 2 0.30000000000000004\n2 2 3\n2 3 2.5e+20\n3 1 0.33333333333333331\n"
         )
+
+
+MM_GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+MM_SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+def read_outcome(path):
+    """The graph read_matrix_market returns, or (error type, message, line)."""
+    try:
+        return tosca.read_matrix_market(path)
+    except ToscaError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None))
+
+
+def line_parser_outcome(path):
+    """read_outcome with the one-call parse switched off: every entry
+    block goes through the line-by-line parser."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_load_entries", lambda lines, rows, nnz: None)
+        return read_outcome(path)
+
+
+def assert_same_outcome(fast, slow):
+    if isinstance(slow, tuple):
+        assert fast == slow
+        return
+    assert (fast.n, fast.directed) == (slow.n, slow.directed)
+    for name in ("src", "dst", "weight"):
+        x, y = getattr(fast, name), getattr(slow, name)
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y, equal_nan=True)
+
+
+MM_INDEX = ["1", "2", "3", "+1", "03"]
+MM_VALUE = ["2.5", "-0.5", "1e3", ".5", "inf", "0"]
+MM_ODD = ["-1", "0", "4", "1.0", "1e0", "nan", "x", "#", "%", "1_0", ""]
+
+
+@st.composite
+def mm_entry_line(draw):
+    """Mostly well-formed entries, with blank, '%' and malformed lines."""
+    kind = draw(st.sampled_from(["entry"] * 6 + ["blank", "percent", "odd"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    if kind == "percent":
+        return "% note"
+    if kind == "odd":
+        tokens = draw(st.lists(st.sampled_from(MM_INDEX + MM_VALUE + MM_ODD), max_size=4))
+    else:
+        tokens = [draw(st.sampled_from(MM_INDEX)) for _ in range(2)]
+        tokens.append(draw(st.sampled_from(MM_VALUE)))
+    sep = draw(st.sampled_from([" ", "\t", "  ", "\x0b", "\xa0"]))
+    return draw(st.sampled_from(["", " "])) + sep.join(tokens)
+
+
+class TestMatrixMarketLineParserEquivalence:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MM_GENERAL + "% c\n3 3 4\n1 2 0.5\n2 3 1e-3\n3 1 2.5e20\n1 2 0.25\n",
+            MM_SYMMETRIC + "3 3 3\n2 1 1.5\n3 3 2.0\n3 2 0.1\n",
+            # non-positive values take the shift
+            MM_GENERAL + "3 3 3\n1 2 -1.0\n2 3 0\n3 1 2.0\n",
+            MM_SYMMETRIC + "3 3 2\n2 1 -0.5\n3 1 -2.0\n",
+            # blank lines, tabs, padding, CRLF, signs and leading zeros
+            MM_GENERAL + "3 3 3\n\n  1\t2\t1.0  \n\n+2 03 2.0\r\n3 1 .5\n   \n",
+            # a '%' line among the entries is skipped
+            MM_GENERAL + "3 3 2\n1 2 1.0\n% between\n2 3 2.0\n",
+            MM_GENERAL + "3 3 2\n1 2 inf\n2 3 1e400\n",
+        ],
+    )
+    def test_same_graph(self, tmp_path, text):
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        fast = read_outcome(path)
+        assert isinstance(fast, tosca.Graph)
+        assert_same_outcome(fast, line_parser_outcome(path))
+
+    @pytest.mark.parametrize(
+        "entries,line",
+        [
+            ("1.0 2 1.0\n", 3),
+            ("1 2 1.0\n# note\n", 4),
+            ("1 2\n", 3),
+            ("1 2 1.0\n2 3 1.0 7\n", 4),
+            ("0 2 1.0\n", 3),
+            ("1 2 1.0\n2 4 1.0\n", 4),
+            ("1 2 1.0\n2 3 1.0\n3 1 1.0\n", 5),
+            ("1 2 1.0\n\n", 4),
+            ("1 2 1_0\n2 1 x\n", 4),
+        ],
+    )
+    def test_rejected_at_the_line_parsers_line(self, tmp_path, entries, line):
+        path = tmp_path / "m.mtx"
+        path.write_text(MM_GENERAL + "3 3 2\n" + entries)
+        fast = read_outcome(path)
+        assert isinstance(fast, tuple) and fast[2] == line
+        assert fast == line_parser_outcome(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric=st.booleans(), nnz=st.integers(1, 4), lines=st.lists(mm_entry_line(), max_size=6))
+    def test_any_entry_block_same_outcome(self, tmp_path_factory, symmetric, nnz, lines):
+        path = tmp_path_factory.mktemp("mm") / "m.mtx"
+        body = "".join(line + "\n" for line in lines)
+        header = MM_SYMMETRIC if symmetric else MM_GENERAL
+        path.write_text(header + f"3 3 {nnz}\n" + body)
+        assert_same_outcome(read_outcome(path), line_parser_outcome(path))
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_writers_equal_per_edge_format(tmp_path, rng, directed):
+    # repeated weights are formatted once and reused; the bytes are those
+    # of formatting every edge on its own
+    n = 30
+    src, dst = rng.integers(0, n, (2, 200))
+    weight = rng.choice([1.0, 0.1 + 0.2, 1 / 3, 2.5e20, 5e-324, float(rng.normal()) ** 2], 200)
+    g = tosca.from_edge_list(n, zip(src.tolist(), dst.tolist(), weight.tolist()), directed)
+    edges = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
+    tosca.write_matrix_market(g, tmp_path / "g.mtx", comments=["a", "b"])
+    assert (tmp_path / "g.mtx").read_text() == (
+        f"%%MatrixMarket matrix coordinate real general\n% a\n% b\n{n} {n} {len(edges)}\n"
+        + "".join(f"{s + 1} {d + 1} {w:.17g}\n" for s, d, w in edges)
+    )
+    tosca.write_edge_list(g, tmp_path / "g.tsv", comments=["a"])
+    assert (tmp_path / "g.tsv").read_text() == (
+        f"# n={n} directed={int(directed)}\n# a\n"
+        + "".join(f"{s}\t{d}\t{w:.17g}\n" for s, d, w in edges)
+    )
+
+
+def test_writers_on_graph_without_edges(tmp_path):
+    g = tosca.from_edge_list(3, [])
+    tosca.write_matrix_market(g, tmp_path / "g.mtx")
+    assert (tmp_path / "g.mtx").read_text() == (
+        "%%MatrixMarket matrix coordinate real general\n3 3 0\n"
+    )
+    tosca.write_edge_list(g, tmp_path / "g.tsv")
+    assert (tmp_path / "g.tsv").read_text() == "# n=3 directed=1\n"
 
 
 class TestEdgeListIO:

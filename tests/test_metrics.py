@@ -3,9 +3,13 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 import tosca
 from tosca.errors import LengthMismatchError
+from tosca.metrics import _max_weight_assignment
 
 
 def pair_counting_ari(a, b):
@@ -129,6 +133,59 @@ class TestMisclassifiedFraction:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             tosca.misclassified_fraction([0], [0, 1])
+
+
+def padded_square(counts):
+    """The count table zero-padded square, as misclassified_fraction pads it."""
+    size = max(counts.shape)
+    padded = np.zeros((size, size), dtype=np.int64)
+    padded[: counts.shape[0], : counts.shape[1]] = counts
+    return padded
+
+
+@st.composite
+def weight_matrices(draw):
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    # a small value range forces ties; 0 alone gives the all-zero table
+    top = draw(st.sampled_from([0, 1, 2, 5, 1000]))
+    return padded_square(draw(arrays(np.int64, (rows, cols), elements=st.integers(0, top))))
+
+
+def scipy_misclassified_fraction(a, b):
+    """Reference: the same padded table solved by scipy's assignment solver."""
+    table = tosca.contingency_table(a, b)
+    padded = padded_square(table.counts)
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    return (table.n - int(padded[rows, cols].sum())) / table.n
+
+
+class TestMaxWeightAssignment:
+    @settings(max_examples=400, deadline=None)
+    @given(weight_matrices())
+    def test_total_equals_scipy(self, w):
+        cols = _max_weight_assignment(w)
+        assert sorted(cols.tolist()) == list(range(len(w)))
+        rows, ref_cols = linear_sum_assignment(w, maximize=True)
+        assert int(w[np.arange(len(w)), cols].sum()) == int(w[rows, ref_cols].sum())
+
+    @pytest.mark.parametrize(
+        "w,total",
+        [([[7]], 7), ([[0]], 0), ([[0, 0], [0, 0]], 0), ([[3, 3], [3, 3]], 6),
+         ([[1, 2], [2, 4]], 5), ([[5, 1, 0], [0, 4, 2], [1, 0, 7]], 16)],
+    )
+    def test_small_cases(self, w, total):
+        w = np.asarray(w, dtype=np.int64)
+        cols = _max_weight_assignment(w)
+        assert int(w[np.arange(len(w)), cols].sum()) == total
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), min_size=1, max_size=60)
+    )
+    def test_misclassified_fraction_equals_scipy_reference(self, pairs):
+        a, b = zip(*pairs)
+        assert tosca.misclassified_fraction(a, b) == scipy_misclassified_fraction(a, b)
 
 
 class TestContingencyTable:
