@@ -60,8 +60,11 @@ def _resolve_mu(spec: str, g: Graph) -> Density:
         return uniform_density(g.n)
     if spec == "stationary":
         return stationary_density(g)
-    # One mass per line, or all masses on one line.
-    masses = np.atleast_1d(np.squeeze(graph_io._read_numeric_rows(spec)))
+    # One mass per line, or all masses on one line; '#' starts a comment.
+    rows = graph_io._read_rows(
+        spec, np.float64, inline=True, entry="cannot parse numbers in '{text}'"
+    )
+    masses = np.atleast_1d(np.squeeze(rows.table()))
     if len(masses) != g.n:
         raise LengthMismatchError(
             f"density file has {len(masses)} entries for {g.n} vertices"
@@ -80,11 +83,9 @@ def _prepare(args) -> Graph:
 
 
 def _write_labels(path: str, clustering: Clustering, seed: int) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# seed={seed}\n")
-        fh.write("vertex_index,label\n")
-        for i, label in enumerate(clustering.labels):
-            fh.write(f"{i},{int(label)}\n")
+    labels = np.asarray(clustering.labels, dtype=np.int64).tolist()
+    rows = "".join(f"{i},{label}\n" for i, label in enumerate(labels))
+    Path(path).write_text(f"# seed={seed}\nvertex_index,label\n" + rows)
 
 
 def _emit(args, summary: dict) -> None:

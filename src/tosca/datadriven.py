@@ -27,7 +27,6 @@ which for 0/1 indicator bases are the gathered sums above, bit for bit.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,11 +38,10 @@ from .errors import (
     EmptySampleError,
     IndexOutOfRangeError,
     LengthMismatchError,
-    ParseError,
     SingularGramError,
 )
 from .galerkin import Basis
-from .graph import TransitionMatrix
+from .graph import TransitionMatrix, _header_values, _read_rows
 from .operators import Density
 
 __all__ = [
@@ -250,56 +248,27 @@ def estimated_operators(
 
 def write_walks(sample: WalkSample, path: str | Path) -> None:
     """Walk-pair CSV: header records mode and seed, then one x,y per line."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# mode={sample.mode} seed={sample.seed}\n")
-        fh.write("x,y\n")
-        writer = csv.writer(fh)
-        for x, y in zip(sample.xs, sample.ys):
-            writer.writerow([int(x), int(y)])
+    xs, ys = (np.asarray(v, dtype=np.int64).tolist() for v in (sample.xs, sample.ys))
+    rows = "".join(f"{x},{y}\n" for x, y in zip(xs, ys))
+    Path(path).write_text(f"# mode={sample.mode} seed={sample.seed}\nx,y\n" + rows)
+
+
+def _walk_mode(value: str) -> str:
+    if value not in _SAMPLE_MODES:
+        raise LookupError(
+            f"unknown walk mode '{value}', expected one of " + ", ".join(_SAMPLE_MODES)
+        )
+    return value
 
 
 def read_walks(path: str | Path) -> WalkSample:
-    mode: SampleMode = "independent_pairs"
-    seed = 0
-    xs: list[int] = []
-    ys: list[int] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                for token in stripped[1:].split():
-                    if token.startswith("mode="):
-                        mode = token[5:]  # type: ignore[assignment]
-                        if mode not in _SAMPLE_MODES:
-                            raise ParseError(
-                                f"unknown walk mode '{mode}', expected one of "
-                                + ", ".join(_SAMPLE_MODES),
-                                lineno,
-                            )
-                    elif token.startswith("seed="):
-                        try:
-                            seed = int(token[5:])
-                        except ValueError:
-                            raise ParseError(f"cannot parse seed '{token[5:]}'", lineno)
-                continue
-            if stripped == "x,y":
-                continue
-            parts = stripped.split(",")
-            if len(parts) != 2:
-                raise ParseError("expected 'x,y'", lineno)
-            try:
-                x, y = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"cannot parse entry '{stripped}'", lineno)
-            if x < 0 or y < 0:
-                raise ParseError(f"negative walk vertex in '{stripped}'", lineno)
-            xs.append(x)
-            ys.append(y)
+    """Walk-pair CSV; a bad header value or a negative vertex raises ParseError."""
+    rows = _read_rows(path, (np.int64, np.int64), sep=",", header="x,y", shape="expected 'x,y'")
+    values, fault = _header_values(rows.comments, {"mode": _walk_mode, "seed": int})
+    xs, ys = rows.columns
+    rows.check(fault, rows.fault_at((xs < 0) | (ys < 0), lambda k: (
+        f"negative walk vertex in '{rows.text[rows.lines[k] - 1].strip()}'"
+    )))
     return WalkSample(
-        xs=np.asarray(xs, dtype=np.int64),
-        ys=np.asarray(ys, dtype=np.int64),
-        mode=mode,
-        seed=seed,
+        xs=xs, ys=ys, mode=values.get("mode", "independent_pairs"), seed=values.get("seed", 0)
     )

@@ -23,6 +23,7 @@ from .errors import (
     SingularGramError,
     ToscaError,
 )
+from .graph import _read_rows, _vertex_fault
 from .operators import OperatorMatrix
 
 __all__ = [
@@ -151,48 +152,22 @@ def reduced_eigenfunctions(
     return vals[:k], funcs
 
 
-def _read_vertex_rows(path, header: str, what: str) -> list[tuple[int, int, int]]:
-    """(vertex, value, line number) for each 'vertex,value' integer row.
-
-    Blank lines, '#' comments and the header line are skipped. A file
-    without rows raises ParseError "no <what> rows" at its last line.
-    """
-    rows = []
-    lineno = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#") or stripped == header:
-                continue
-            parts = stripped.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected '{header}'", lineno)
-            try:
-                vertex, value = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"cannot parse entry '{stripped}'", lineno)
-            rows.append((vertex, value, lineno))
-    if not rows:
-        raise ParseError(f"no {what} rows", max(1, lineno))
-    return rows
-
-
 def read_partition(path, n: int | None = None) -> list[list[int]]:
     """Partition CSV: 'vertex_index,set_index' per line, '#' comments.
 
     A row naming a negative vertex, or with ``n`` given a vertex >= n,
     raises ParseError with its line.
     """
-    groups: dict[int, list[int]] = {}
-    for vertex, group, lineno in _read_vertex_rows(
-        path, "vertex_index,set_index", "partition"
-    ):
-        if vertex < 0:
-            raise ParseError(f"negative vertex {vertex}", lineno)
-        if n is not None and vertex >= n:
-            raise ParseError(f"vertex {vertex} outside [0, {n})", lineno)
-        groups.setdefault(group, []).append(vertex)
-    return [groups[key] for key in sorted(groups)]
+    header = "vertex_index,set_index"
+    rows = _read_rows(path, (np.int64, np.int64), sep=",", header=header, shape=f"expected '{header}'")
+    rows.check()
+    if not len(rows.lines):
+        raise ParseError("no partition rows", max(1, len(rows.text)))
+    vertex, group = rows.columns
+    rows.check(_vertex_fault(rows, (vertex,), n))
+    order = np.argsort(group, kind="stable")
+    starts = np.unique(group[order], return_index=True)[1]
+    return [part.tolist() for part in np.split(vertex[order], starts[1:])]
 
 
 def read_labels(path) -> np.ndarray:
@@ -201,27 +176,26 @@ def read_labels(path) -> np.ndarray:
     The n rows must name the vertices 0..n-1, each once, in any order;
     entry i of the result is the label of vertex i.
     """
-    rows = _read_vertex_rows(path, "vertex_index,label", "label")
-    n = len(rows)
+    header = "vertex_index,label"
+    rows = _read_rows(path, (np.int64, np.int64), sep=",", header=header, shape=f"expected '{header}'")
+    rows.check()
+    if not len(rows.lines):
+        raise ParseError("no label rows", max(1, len(rows.text)))
+    vertex, label = rows.columns
+    n = len(vertex)
+    outside = (vertex < 0) | (vertex >= n)
+    repeated = np.ones(n, dtype=bool)
+    repeated[np.unique(vertex, return_index=True)[1]] = False
+    rows.check(rows.fault_at(outside | repeated, lambda k: (
+        f"vertex {vertex[k]} outside [0, {n}): {n} rows must name the vertices "
+        f"0..{n - 1}, each once" if outside[k] else f"vertex {vertex[k]} appears twice"
+    )))
     labels = np.empty(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    for vertex, label, lineno in rows:
-        if not 0 <= vertex < n:
-            raise ParseError(
-                f"vertex {vertex} outside [0, {n}): {n} rows must name "
-                f"the vertices 0..{n - 1}, each once",
-                lineno,
-            )
-        if seen[vertex]:
-            raise ParseError(f"vertex {vertex} appears twice", lineno)
-        seen[vertex] = True
-        labels[vertex] = label
+    labels[vertex] = label
     return labels
 
 
 def write_partition(sets: Sequence[Iterable[int]], path) -> None:
+    rows = "".join(f"{int(v)},{group}\n" for group, vertices in enumerate(sets) for v in vertices)
     with open(path, "w") as fh:
-        fh.write("vertex_index,set_index\n")
-        for group, vertices in enumerate(sets):
-            for v in vertices:
-                fh.write(f"{int(v)},{group}\n")
+        fh.write("vertex_index,set_index\n" + rows)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .clustering import KMeansConfig, cluster_graph
 from .errors import ToscaError
-from .graph import Graph, _from_arrays, _read_numeric_rows, add_self_loops
+from .graph import Graph, _from_arrays, _read_rows, add_self_loops
 from .metrics import adjusted_rand_index
 
 __all__ = [
@@ -127,7 +127,9 @@ def read_prob_matrix(path) -> np.ndarray:
     '#' starts a comment; a malformed entry or a ragged row raises
     ParseError with its line.
     """
-    e = _read_numeric_rows(path, delimiter=",")
+    e = _read_rows(
+        path, np.float64, sep=",", inline=True, entry="cannot parse numbers in '{text}'"
+    ).table()
     if e.shape[0] != e.shape[1]:
         raise ToscaError(f"probability matrix must be square, got {e.shape}")
     return e

@@ -9,8 +9,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,13 +107,9 @@ class TransitionMatrix:
 
 
 def _validate_triples(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
-    if len(src) == 0:
-        return
-    if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
-        bad = int(src[(src < 0) | (src >= n)][0]) if ((src < 0) | (src >= n)).any() else int(
-            dst[(dst < 0) | (dst >= n)][0]
-        )
-        raise IndexOutOfRangeError(f"vertex index {bad} outside [0, {n})")
+    for v in (src, dst):
+        if len(v) and not 0 <= v.min() <= v.max() < n:
+            raise IndexOutOfRangeError(f"vertex index {v[(v < 0) | (v >= n)][0]} outside [0, {n})")
     if (weight <= 0.0).any():
         i = int(np.argmax(weight <= 0.0))
         raise NonPositiveWeightError(
@@ -142,17 +139,9 @@ def from_edge_list(
     Duplicate pairs are summed. For undirected graphs each edge is
     materialized in both directions with identical accumulated weight.
     """
-    triples = list(triples)
-    if triples:
-        arr = np.asarray(triples, dtype=np.float64).reshape(len(triples), 3)
-        src = arr[:, 0].astype(np.int64)
-        dst = arr[:, 1].astype(np.int64)
-        weight = arr[:, 2]
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
-        weight = np.empty(0, dtype=np.float64)
-    return _from_arrays(n, src, dst, weight, directed)
+    arr = np.asarray(list(triples), dtype=np.float64).reshape(-1, 3)
+    src, dst = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+    return _from_arrays(n, src, dst, arr[:, 2], directed)
 
 
 def _from_arrays(
@@ -220,43 +209,172 @@ def _shift_weights(values: np.ndarray) -> np.ndarray:
     """Shift stored entries to positive when any entry is <= 0."""
     if len(values) == 0 or values.min() > 0.0:
         return values
+    if values.min() == values.max():
+        raise NonPositiveWeightError(
+            f"all {len(values)} stored values equal {values[0]} <= 0, so the shift "
+            "-min + 1e-3 * (max - min) cannot make them positive"
+        )
     delta = 1e-3 * (values.max() - values.min())
     return values + (-values.min() + delta)
 
 
-def _read_numeric_rows(path: str | Path, delimiter: str | None = None) -> np.ndarray:
-    """Rows of numbers, one row per line, as a (rows, columns) float array.
+class _Rows(NamedTuple):
+    """A text table, read up to its first malformed line (its ``fault``)."""
 
-    Text after '#' and blank lines are skipped; ``delimiter=None`` splits
-    on whitespace. An entry that is not a number, or a row whose length
-    differs from the first row's, raises ParseError with its line. A file
-    without rows gives shape (0, 1), as ``np.loadtxt(..., ndmin=2)`` does.
+    columns: list[np.ndarray]  # one array per column
+    lines: Sequence[int]  # the 1-based line of each row
+    comments: list[tuple[int, str]]  # (line, text after the mark) per comment line
+    fault: ParseError | None
+    text: list[str]  # every line of the file
+
+    def fault_at(self, bad: np.ndarray, message: Callable[[int], str]) -> ParseError | None:
+        """A ParseError at the first row flagged in ``bad``, worded by ``message(row)``."""
+        if not bad.any():
+            return None
+        k = int(np.argmax(bad))
+        return ParseError(message(k), self.lines[k])
+
+    def check(self, *faults: ParseError | None) -> None:
+        """Raise the earliest of ``faults`` and the table's fault; ties go to the first."""
+        found = [fault for fault in (*faults, self.fault) if fault is not None]
+        if found:
+            raise min(found, key=lambda fault: fault.line)
+
+    def table(self) -> np.ndarray:
+        """The rows as one (rows, columns) array, (0, 1) without rows."""
+        self.check()
+        return np.column_stack(self.columns) if self.columns else np.empty((0, 1))
+
+
+def _read_rows(
+    source: str | Path | list[str],
+    types: tuple[type, ...] | type,
+    sep: str | None = None,
+    comment: str = "#",
+    inline: bool = False,
+    header: str | None = None,
+    start: int = 0,
+    shape: str = "expected {width} values like the first row, found {found}",
+    entry: str = "cannot parse entry '{text}'",
+) -> _Rows:
+    """Rows of ``sep``-separated fields (None: whitespace) from a file or its lines.
+
+    ``types`` holds each column's numpy type; one type reads as many columns
+    as the first row has. Skipped: lines before index ``start``, blank and
+    ``header`` lines, and comments (lines starting with ``comment``, or with
+    ``inline`` the text from it on). The first other line that is no row of
+    the types is the fault, worded by ``shape`` (field count) or ``entry``.
+    One ``np.loadtxt`` call (``_load_rows``) reads the rows, or this line
+    parser when it rejects them, to the same arrays.
     """
-    rows: list[list[float]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
+    if isinstance(source, list):
+        text = source
+    else:
+        with open(source) as fh:
+            text = fh.readlines()
+    fixed = isinstance(types, tuple)
+    width = len(types) if fixed else None
+    rows, lines, comments = [], [], []  # as in _Rows; rows as lists of values
+    fault = None
+    for index in range(start, len(text)):
+        stripped = (text[index].split(comment, 1)[0] if inline else text[index]).strip()
+        if not stripped or stripped == header:
+            continue
+        if stripped.startswith(comment):
+            comments.append((index + 1, stripped[len(comment):]))
+            continue
+        if not rows:
+            columns = _load_rows(text, index, types, sep)
+            if columns is not None:
+                return _Rows(columns, range(index + 1, len(text) + 1), comments, None, text)
+        fields = stripped.split(sep)
+        if fixed and len(fields) != width:
+            fault = ParseError(shape.format(width=width, found=len(fields)), index + 1)
+            break
+        try:
+            row = [t(f) for t, f in zip(types if fixed else repeat(types), fields)]
+        except (ValueError, OverflowError):
+            fault = ParseError(entry.format(text=stripped), index + 1)
+            break
+        width = width or len(row)
+        if len(row) != width:
+            fault = ParseError(shape.format(width=width, found=len(row)), index + 1)
+            break
+        rows.append(row)
+        lines.append(index + 1)
+    types = types if fixed else (types,) * (width or 0)
+    columns = [np.array([row[c] for row in rows], dtype=t) for c, t in enumerate(types)]
+    return _Rows(columns, lines, comments, fault, text)
+
+
+def _load_rows(
+    text: list[str], start: int, types: tuple[type, ...] | type, sep: str | None
+) -> list[np.ndarray] | None:
+    """``_read_rows``'s columns for ``text[start:]`` from one ``np.loadtxt``.
+
+    None when ``np.loadtxt`` rejects the lines (with comments off, any
+    comment or header line among them) or skips one (a blank line).
+    """
+    fixed = isinstance(types, tuple)
+    dtype = np.dtype([(f"c{i}", t) for i, t in enumerate(types)] if fixed else types)
+    try:
+        with warnings.catch_warnings():
+            # an empty block warns; any warning means "let the line parser decide"
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                islice(text, start, None), dtype=dtype, delimiter=sep, comments=None,
+                ndmin=1 if fixed else 2,
+            )
+    except (ValueError, Warning):
+        return None
+    if len(table) != len(text) - start:
+        return None
+    return [np.ascontiguousarray(table[name]) for name in dtype.names] if fixed else list(table.T)
+
+
+def _vertex_fault(rows: _Rows, columns: Sequence[np.ndarray], n: int | None) -> ParseError | None:
+    """The first row naming a negative vertex, or with ``n`` a vertex >= n."""
+    bad = [(v < 0) | (v >= n) if n is not None else v < 0 for v in columns]
+
+    def message(k: int) -> str:
+        v = next(int(column[k]) for column, flags in zip(columns, bad) if flags[k])
+        return f"negative vertex {v}" if v < 0 else f"vertex {v} outside [0, {n})"
+
+    return rows.fault_at(np.logical_or.reduce(bad), message)
+
+
+def _header_values(
+    comments: list[tuple[int, str]], parsers: dict[str, Callable[[str], object]]
+) -> tuple[dict[str, object], ParseError | None]:
+    """Values of the 'key=value' tokens in comment lines (the last one wins).
+
+    The first value its parser rejects is the fault at its line: "cannot
+    parse <key> '<value>'" for a ValueError, a LookupError's own message.
+    """
+    values: dict[str, object] = {}
+    for line, text in comments:
+        for key, eq, value in (token.partition("=") for token in text.split()):
             try:
-                row = [float(field) for field in stripped.split(delimiter)]
+                if eq and key in parsers:
+                    values[key] = parsers[key](value)
+            except LookupError as exc:
+                return values, ParseError(exc.args[0], line)
             except ValueError:
-                raise ParseError(f"cannot parse numbers in '{stripped}'", lineno)
-            if rows and len(row) != len(rows[0]):
-                raise ParseError(
-                    f"expected {len(rows[0])} values like the first row, found {len(row)}",
-                    lineno,
-                )
-            rows.append(row)
-    return np.array(rows, dtype=np.float64) if rows else np.empty((0, 1))
+                return values, ParseError(f"cannot parse {key} '{value}'", line)
+    return values, None
+
+
+_EDGE_ROW = (np.int64, np.int64, np.float64)
 
 
 def read_matrix_market(path: str | Path) -> Graph:
     """Read a Matrix Market coordinate file as a weighted graph.
 
     Non-positive stored entries are shifted by (-min + 1e-3*(max - min));
-    the sparsity pattern is preserved. Symmetric files are expanded to
-    both directions and yield an undirected graph.
+    the sparsity pattern is preserved. Stored values that are all equal
+    and <= 0 cannot be shifted positive and raise NonPositiveWeightError.
+    Symmetric files are expanded to both directions and yield an
+    undirected graph.
     """
     path = Path(path)
     with open(path) as fh:
@@ -294,72 +412,25 @@ def read_matrix_market(path: str | Path) -> Graph:
         raise ParseError("size line must contain three integers", size_line[1])
     if rows != cols:
         raise ParseError(f"matrix must be square, got {rows}x{cols}", size_line[1])
+    if nnz < 0:
+        raise ParseError(f"negative entry count {nnz}", size_line[1])
     if rows == 0 or nnz == 0:
         raise EmptyMatrixError(f"{path} holds an empty matrix")
 
-    entries = _load_entries(lines[entries_start:], rows, nnz)
-    if entries is None:
-        entries = _parse_entry_lines(lines, entries_start, rows, nnz)
-    src, dst, val = entries
-    return _from_arrays(rows, src, dst, _shift_weights(val), directed=not symmetric)
-
-
-_MM_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
-
-
-def _load_entries(lines: list[str], rows: int, nnz: int):
-    """The entry block as 0-based (src, dst, value) from one ``np.loadtxt``.
-
-    Returns None when the block is not exactly ``nnz`` well-formed
-    entries with indices in 1..rows; ``_parse_entry_lines`` then decides,
-    so both accept the same files. Comments are off, so a '%' line among
-    the entries also goes to the line parser, which skips it.
-    """
-    try:
-        with warnings.catch_warnings():
-            # an empty block warns; any warning means "let the line parser decide"
-            warnings.simplefilter("error")
-            entries = np.loadtxt(lines, dtype=_MM_ENTRY, comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    i, j = entries["row"], entries["col"]
-    if len(entries) != nnz or min(i.min(), j.min()) < 1 or max(i.max(), j.max()) > rows:
-        return None
-    return i - 1, j - 1, np.ascontiguousarray(entries["value"])
-
-
-def _parse_entry_lines(lines: list[str], start: int, rows: int, nnz: int):
-    """Line-by-line parse of the entry block from ``lines[start]`` on.
-
-    Blank and '%' lines are skipped. Raises ParseError naming the first
-    bad line: a field count other than 3, an index that is not an
-    integer or lies outside 1..rows, a value that is not a number, or
-    more or fewer than ``nnz`` entries.
-    """
-    src = np.empty(nnz, dtype=np.int64)
-    dst = np.empty(nnz, dtype=np.int64)
-    val = np.empty(nnz, dtype=np.float64)
-    count = 0
-    for idx in range(start, len(lines)):
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise ParseError("entry must be 'row col value'", idx + 1)
-        try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ParseError(f"cannot parse entry '{stripped}'", idx + 1)
-        if count >= nnz:
-            raise ParseError(f"more than {nnz} entries", idx + 1)
-        if not (1 <= i <= rows and 1 <= j <= rows):
-            raise ParseError(f"index ({i}, {j}) outside 1..{rows}", idx + 1)
-        src[count], dst[count], val[count] = i - 1, j - 1, v
-        count += 1
-    if count != nnz:
-        raise ParseError(f"expected {nnz} entries, found {count}", len(lines))
-    return src, dst, val
+    entries = _read_rows(
+        lines, _EDGE_ROW, comment="%", start=entries_start, shape="entry must be 'row col value'"
+    )
+    i, j, val = entries.columns
+    outside = (i < 1) | (i > rows) | (j < 1) | (j > rows)
+    entries.check(
+        ParseError(f"more than {nnz} entries", entries.lines[nnz]) if len(i) > nnz else None,
+        entries.fault_at(outside, lambda k: f"index ({i[k]}, {j[k]}) outside 1..{rows}"),
+    )
+    if len(i) != nnz:
+        raise ParseError(f"expected {nnz} entries, found {len(i)}", len(lines))
+    for index in (i, j):  # to 0-based in place, without a second copy of each column
+        index -= 1
+    return _from_arrays(rows, i, j, _shift_weights(val), directed=not symmetric)
 
 
 def _format_edges(first: np.ndarray, second: np.ndarray, weight: np.ndarray, sep: str) -> str:
@@ -390,37 +461,18 @@ def read_edge_list(path: str | Path, n: int | None = None, directed: bool = True
     """Read a TSV edge list (src, dst, weight per line, 0-based).
 
     Comment lines starting with '#' are skipped; a '# n=<count>' header
-    fixes the vertex count (otherwise max index + 1 is used).
+    fixes the vertex count (otherwise max index + 1 is used). A negative
+    vertex, or one >= a fixed count, raises ParseError with its line.
     """
-    triples = []
-    header_n = None
-    header_directed = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                for token in stripped[1:].split():
-                    if token.startswith("n="):
-                        header_n = int(token[2:])
-                    elif token.startswith("directed="):
-                        header_directed = bool(int(token[9:]))
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 3:
-                raise ParseError("expected 'src<TAB>dst<TAB>weight'", lineno)
-            try:
-                triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ParseError(f"cannot parse entry '{stripped}'", lineno)
+    rows = _read_rows(path, _EDGE_ROW, sep="\t", shape="expected 'src<TAB>dst<TAB>weight'")
+    values, fault = _header_values(rows.comments, {"n": int, "directed": lambda v: bool(int(v))})
+    rows.check(fault)
+    src, dst, weight = rows.columns
+    n = values.get("n") if n is None else n
+    rows.check(_vertex_fault(rows, (src, dst), n))
     if n is None:
-        n = header_n
-    if n is None:
-        n = 1 + max((max(s, d) for s, d, _ in triples), default=-1)
-    if header_directed is not None:
-        directed = header_directed
-    return from_edge_list(n, triples, directed=directed)
+        n = 1 + int(max(src.max(initial=-1), dst.max(initial=-1)))
+    return _from_arrays(n, src, dst, weight, values.get("directed", directed))
 
 
 def write_edge_list(g: Graph, path: str | Path, comments: Sequence[str] = ()) -> None:

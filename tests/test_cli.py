@@ -363,6 +363,45 @@ class TestEstimate:
         assert exc.value.code == 2
 
 
+GOOD_INPUTS = {
+    "graph_tsv": "# n=4 directed=1\n0\t1\t1.0\n1\t2\t1.0\n2\t3\t1.0\n3\t0\t1.0\n",
+    "graph_mtx": "%%MatrixMarket matrix coordinate real general\n4 4 4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n",
+    "mu": "1\n1\n1\n1\n",
+    "probs": "# block probabilities\n0.5,0.1\n0.1,0.5\n",
+    "basis": "vertex_index,set_index\n0,0\n1,0\n2,1\n3,1\n",
+    "walks": "x,y\n0,1\n1,2\n2,3\n3,0\n",
+    "labels": "vertex_index,label\n0,0\n1,0\n2,1\n3,1\n",
+    "truth": "vertex_index,label\n0,1\n1,1\n2,0\n3,0\n",
+}
+
+# id -> (input given a malformed line 3, argv); {name} is the path of that input
+CLI_INPUTS = {
+    "tsv-cluster": ("graph_tsv", "cluster {graph_tsv} -k 2 --self-loops 1 -o {out}"),
+    "mtx-cluster": ("graph_mtx", "cluster {graph_mtx} -k 2 --self-loops 1 -o {out}"),
+    "mu-spectrum": ("mu", "spectrum {graph_tsv} --num 2 --mu {mu} -o {out}"),
+    "probs-generate": ("probs", "generate dsbm --blocks 2 --block-size 2 --probs {probs} -o {out}"),
+    "basis-graph-estimate": ("basis", "estimate {graph_tsv} --walkers 50 --basis {basis} -o {out}"),
+    "basis-walks-estimate": ("basis", "estimate --walks {walks} --basis {basis} -o {out}"),
+    "walks-estimate": ("walks", "estimate --walks {walks} --basis {basis} -o {out}"),
+    "labels-eval": ("labels", "eval {labels} {truth}"),
+    "truth-eval": ("truth", "eval {labels} {truth}"),
+    "labels-reorder": ("labels", "reorder {graph_tsv} {labels} -o {out}"),
+}
+
+
+@pytest.mark.parametrize("bad,argv", CLI_INPUTS.values(), ids=CLI_INPUTS.keys())
+def test_malformed_line_3_in_any_input_is_a_data_error(tmp_path, capsys, bad, argv):
+    paths = {"out": str(tmp_path / "out")}
+    for name, text in GOOD_INPUTS.items():
+        lines = text.splitlines(keepends=True)
+        if name == bad:
+            lines[2] = "1 2 x\n" if name == "graph_mtx" else "0,x\tx 1\n"
+        (tmp_path / name).write_text("".join(lines))
+        paths[name] = str(tmp_path / name)
+    assert main([arg.format_map(paths) for arg in argv.split()]) == 3
+    assert "line 3:" in capsys.readouterr().err
+
+
 class TestEvalReorder:
     def test_eval_json(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"

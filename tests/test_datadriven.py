@@ -382,6 +382,15 @@ class TestWalkIO:
         assert np.array_equal(back.xs, sample.xs)
         assert np.array_equal(back.ys, sample.ys)
 
+    def test_written_bytes(self, tmp_path):
+        # every line ends in '\n', rows included
+        sample = tosca.WalkSample(
+            xs=np.array([0, 12, 3]), ys=np.array([1, 0, 3]), mode="single_trajectory", seed=-4
+        )
+        path = tmp_path / "walks.csv"
+        tosca.write_walks(sample, path)
+        assert path.read_bytes() == b"# mode=single_trajectory seed=-4\nx,y\n0,1\n12,0\n3,3\n"
+
     @pytest.mark.parametrize("row", ["-1,2", "0,-3"])
     def test_negative_vertex_rejected(self, tmp_path, row):
         path = tmp_path / "walks.csv"

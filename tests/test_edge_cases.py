@@ -71,6 +71,20 @@ class TestMatrixMarketVariants:
         with pytest.raises(tosca.errors.NonPositiveWeightError):
             tosca.read_matrix_market(path)
 
+    @pytest.mark.parametrize("value", ["-1.0", "0"])
+    def test_all_equal_non_positive_entries_say_why(self, tmp_path, value):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"2 2 2\n1 2 {value}\n2 1 {value}\n"
+        )
+        with pytest.raises(
+            tosca.errors.NonPositiveWeightError,
+            match=rf"all 2 stored values equal {float(value)} <= 0, so the shift .* "
+            "cannot make them positive",
+        ):
+            tosca.read_matrix_market(path)
+
 
 class TestEdgeListInference:
     def test_n_inferred_without_header(self, tmp_path):

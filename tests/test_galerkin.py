@@ -241,6 +241,7 @@ class TestLabelIO:
             ("0,0\n-1,0\n", 3),  # negative vertex
             ("0,0\n1\n", 3),  # no comma
             ("0,0\n1,a\n", 3),  # not an integer
+            ("0,0\n99999999999999999999,1\n", 3),  # beyond int64
         ],
     )
     def test_bad_rows_rejected_with_line(self, tmp_path, rows, line):
