@@ -39,10 +39,6 @@ from .spectral import embed_coordinates, fb_spectrum, spectral_gap
 __all__ = ["main"]
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _default_seed() -> int:
     return int(os.environ.get("TOSCA_SEED", "0"))
 
@@ -64,7 +60,10 @@ def _resolve_mu(spec: str, g: Graph) -> Density:
     rows = graph_io._read_rows(
         spec, np.float64, inline=True, entry="cannot parse numbers in '{text}'"
     )
-    masses = np.atleast_1d(np.squeeze(rows.table()))
+    table = rows.table()
+    bad = ~np.isfinite(table)
+    rows.check(rows.fault_at(bad.any(axis=1), lambda k: f"non-finite mass {table[k][bad[k]][0]}"))
+    masses = np.atleast_1d(np.squeeze(table))
     if len(masses) != g.n:
         raise LengthMismatchError(
             f"density file has {len(masses)} entries for {g.n} vertices"
@@ -83,9 +82,10 @@ def _prepare(args) -> Graph:
 
 
 def _write_labels(path: str, clustering: Clustering, seed: int) -> None:
-    labels = np.asarray(clustering.labels, dtype=np.int64).tolist()
-    rows = "".join(f"{i},{label}\n" for i, label in enumerate(labels))
-    Path(path).write_text(f"# seed={seed}\nvertex_index,label\n" + rows)
+    labels = np.asarray(clustering.labels, dtype=np.int64)
+    graph_io._write_rows(
+        path, (np.arange(len(labels)), labels), head=[f"# seed={seed}", "vertex_index,label"]
+    )
 
 
 def _emit(args, summary: dict) -> None:
@@ -140,11 +140,8 @@ def _cmd_spectrum(args) -> int:
     g = _prepare(args)
     mu = _resolve_mu(args.mu, g)
     spec = fb_spectrum(transition_matrix(g), mu, args.num)
-    with open(args.output, "w") as fh:
-        fh.write(f"# seed={args.seed}\n")
-        fh.write("l,kappa,lambda\n")
-        for i, (kappa, lam) in enumerate(zip(spec.kappa, spec.lam), start=1):
-            fh.write(f"{i},{_fmt(kappa)},{_fmt(lam)}\n")
+    head = [f"# seed={args.seed}", "l,kappa,lambda"]
+    graph_io._write_rows(args.output, (np.arange(1, spec.k + 1), spec.kappa, spec.lam), head=head)
     summary = {
         "seed": args.seed,
         "num": args.num,
@@ -166,11 +163,8 @@ def _cmd_embed(args) -> int:
         raise ValueError("--coords needs at least one eigenfunction index")
     spec = fb_spectrum(transition_matrix(g), mu, max(dims))
     coords = embed_coordinates(spec, dims)
-    with open(args.output, "w") as fh:
-        fh.write(f"# seed={args.seed}\n")
-        fh.write("vertex_index," + ",".join(f"phi_{d}" for d in dims) + "\n")
-        for i, row in enumerate(coords):
-            fh.write(f"{i}," + ",".join(_fmt(x) for x in row) + "\n")
+    head = [f"# seed={args.seed}", ",".join(["vertex_index", *(f"phi_{d}" for d in dims)])]
+    graph_io._write_rows(args.output, (np.arange(g.n), *coords.T), head=head)
     _emit(args, {"seed": args.seed, "dims": dims, "output": args.output})
     return 0
 
@@ -247,11 +241,8 @@ def _cmd_reorder(args) -> int:
     reordered, perm = graph_io.reorder_by_cluster(g, labels)
     graph_io.write_matrix_market(reordered, args.output, comments=[f"seed={args.seed}"])
     if args.perm:
-        with open(args.perm, "w") as fh:
-            fh.write(f"# seed={args.seed}\n")
-            fh.write("new_index,old_index\n")
-            for new, old in enumerate(perm):
-                fh.write(f"{new},{int(old)}\n")
+        head = [f"# seed={args.seed}", "new_index,old_index"]
+        graph_io._write_rows(args.perm, (np.arange(g.n), perm), head=head)
     _emit(args, {"seed": args.seed, "output": args.output, "perm": args.perm})
     return 0
 

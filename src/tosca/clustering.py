@@ -19,10 +19,9 @@ from .errors import (
     EmptySubsetError,
     IndexOutOfRangeError,
     KTooLargeError,
-    NonPositiveDensityError,
 )
 from .graph import Graph, transition_matrix
-from .operators import Density, image_density, uniform_density
+from .operators import Density, _positive_image, uniform_density
 from .spectral import SpectrumResult, fb_spectrum
 
 __all__ = [
@@ -216,12 +215,8 @@ def coherence_score(g: Graph, mu: Density | None, subset: Iterable[int]) -> floa
             f"vertex index {int(idx.max())} outside [0, {g.n})"
         )
     mu = mu or uniform_density(g.n)
-    if not mu.strictly_positive():
-        raise NonPositiveDensityError("mu", int(np.argmin(mu.p)))
     s = transition_matrix(g)
-    nu = image_density(s, mu)
-    if not nu.strictly_positive():
-        raise NonPositiveDensityError("nu", int(np.argmin(nu.p)))
+    nu = _positive_image(s, mu)
     weighted = np.zeros(g.n)
     weighted[idx] = mu.p[idx]
     back = s.s @ ((s.s.T @ weighted) / nu.p)

@@ -41,7 +41,7 @@ from .errors import (
     SingularGramError,
 )
 from .galerkin import Basis
-from .graph import TransitionMatrix, _header_values, _read_rows
+from .graph import TransitionMatrix, _header_values, _read_rows, _write_rows
 from .operators import Density
 
 __all__ = [
@@ -248,9 +248,8 @@ def estimated_operators(
 
 def write_walks(sample: WalkSample, path: str | Path) -> None:
     """Walk-pair CSV: header records mode and seed, then one x,y per line."""
-    xs, ys = (np.asarray(v, dtype=np.int64).tolist() for v in (sample.xs, sample.ys))
-    rows = "".join(f"{x},{y}\n" for x, y in zip(xs, ys))
-    Path(path).write_text(f"# mode={sample.mode} seed={sample.seed}\nx,y\n" + rows)
+    columns = (np.asarray(v, dtype=np.int64) for v in (sample.xs, sample.ys))
+    _write_rows(path, columns, head=[f"# mode={sample.mode} seed={sample.seed}", "x,y"])
 
 
 def _walk_mode(value: str) -> str:

@@ -23,7 +23,7 @@ from .errors import (
     SingularGramError,
     ToscaError,
 )
-from .graph import _read_rows, _vertex_fault
+from .graph import _read_rows, _vertex_fault, _write_rows
 from .operators import OperatorMatrix
 
 __all__ = [
@@ -196,6 +196,6 @@ def read_labels(path) -> np.ndarray:
 
 
 def write_partition(sets: Sequence[Iterable[int]], path) -> None:
-    rows = "".join(f"{int(v)},{group}\n" for group, vertices in enumerate(sets) for v in vertices)
-    with open(path, "w") as fh:
-        fh.write("vertex_index,set_index\n" + rows)
+    rows = [(int(v), group) for group, vertices in enumerate(sets) for v in vertices]
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    _write_rows(path, columns, head=["vertex_index,set_index"])

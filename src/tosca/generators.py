@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .clustering import KMeansConfig, cluster_graph
 from .errors import ToscaError
-from .graph import Graph, _from_arrays, _read_rows, add_self_loops
+from .graph import Graph, _from_arrays, _read_rows, _write_rows, add_self_loops
 from .metrics import adjusted_rand_index
 
 __all__ = [
@@ -136,10 +136,6 @@ def read_prob_matrix(path) -> np.ndarray:
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("p,q,seed,kappa2,ari\n")
-        for row in rows:
-            fh.write(
-                f"{row.p:.17g},{row.q:.17g},{row.seed},"
-                f"{row.kappa2:.17g},{row.ari:.17g}\n"
-            )
+    names = [field.name for field in fields(SweepRow)]
+    columns = [np.array([getattr(row, name) for row in rows]) for name in names]
+    _write_rows(path, columns, head=[",".join(names)])

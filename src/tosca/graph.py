@@ -332,6 +332,26 @@ def _load_rows(
     return [np.ascontiguousarray(table[name]) for name in dtype.names] if fixed else list(table.T)
 
 
+def _write_rows(
+    path: str | Path, columns: Iterable[np.ndarray], sep: str = ",", head: Sequence[str] = ()
+) -> None:
+    """Write the ``head`` lines, then one ``sep``-separated row per index of ``columns``.
+
+    Integer columns are written in decimal, float columns as '%.17g', which
+    ``_read_rows`` reads back bit for bit. Each distinct value is formatted
+    once, keyed by its bits, so -0.0, 0.0 and nan keep their own text.
+    """
+    fields = []
+    for column in map(np.asarray, columns):
+        floats = column.dtype.kind == "f"
+        column = column.astype(np.float64 if floats else np.int64, copy=False)
+        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        text = map("{:.17g}".format if floats else str, keys.view(column.dtype).tolist())
+        fields.append(np.array(list(text), dtype=object)[inverse].tolist())
+    lines = [*head, *map(sep.join, zip(*fields))]
+    Path(path).write_text("\n".join(lines) + "\n" if lines else "")
+
+
 def _vertex_fault(rows: _Rows, columns: Sequence[np.ndarray], n: int | None) -> ParseError | None:
     """The first row naming a negative vertex, or with ``n`` a vertex >= n."""
     bad = [(v < 0) | (v >= n) if n is not None else v < 0 for v in columns]
@@ -433,28 +453,13 @@ def read_matrix_market(path: str | Path) -> Graph:
     return _from_arrays(rows, i, j, _shift_weights(val), directed=not symmetric)
 
 
-def _format_edges(first: np.ndarray, second: np.ndarray, weight: np.ndarray, sep: str) -> str:
-    """One 'first<sep>second<sep>weight' line per edge, weights as '%.17g'.
-
-    Each distinct weight is formatted once.
-    """
-    values, inverse = np.unique(weight, return_inverse=True)
-    text = np.array([f"{w:.17g}" for w in values.tolist()], dtype=object)[inverse]
-    return "".join(
-        f"{s}{sep}{d}{sep}{w}\n"
-        for s, d, w in zip(first.tolist(), second.tolist(), text.tolist())
-    )
-
-
 def write_matrix_market(
     g: Graph, path: str | Path, comments: Sequence[str] = ()
 ) -> None:
     """Write a graph as a Matrix Market coordinate real general file."""
-    header = "%%MatrixMarket matrix coordinate real general\n"
-    header += "".join(f"% {c}\n" for c in comments)
-    header += f"{g.n} {g.n} {g.num_edges}\n"
-    with open(path, "w") as fh:
-        fh.write(header + _format_edges(g.src + 1, g.dst + 1, g.weight, " "))
+    head = ["%%MatrixMarket matrix coordinate real general", *(f"% {c}" for c in comments)]
+    head.append(f"{g.n} {g.n} {g.num_edges}")
+    _write_rows(path, (g.src + 1, g.dst + 1, g.weight), sep=" ", head=head)
 
 
 def read_edge_list(path: str | Path, n: int | None = None, directed: bool = True) -> Graph:
@@ -476,10 +481,10 @@ def read_edge_list(path: str | Path, n: int | None = None, directed: bool = True
 
 
 def write_edge_list(g: Graph, path: str | Path, comments: Sequence[str] = ()) -> None:
-    header = f"# n={g.n} directed={int(g.directed)}\n"
-    header += "".join(f"# {c}\n" for c in comments)
-    with open(path, "w") as fh:
-        fh.write(header + _format_edges(g.src, g.dst, g.weight, "\t"))
+    """TSV edge list; an undirected graph lists each edge once, as its src <= dst row."""
+    rows = slice(None) if g.directed else g.src <= g.dst
+    head = [f"# n={g.n} directed={int(g.directed)}", *(f"# {c}" for c in comments)]
+    _write_rows(path, (g.src[rows], g.dst[rows], g.weight[rows]), sep="\t", head=head)
 
 
 def reorder_by_cluster(g: Graph, labels: Sequence[int]) -> tuple[Graph, np.ndarray]:

@@ -60,6 +60,9 @@ class Density:
         object.__setattr__(self, "p", p)
         if p.ndim != 1:
             raise ToscaError(f"density must be a vector, got shape {p.shape}")
+        finite = np.isfinite(p)
+        if not finite.all():
+            raise ToscaError(f"density has non-finite mass at vertex {int(np.argmax(~finite))}")
         if (p < 0.0).any():
             raise ToscaError(
                 f"density has negative mass at vertex {int(np.argmax(p < 0.0))}"
@@ -89,14 +92,19 @@ def uniform_density(n: int) -> Density:
     return Density(np.full(n, 1.0 / n))
 
 
-def _require_positive(d: Density, which: str) -> None:
-    if not d.strictly_positive():
-        raise NonPositiveDensityError(which, int(np.argmin(d.p)))
-
-
 def image_density(s: TransitionMatrix, mu: Density) -> Density:
     """One-step image nu with nu_i = sum_j s_ji mu_j."""
     return Density(s.s.T @ mu.p)
+
+
+def _positive_image(s: TransitionMatrix, mu: Density) -> Density:
+    """The image nu of mu, after checking mu and then nu strictly positive."""
+    if not mu.strictly_positive():
+        raise NonPositiveDensityError("mu", int(np.argmin(mu.p)))
+    nu = image_density(s, mu)
+    if not nu.strictly_positive():
+        raise NonPositiveDensityError("nu", int(np.argmin(nu.p)))
+    return nu
 
 
 def koopman(s: TransitionMatrix, mu: Density | None = None) -> OperatorMatrix:
@@ -112,9 +120,7 @@ def perron_frobenius(s: TransitionMatrix, mu: Density | None = None) -> Operator
 
 def reweighted(s: TransitionMatrix, mu: Density) -> OperatorMatrix:
     """T = D_nu^-1 S^T D_mu; row-stochastic for strictly positive mu, nu."""
-    _require_positive(mu, "mu")
-    nu = image_density(s, mu)
-    _require_positive(nu, "nu")
+    nu = _positive_image(s, mu)
     t = (s.dense().T * mu.p[None, :]) / nu.p[:, None]
     return OperatorMatrix(kind="T", m=t, mu=mu, nu=nu)
 

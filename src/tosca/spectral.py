@@ -26,12 +26,11 @@ import numpy as np
 from .errors import (
     IndexOutOfRangeError,
     KOutOfRangeError,
-    NonPositiveDensityError,
     NotUndirectedError,
     TooFewValuesError,
 )
 from .graph import Graph, TransitionMatrix, lazy_chain, transition_matrix
-from .operators import Density, image_density, stationary_density
+from .operators import Density, _positive_image, stationary_density
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -116,20 +115,29 @@ def _top_k(
     ||m^T u - w v|| <= tol, tol = _RESIDUAL_TOL. The dense solve of
     m @ I answers those cases, so m may also be a LinearOperator.
     """
+    import scipy.linalg as sla
     import scipy.sparse.linalg as spla
 
     n = m.shape[0]
     if k < n - 1:
         v0 = np.full(n, 1.0 / np.sqrt(n))
+        # ARPACK draws a fresh vector on every restart; a fixed generator
+        # makes those draws, and so the answer, repeat bit for bit.
+        rng = np.random.default_rng(0)
         try:
             if symmetric:
-                vals, u = spla.eigsh(m, k=k, which="LA", tol=_ITER_TOL, v0=v0)
+                vals, u = spla.eigsh(m, k=k, which="LA", tol=_ITER_TOL, v0=v0, rng=rng)
                 v = u
             else:
-                u, vals, vt = spla.svds(
-                    m, k=k, tol=_ITER_TOL, maxiter=_ITER_MAXITER_PER_K * k, v0=v0
+                # the ARPACK steps of svds, which gives its eigsh no generator:
+                # eigenvectors x of m^H m, then the SVD of m x
+                op = spla.aslinearoperator(m)
+                _, x = spla.eigsh(
+                    op.H @ op, k, tol=_ITER_TOL**2, maxiter=_ITER_MAXITER_PER_K * k, v0=v0, rng=rng
                 )
-                v = vt.T
+                x = np.linalg.qr(x)[0]
+                u, vals, vh = sla.svd(op @ x, full_matrices=False, overwrite_a=True)
+                vals, u, v = vals[::-1], u[:, ::-1], (vh[::-1] @ x.T.conj()).T
         except spla.ArpackError:
             pass
         else:
@@ -153,11 +161,7 @@ def fb_spectrum(s: TransitionMatrix, mu: Density, k: int) -> SpectrumResult:
     n = s.n
     if not 1 <= k <= n:
         raise KOutOfRangeError(f"k={k} outside [1, {n}]")
-    if not mu.strictly_positive():
-        raise NonPositiveDensityError("mu", int(np.argmin(mu.p)))
-    nu = image_density(s, mu)
-    if not nu.strictly_positive():
-        raise NonPositiveDensityError("nu", int(np.argmin(nu.p)))
+    nu = _positive_image(s, mu)
 
     import scipy.sparse as sp
 

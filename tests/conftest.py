@@ -23,6 +23,17 @@ def three_cycles_graph(cross_weight: float = 0.01, self_loops: float = 1.0) -> t
     return g
 
 
+def two_triangles_graph(self_loops: float = 1.0) -> tosca.Graph:
+    """Two directed 3-cycles joined by one weak edge (the README example).
+
+    ARPACK restarts on its top-3 forward-backward spectrum.
+    """
+    triples = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
+               (3, 4, 1.0), (4, 5, 1.0), (5, 3, 1.0), (2, 3, 0.01)]
+    g = tosca.from_edge_list(6, triples)
+    return tosca.add_self_loops(g, self_loops) if self_loops else g
+
+
 def random_directed_graph(
     n: int,
     rng: np.random.Generator,

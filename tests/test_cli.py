@@ -10,7 +10,7 @@ import pytest
 import tosca
 from tosca.cli import main
 
-from conftest import three_cycles_graph
+from conftest import three_cycles_graph, two_triangles_graph
 
 
 @pytest.fixture
@@ -207,6 +207,18 @@ class TestSpectrum:
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(1.0, abs=1e-10)
 
+    def test_csv_bytes(self, tmp_path, cycles_tsv, capsys):
+        out = tmp_path / "spec.csv"
+        assert main([
+            "spectrum", cycles_tsv, "--num", "6", "--self-loops", "1.0",
+            "--seed", "5", "-o", str(out), "--json",
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert out.read_text() == "# seed=5\nl,kappa,lambda\n" + "".join(
+            f"{i},{kappa:.17g},{lam:.17g}\n"
+            for i, (kappa, lam) in enumerate(zip(summary["kappa"], summary["lambda"]), start=1)
+        )
+
     def test_env_seed_fallback(self, tmp_path, cycles_tsv, monkeypatch):
         monkeypatch.setenv("TOSCA_SEED", "42")
         out = tmp_path / "spec.csv"
@@ -230,6 +242,33 @@ class TestEmbed:
         main(["embed", cycles_tsv, "--coords", "2,3", "--self-loops", "1.0", "-o", str(out)])
         header = out.read_text().splitlines()[1]
         assert header == "vertex_index,phi_2,phi_3"
+
+    def test_fresh_processes_write_the_same_bytes(self, tmp_path):
+        # ARPACK restarts on this graph; its restart vectors must not come
+        # from operating-system entropy
+        graph = tmp_path / "g.tsv"
+        tosca.write_edge_list(two_triangles_graph(self_loops=0.0), graph)
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            argv = ["embed", str(graph), "--coords", "1,2,3", "--self-loops", "1", "-o", name]
+            code = f"import sys; from tosca.cli import main; sys.exit(main({argv!r}))"
+            proc = run_python(code, tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_csv_bytes(self, tmp_path, cycles_tsv):
+        out = tmp_path / "coords.csv"
+        assert main([
+            "embed", cycles_tsv, "--coords", "1,3", "--self-loops", "1.0",
+            "--seed", "5", "-o", str(out),
+        ]) == 0
+        g = tosca.add_self_loops(tosca.read_edge_list(cycles_tsv), 1.0)
+        spec = tosca.fb_spectrum(tosca.transition_matrix(g), tosca.uniform_density(g.n), 3)
+        coords = tosca.embed_coordinates(spec, [1, 3]).tolist()
+        assert out.read_text() == "# seed=5\nvertex_index,phi_1,phi_3\n" + "".join(
+            f"{i},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(coords)
+        )
 
     def test_bad_dim_usage_error(self, tmp_path, cycles_tsv):
         assert main([
@@ -379,6 +418,7 @@ CLI_INPUTS = {
     "tsv-cluster": ("graph_tsv", "cluster {graph_tsv} -k 2 --self-loops 1 -o {out}"),
     "mtx-cluster": ("graph_mtx", "cluster {graph_mtx} -k 2 --self-loops 1 -o {out}"),
     "mu-spectrum": ("mu", "spectrum {graph_tsv} --num 2 --mu {mu} -o {out}"),
+    "nan-mu-spectrum": ("mu", "spectrum {graph_tsv} --num 2 --mu {mu} -o {out}"),
     "probs-generate": ("probs", "generate dsbm --blocks 2 --block-size 2 --probs {probs} -o {out}"),
     "basis-graph-estimate": ("basis", "estimate {graph_tsv} --walkers 50 --basis {basis} -o {out}"),
     "basis-walks-estimate": ("basis", "estimate --walks {walks} --basis {basis} -o {out}"),
@@ -389,13 +429,18 @@ CLI_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("bad,argv", CLI_INPUTS.values(), ids=CLI_INPUTS.keys())
-def test_malformed_line_3_in_any_input_is_a_data_error(tmp_path, capsys, bad, argv):
+# id -> its malformed line 3, where it is not "0,x\tx 1"
+BAD_LINES = {"mtx-cluster": "1 2 x\n", "nan-mu-spectrum": "nan\n"}
+
+
+@pytest.mark.parametrize("case", CLI_INPUTS)
+def test_malformed_line_3_in_any_input_is_a_data_error(tmp_path, capsys, case):
+    bad, argv = CLI_INPUTS[case]
     paths = {"out": str(tmp_path / "out")}
     for name, text in GOOD_INPUTS.items():
         lines = text.splitlines(keepends=True)
         if name == bad:
-            lines[2] = "1 2 x\n" if name == "graph_mtx" else "0,x\tx 1\n"
+            lines[2] = BAD_LINES.get(case, "0,x\tx 1\n")
         (tmp_path / name).write_text("".join(lines))
         paths[name] = str(tmp_path / name)
     assert main([arg.format_map(paths) for arg in argv.split()]) == 3
@@ -459,6 +504,11 @@ class TestEvalReorder:
         perm_lines = perm_path.read_text().splitlines()
         assert perm_lines[1] == "new_index,old_index"
         assert len(perm_lines) == 2 + original.n
+        labels = tosca.galerkin.read_labels(labels_path)
+        _, perm = tosca.reorder_by_cluster(original, labels)
+        assert perm_path.read_text() == "# seed=0\nnew_index,old_index\n" + "".join(
+            f"{new},{old}\n" for new, old in enumerate(perm.tolist())
+        )
 
     def test_missing_graph_file(self, tmp_path, capsys):
         assert main([

@@ -222,3 +222,15 @@ class TestProbMatrixIO:
         lines = path.read_text().splitlines()
         assert lines[0] == "p,q,seed,kappa2,ari"
         assert len(lines) == 3
+
+    def test_sweep_csv_bytes(self, tmp_path):
+        rows = tosca.two_block_sweep(10, [0.9], [0.1], seeds=[0])
+        rows += [
+            tosca.SweepRow(p=-0.0, q=0.0, seed=-3, kappa2=float("nan"), ari=5e-324),
+            tosca.SweepRow(p=0.1 + 0.2, q=-0.0, seed=2**40, kappa2=0.0, ari=-0.5),
+        ]
+        path = tmp_path / "sweep.csv"
+        tosca.generators.write_sweep_csv(rows, path)
+        assert path.read_text() == "p,q,seed,kappa2,ari\n" + "".join(
+            f"{r.p:.17g},{r.q:.17g},{r.seed},{r.kappa2:.17g},{r.ari:.17g}\n" for r in rows
+        )

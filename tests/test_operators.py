@@ -20,6 +20,11 @@ class TestDensity:
         with pytest.raises(tosca.errors.ToscaError):
             tosca.Density(np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("mass", [np.nan, np.inf])
+    def test_finite(self, mass):
+        with pytest.raises(tosca.errors.ToscaError, match="non-finite mass at vertex 1"):
+            tosca.Density(np.array([0.5, mass, 0.5]))
+
     def test_strict_positivity_predicate(self):
         assert tosca.Density(np.array([0.5, 0.5])).strictly_positive()
         assert not tosca.Density(np.array([1.0, 0.0])).strictly_positive()
