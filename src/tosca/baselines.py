@@ -16,6 +16,7 @@ import numpy as np
 from .clustering import Clustering, KMeansConfig, kmeans
 from .errors import DegenerateSpectrumError, KTooLargeError, ZeroDegreeError
 from .graph import Graph, degree_info
+from .operators import _product
 from .spectral import _fix_signs, _top_k
 
 if TYPE_CHECKING:
@@ -47,18 +48,11 @@ def _pseudo_inv_sqrt(values: np.ndarray) -> np.ndarray:
 
 def _ddbs_operator(g: Graph) -> spla.LinearOperator:
     """Do^-1/2 A Di^-1/2 A^T Do^-1/2 + Di^-1/2 A^T Do^-1/2 A Di^-1/2, four sparse products."""
-    import scipy.sparse.linalg as spla
-
     a = g.adjacency
     deg = degree_info(g)
-    do = _pseudo_inv_sqrt(deg.out_degrees)[:, None]
-    di = _pseudo_inv_sqrt(deg.in_degrees)[:, None]
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        x = x.reshape(g.n, -1)
-        return do * (a @ (di * (a.T @ (do * x)))) + di * (a.T @ (do * (a @ (di * x))))
-
-    return spla.LinearOperator((g.n, g.n), matvec=apply, matmat=apply, dtype=np.float64)
+    do = _pseudo_inv_sqrt(deg.out_degrees)
+    di = _pseudo_inv_sqrt(deg.in_degrees)
+    return _product(do, a, di, a.T, do) + _product(di, a.T, do, a, di)
 
 
 def symmetrize(g: Graph, scheme: Literal["ddbs", "naive_sum"] = "ddbs") -> SymmetrizedMatrix:
@@ -78,16 +72,12 @@ def ddbs_cluster(g: Graph, k: int, cfg: KMeansConfig | None = None) -> Clusterin
     """
     if not 1 <= k <= g.n:
         raise KTooLargeError(f"k={k} outside [1, {g.n}]")
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     m = _ddbs_operator(g)
     deg = m @ np.ones(g.n)
     if not (deg > 0.0).any():
         raise ZeroDegreeError("similarity matrix has zero degrees everywhere")
     dinv = _pseudo_inv_sqrt(deg)
-    scale = spla.aslinearoperator(sp.diags(dinv))
-    _, x, _ = _top_k(scale @ m @ scale, k, symmetric=True)
+    _, x, _ = _top_k(_product(dinv, m, dinv), k, symmetric=True)
     return kmeans(x * dinv[:, None], k, cfg)
 
 

@@ -173,10 +173,13 @@ def _cmd_estimate(args) -> int:
     start = time.perf_counter()
     if args.walks:
         sample = read_walks(args.walks)
-        n = int(max(sample.xs.max(), sample.ys.max())) + 1 if sample.m else 0
-        # the walks fix no vertex count: the partition may widen it
-        sets = galerkin.read_partition(args.basis)
-        n = max(n, max(max(group) for group in sets) + 1)
+        n = sample.n
+        sets = galerkin.read_partition(args.basis, n)
+        if n is None:
+            # walks without 'n=' in their header fix no vertex count: the
+            # partition may widen it
+            n = int(max(sample.xs.max(), sample.ys.max())) + 1 if sample.m else 0
+            n = max(n, max(max(group) for group in sets) + 1)
     else:
         g = _prepare(args)
         mu = _resolve_mu(args.mu, g)

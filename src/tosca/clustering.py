@@ -21,7 +21,7 @@ from .errors import (
     KTooLargeError,
 )
 from .graph import Graph, transition_matrix
-from .operators import Density, _positive_image, uniform_density
+from .operators import Density, forward_backward, uniform_density
 from .spectral import SpectrumResult, fb_spectrum
 
 __all__ = [
@@ -203,9 +203,8 @@ def coherence_score(g: Graph, mu: Density | None, subset: Iterable[int]) -> floa
     """Probability that a forward-backward walk from the set returns to it.
 
     Averages the in-set row mass of F over the set; 1 means every
-    forward-backward path starting inside stays inside. With F = S
-    D_nu^-1 S^T D_mu this is 1_A^T S D_nu^-1 S^T (mu o 1_A) / |A|, two
-    sparse products.
+    forward-backward path starting inside stays inside: 1_A^T F 1_A / |A|,
+    with F applied as a sparse product.
     """
     idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.int64)
     if len(idx) == 0:
@@ -214,10 +213,7 @@ def coherence_score(g: Graph, mu: Density | None, subset: Iterable[int]) -> floa
         raise IndexOutOfRangeError(
             f"vertex index {int(idx.max())} outside [0, {g.n})"
         )
-    mu = mu or uniform_density(g.n)
-    s = transition_matrix(g)
-    nu = _positive_image(s, mu)
-    weighted = np.zeros(g.n)
-    weighted[idx] = mu.p[idx]
-    back = s.s @ ((s.s.T @ weighted) / nu.p)
-    return float(back[idx].sum() / len(idx))
+    indicator = np.zeros(g.n)
+    indicator[idx] = 1.0
+    f = forward_backward(transition_matrix(g), mu or uniform_density(g.n))
+    return float((f.linear @ indicator)[idx].sum() / len(idx))

@@ -41,7 +41,14 @@ from .errors import (
     SingularGramError,
 )
 from .galerkin import Basis
-from .graph import TransitionMatrix, _header_values, _read_rows, _write_rows
+from .graph import (
+    TransitionMatrix,
+    _header_values,
+    _read_rows,
+    _vertex_count,
+    _vertex_fault,
+    _write_rows,
+)
 from .operators import Density
 
 __all__ = [
@@ -62,12 +69,16 @@ _SAMPLE_MODES = get_args(SampleMode)
 
 @dataclass(frozen=True)
 class WalkSample:
-    """m walker transitions: ys[i] is one step of the walk from xs[i]."""
+    """m walker transitions: ys[i] is one step of the walk from xs[i].
+
+    ``n`` is the vertex count of the graph walked on, when known.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
     mode: SampleMode
     seed: int
+    n: int | None = None
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys):
@@ -166,7 +177,7 @@ def sample_pairs(
     rng = np.random.default_rng(seed)
     xs = _draw_density(mu.p, rng.random(m))
     ys = _draw_in_rows(_cumulative_rows(s), xs, rng.random(m))
-    return WalkSample(xs=xs, ys=ys, mode="independent_pairs", seed=seed)
+    return WalkSample(xs=xs, ys=ys, mode="independent_pairs", seed=seed, n=s.n)
 
 
 def sample_trajectory(
@@ -176,7 +187,7 @@ def sample_trajectory(
     rng = np.random.default_rng(seed)
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
-        return WalkSample(xs=empty, ys=empty, mode="single_trajectory", seed=seed)
+        return WalkSample(xs=empty, ys=empty, mode="single_trajectory", seed=seed, n=s.n)
     rows = _cumulative_rows(s)
     v = int(_draw_density(start_density.p, rng.random(1))[0])
     # bisect_right on Python floats has searchsorted's side="right" semantics.
@@ -189,7 +200,7 @@ def sample_trajectory(
         path.append(v)
     walk = np.asarray(path, dtype=np.int64)
     return WalkSample(
-        xs=walk[:-1], ys=walk[1:], mode="single_trajectory", seed=seed
+        xs=walk[:-1], ys=walk[1:], mode="single_trajectory", seed=seed, n=s.n
     )
 
 
@@ -247,9 +258,12 @@ def estimated_operators(
 
 
 def write_walks(sample: WalkSample, path: str | Path) -> None:
-    """Walk-pair CSV: header records mode and seed, then one x,y per line."""
+    """Walk-pair CSV: header records mode, seed and n (when known), then one x,y per line."""
     columns = (np.asarray(v, dtype=np.int64) for v in (sample.xs, sample.ys))
-    _write_rows(path, columns, head=[f"# mode={sample.mode} seed={sample.seed}", "x,y"])
+    header = f"# mode={sample.mode} seed={sample.seed}"
+    if sample.n is not None:
+        header += f" n={sample.n}"
+    _write_rows(path, columns, head=[header, "x,y"])
 
 
 def _walk_mode(value: str) -> str:
@@ -261,13 +275,15 @@ def _walk_mode(value: str) -> str:
 
 
 def read_walks(path: str | Path) -> WalkSample:
-    """Walk-pair CSV; a bad header value or a negative vertex raises ParseError."""
+    """Walk-pair CSV; a bad header value or a vertex outside [0, n) raises ParseError.
+
+    n comes from 'n=' in the header; without it only negative vertices are rejected.
+    """
     rows = _read_rows(path, (np.int64, np.int64), sep=",", header="x,y", shape="expected 'x,y'")
-    values, fault = _header_values(rows.comments, {"mode": _walk_mode, "seed": int})
+    values, fault = _header_values(rows.comments, {"mode": _walk_mode, "seed": int, "n": _vertex_count})
     xs, ys = rows.columns
-    rows.check(fault, rows.fault_at((xs < 0) | (ys < 0), lambda k: (
-        f"negative walk vertex in '{rows.text[rows.lines[k] - 1].strip()}'"
-    )))
+    rows.check(fault, _vertex_fault(rows, (xs, ys), values.get("n")))
     return WalkSample(
-        xs=xs, ys=ys, mode=values.get("mode", "independent_pairs"), seed=values.get("seed", 0)
+        xs=xs, ys=ys, mode=values.get("mode", "independent_pairs"), seed=values.get("seed", 0),
+        n=values.get("n"),
     )

@@ -2,9 +2,10 @@
 
 A basis of r functions on the vertices, stored as the rows of an
 r x n matrix, turns an operator matrix L into the reduced r x r matrix
-L_r = G0^-1 G1 with G0 = Phi D G1 = Phi D L Phi^T, where D is the
-diagonal of the operator's reference density. Eigenpairs of L_r lift
-back to vertex functions through the basis.
+L_r = G0^-1 G1 with G0 = Phi D Phi^T and G1 = Phi D L Phi^T, where D is
+the diagonal of the operator's reference density and L is applied to the
+basis as a sparse product, at O(nnz r). Eigenpairs of L_r lift back to
+vertex functions through the basis.
 """
 
 from __future__ import annotations
@@ -106,13 +107,13 @@ def project(op: OperatorMatrix, basis: Basis) -> ReducedOperator:
     density = op.mu if _MEASURE[op.kind] == "mu" else op.nu
     if density is None:
         raise ToscaError(f"operator of kind {op.kind!r} carries no densities")
-    if basis.n != op.m.shape[0]:
+    if basis.n != op.linear.shape[0]:
         raise ToscaError(
-            f"basis is on {basis.n} vertices, operator on {op.m.shape[0]}"
+            f"basis is on {basis.n} vertices, operator on {op.linear.shape[0]}"
         )
     weighted = basis.phi_v * density.p[None, :]
     g0 = weighted @ basis.phi_v.T
-    g1 = weighted @ op.m @ basis.phi_v.T
+    g1 = weighted @ (op.linear @ basis.phi_v.T)
     eigvals = np.linalg.eigvalsh((g0 + g0.T) / 2.0)
     if eigvals[0] <= 0.0 or eigvals[-1] / eigvals[0] >= GRAM_CONDITION_LIMIT:
         raise SingularGramError(

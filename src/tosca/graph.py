@@ -110,10 +110,12 @@ def _validate_triples(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarr
     for v in (src, dst):
         if len(v) and not 0 <= v.min() <= v.max() < n:
             raise IndexOutOfRangeError(f"vertex index {v[(v < 0) | (v >= n)][0]} outside [0, {n})")
-    if (weight <= 0.0).any():
-        i = int(np.argmax(weight <= 0.0))
+    bad = ~((weight > 0.0) & (weight < np.inf))  # nan fails both
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NonPositiveWeightError(
-            f"edge ({int(src[i])}, {int(dst[i])}) has non-positive weight {weight[i]}"
+            f"edge ({int(src[i])}, {int(dst[i])}) has weight {weight[i]}; "
+            "weights must be positive and finite"
         )
 
 
@@ -166,8 +168,8 @@ def _from_arrays(
 
 def add_self_loops(g: Graph, w: float = 1.0) -> Graph:
     """Return a copy of ``g`` with ``w`` added to every diagonal entry."""
-    if w <= 0.0:
-        raise NonPositiveWeightError(f"self-loop weight must be positive, got {w}")
+    if not 0.0 < w < np.inf:
+        raise NonPositiveWeightError(f"self-loop weight must be positive and finite, got {w}")
     loops = np.arange(g.n, dtype=np.int64)
     src = np.concatenate([g.src, loops])
     dst = np.concatenate([g.dst, loops])
@@ -363,6 +365,11 @@ def _vertex_fault(rows: _Rows, columns: Sequence[np.ndarray], n: int | None) -> 
     return rows.fault_at(np.logical_or.reduce(bad), message)
 
 
+def _weight_fault(rows: _Rows, weight: np.ndarray) -> ParseError | None:
+    """The first row whose weight is nan or infinite."""
+    return rows.fault_at(~np.isfinite(weight), lambda k: f"non-finite weight {weight[k]}")
+
+
 def _header_values(
     comments: list[tuple[int, str]], parsers: dict[str, Callable[[str], object]]
 ) -> tuple[dict[str, object], ParseError | None]:
@@ -384,12 +391,20 @@ def _header_values(
     return values, None
 
 
+def _vertex_count(value: str) -> int:
+    """A header's 'n=' value: a nonnegative integer (ValueError otherwise)."""
+    if int(value) < 0:
+        raise ValueError(value)
+    return int(value)
+
+
 _EDGE_ROW = (np.int64, np.int64, np.float64)
 
 
 def read_matrix_market(path: str | Path) -> Graph:
     """Read a Matrix Market coordinate file as a weighted graph.
 
+    A nan or infinite stored value raises ParseError with its line.
     Non-positive stored entries are shifted by (-min + 1e-3*(max - min));
     the sparsity pattern is preserved. Stored values that are all equal
     and <= 0 cannot be shifted positive and raise NonPositiveWeightError.
@@ -445,6 +460,7 @@ def read_matrix_market(path: str | Path) -> Graph:
     entries.check(
         ParseError(f"more than {nnz} entries", entries.lines[nnz]) if len(i) > nnz else None,
         entries.fault_at(outside, lambda k: f"index ({i[k]}, {j[k]}) outside 1..{rows}"),
+        _weight_fault(entries, val),
     )
     if len(i) != nnz:
         raise ParseError(f"expected {nnz} entries, found {len(i)}", len(lines))
@@ -467,16 +483,20 @@ def read_edge_list(path: str | Path, n: int | None = None, directed: bool = True
 
     Comment lines starting with '#' are skipped; a '# n=<count>' header
     fixes the vertex count (otherwise max index + 1 is used). A negative
-    vertex, or one >= a fixed count, raises ParseError with its line.
+    vertex, one >= a fixed count, or a nan or infinite weight raises
+    ParseError with its line; a file with no vertices raises
+    EmptyMatrixError.
     """
     rows = _read_rows(path, _EDGE_ROW, sep="\t", shape="expected 'src<TAB>dst<TAB>weight'")
-    values, fault = _header_values(rows.comments, {"n": int, "directed": lambda v: bool(int(v))})
+    values, fault = _header_values(rows.comments, {"n": _vertex_count, "directed": lambda v: bool(int(v))})
     rows.check(fault)
     src, dst, weight = rows.columns
     n = values.get("n") if n is None else n
-    rows.check(_vertex_fault(rows, (src, dst), n))
+    rows.check(_vertex_fault(rows, (src, dst), n), _weight_fault(rows, weight))
     if n is None:
         n = 1 + int(max(src.max(initial=-1), dst.max(initial=-1)))
+    if n == 0:
+        raise EmptyMatrixError(f"{path} holds a graph with no vertices")
     return _from_arrays(n, src, dst, weight, values.get("directed", directed))
 
 

@@ -10,24 +10,31 @@ density mu and its image nu = S^T mu, the operator matrices
     B = T K                    (one step backward, one step forward)
 
 together with the covariance matrices C_xx = D_mu, C_yy = D_nu and
-C_xy = D_mu S. All matrices here are dense; F and B are structurally
-denser than S, so sparse storage would not pay off.
+C_xy = D_mu S. Each is a product of S, S^T and diagonals, applied factor
+by factor at O(nnz) per vector; ``.m`` forms the dense matrix, the
+small-n reference, on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from functools import cached_property
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
 from .errors import (
+    EmptyMatrixError,
     NonPositiveDensityError,
     NotUndirectedError,
     ToscaError,
     ZeroDegreeError,
 )
 from .graph import Graph, TransitionMatrix, degree_info
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 __all__ = [
     "Density",
@@ -80,15 +87,36 @@ class Density:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator matrix tagged with its kind and reference densities."""
+    """Operator ``linear`` with its kind and reference densities; ``m`` is dense, on first read."""
 
     kind: OperatorKind
-    m: np.ndarray
+    linear: spla.LinearOperator
     mu: Density | None = None
     nu: Density | None = None
 
+    @cached_property
+    def m(self) -> np.ndarray:
+        return self.linear @ np.eye(self.linear.shape[0])
+
+
+def _product(*factors: sp.spmatrix | spla.LinearOperator | np.ndarray) -> spla.LinearOperator:
+    """Product of n x n ``factors``, a 1-d array as its diagonal, applied right to left."""
+    import scipy.sparse.linalg as spla
+
+    n = factors[0].shape[0]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        x = x.reshape(n, -1)
+        for f in reversed(factors):
+            x = f[:, None] * x if isinstance(f, np.ndarray) else f @ x
+        return x
+
+    return spla.LinearOperator((n, n), matvec=apply, matmat=apply, dtype=np.float64)
+
 
 def uniform_density(n: int) -> Density:
+    if n < 1:
+        raise EmptyMatrixError(f"no uniform density on {n} vertices")
     return Density(np.full(n, 1.0 / n))
 
 
@@ -110,33 +138,30 @@ def _positive_image(s: TransitionMatrix, mu: Density) -> Density:
 def koopman(s: TransitionMatrix, mu: Density | None = None) -> OperatorMatrix:
     """K = S; attach a density when a weighted projection is intended."""
     nu = image_density(s, mu) if mu is not None else None
-    return OperatorMatrix(kind="K", m=s.dense(), mu=mu, nu=nu)
+    return OperatorMatrix(kind="K", linear=_product(s.s), mu=mu, nu=nu)
 
 
 def perron_frobenius(s: TransitionMatrix, mu: Density | None = None) -> OperatorMatrix:
     nu = image_density(s, mu) if mu is not None else None
-    return OperatorMatrix(kind="P", m=s.dense().T, mu=mu, nu=nu)
+    return OperatorMatrix(kind="P", linear=_product(s.s.T), mu=mu, nu=nu)
 
 
 def reweighted(s: TransitionMatrix, mu: Density) -> OperatorMatrix:
     """T = D_nu^-1 S^T D_mu; row-stochastic for strictly positive mu, nu."""
     nu = _positive_image(s, mu)
-    t = (s.dense().T * mu.p[None, :]) / nu.p[:, None]
-    return OperatorMatrix(kind="T", m=t, mu=mu, nu=nu)
+    return OperatorMatrix(kind="T", linear=_product(1.0 / nu.p, s.s.T, mu.p), mu=mu, nu=nu)
 
 
 def forward_backward(s: TransitionMatrix, mu: Density) -> OperatorMatrix:
     """F = K T = S D_nu^-1 S^T D_mu."""
-    t = reweighted(s, mu)
-    f = s.s @ t.m
-    return OperatorMatrix(kind="F", m=np.asarray(f), mu=t.mu, nu=t.nu)
+    nu = _positive_image(s, mu)
+    return OperatorMatrix(kind="F", linear=_product(s.s, 1.0 / nu.p, s.s.T, mu.p), mu=mu, nu=nu)
 
 
 def backward_forward(s: TransitionMatrix, mu: Density) -> OperatorMatrix:
     """B = T K = D_nu^-1 S^T D_mu S."""
-    t = reweighted(s, mu)
-    b = np.asarray((s.s.T @ t.m.T).T)  # t @ S via sparse ops
-    return OperatorMatrix(kind="B", m=b, mu=t.mu, nu=t.nu)
+    nu = _positive_image(s, mu)
+    return OperatorMatrix(kind="B", linear=_product(1.0 / nu.p, s.s.T, mu.p, s.s), mu=mu, nu=nu)
 
 
 def covariance_matrices(
@@ -144,9 +169,9 @@ def covariance_matrices(
 ) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """C_xx = diag(mu), C_yy = diag(nu), C_xy = D_mu S."""
     nu = image_density(s, mu)
-    cxx = OperatorMatrix(kind="Cxx", m=np.diag(mu.p), mu=mu, nu=nu)
-    cyy = OperatorMatrix(kind="Cyy", m=np.diag(nu.p), mu=mu, nu=nu)
-    cxy = OperatorMatrix(kind="Cxy", m=s.dense() * mu.p[:, None], mu=mu, nu=nu)
+    cxx = OperatorMatrix(kind="Cxx", linear=_product(mu.p), mu=mu, nu=nu)
+    cyy = OperatorMatrix(kind="Cyy", linear=_product(nu.p), mu=mu, nu=nu)
+    cxy = OperatorMatrix(kind="Cxy", linear=_product(mu.p, s.s), mu=mu, nu=nu)
     return cxx, cyy, cxy
 
 

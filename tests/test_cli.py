@@ -128,6 +128,14 @@ class TestCluster:
         assert code == 3
         assert "self-loops" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_self_loops_data_error(self, tmp_path, cycles_tsv, capsys, weight):
+        code = main([
+            "cluster", cycles_tsv, "-k", "2", "--self-loops", weight, "-o", str(tmp_path / "l.csv"),
+        ])
+        assert code == 3
+        assert "self-loop weight must be positive and finite" in capsys.readouterr().err
+
     def test_herm_on_symmetric_numerical_error(self, tmp_path, capsys):
         path = tmp_path / "sym.tsv"
         g = tosca.from_edge_list(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)],
@@ -382,6 +390,29 @@ class TestEstimate:
         assert code == 3
         assert "line 3: negative vertex -1" in capsys.readouterr().err
 
+    def test_saved_walks_record_vertex_count(self, tmp_path, cycles_tsv):
+        partition = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([range(0, 6), range(6, 12)], partition)
+        walks = tmp_path / "walks.csv"
+        assert main([
+            "estimate", cycles_tsv, "--self-loops", "1.0", "--walkers", "50",
+            "--basis", str(partition), "--save-walks", str(walks), "-o", str(tmp_path / "e.json"),
+        ]) == 0
+        assert walks.read_text().startswith("# mode=independent_pairs seed=0 n=12\n")
+
+    def test_walks_vertex_count_bounds_the_partition(self, tmp_path, capsys):
+        # with n in the header, a set no walk can reach is a data error
+        walks = tmp_path / "walks.csv"
+        walks.write_text("# mode=independent_pairs seed=0 n=4\nx,y\n0,1\n1,0\n0,0\n")
+        partition = tmp_path / "part.csv"
+        tosca.galerkin.write_partition([[0], [1, 5]], partition)
+        code = main([
+            "estimate", "--walks", str(walks), "--basis", str(partition),
+            "-o", str(tmp_path / "est.json"),
+        ])
+        assert code == 3
+        assert "line 4: vertex 5 outside [0, 4)" in capsys.readouterr().err
+
     def test_walks_partition_widens_vertex_count(self, tmp_path):
         # walks fix no vertex count, so a partition may name unvisited vertices
         walks = tmp_path / "walks.csv"
@@ -417,6 +448,8 @@ GOOD_INPUTS = {
 CLI_INPUTS = {
     "tsv-cluster": ("graph_tsv", "cluster {graph_tsv} -k 2 --self-loops 1 -o {out}"),
     "mtx-cluster": ("graph_mtx", "cluster {graph_mtx} -k 2 --self-loops 1 -o {out}"),
+    "nan-tsv-cluster": ("graph_tsv", "cluster {graph_tsv} -k 2 --self-loops 1 -o {out}"),
+    "inf-mtx-cluster": ("graph_mtx", "cluster {graph_mtx} -k 2 --self-loops 1 -o {out}"),
     "mu-spectrum": ("mu", "spectrum {graph_tsv} --num 2 --mu {mu} -o {out}"),
     "nan-mu-spectrum": ("mu", "spectrum {graph_tsv} --num 2 --mu {mu} -o {out}"),
     "probs-generate": ("probs", "generate dsbm --blocks 2 --block-size 2 --probs {probs} -o {out}"),
@@ -430,7 +463,12 @@ CLI_INPUTS = {
 
 
 # id -> its malformed line 3, where it is not "0,x\tx 1"
-BAD_LINES = {"mtx-cluster": "1 2 x\n", "nan-mu-spectrum": "nan\n"}
+BAD_LINES = {
+    "mtx-cluster": "1 2 x\n",
+    "nan-mu-spectrum": "nan\n",
+    "nan-tsv-cluster": "1\t2\tnan\n",
+    "inf-mtx-cluster": "2 3 inf\n",
+}
 
 
 @pytest.mark.parametrize("case", CLI_INPUTS)
@@ -445,6 +483,24 @@ def test_malformed_line_3_in_any_input_is_a_data_error(tmp_path, capsys, case):
         paths[name] = str(tmp_path / name)
     assert main([arg.format_map(paths) for arg in argv.split()]) == 3
     assert "line 3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "# n=0 directed=1\n"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cluster {graph} -k 1 -o {out}",
+        "spectrum {graph} --num 1 -o {out}",
+        "embed {graph} --coords 1 -o {out}",
+        "estimate {graph} --walkers 10 --basis {basis} -o {out}",
+    ],
+)
+def test_graph_without_vertices_is_a_data_error(tmp_path, capsys, text, argv):
+    paths = {name: str(tmp_path / name) for name in ("graph", "basis", "out")}
+    Path(paths["graph"]).write_text(text)
+    Path(paths["basis"]).write_text("vertex_index,set_index\n0,0\n")
+    assert main(argv.format_map(paths).split()) == 3
+    assert "no vertices" in capsys.readouterr().err
 
 
 class TestEvalReorder:

@@ -379,6 +379,7 @@ class TestWalkIO:
         back = tosca.read_walks(path)
         assert back.mode == sample.mode
         assert back.seed == sample.seed
+        assert back.n == sample.n == 5
         assert np.array_equal(back.xs, sample.xs)
         assert np.array_equal(back.ys, sample.ys)
 
@@ -399,6 +400,27 @@ class TestWalkIO:
             tosca.read_walks(path)
         assert info.value.line == 3
 
+    def test_samplers_record_vertex_count(self):
+        _, s, mu = five_vertex_setup()
+        assert tosca.sample_pairs(s, mu, 3).n == 5
+        assert tosca.sample_trajectory(s, mu, 3).n == 5
+        assert tosca.sample_trajectory(s, mu, 0).n == 5
+
+    def test_written_bytes_with_vertex_count(self, tmp_path):
+        sample = tosca.WalkSample(
+            xs=np.array([0, 2]), ys=np.array([1, 0]), mode="independent_pairs", seed=1, n=3
+        )
+        path = tmp_path / "walks.csv"
+        tosca.write_walks(sample, path)
+        assert path.read_bytes() == b"# mode=independent_pairs seed=1 n=3\nx,y\n0,1\n2,0\n"
+
+    @pytest.mark.parametrize("row", ["3,0", "0,4"])
+    def test_vertex_outside_recorded_count_rejected(self, tmp_path, row):
+        path = tmp_path / "walks.csv"
+        path.write_text(f"# n=3\nx,y\n0,1\n{row}\n")
+        with pytest.raises(ParseError, match=r"line 4: vertex \d outside \[0, 3\)"):
+            tosca.read_walks(path)
+
     def test_unequal_lengths_rejected(self):
         with pytest.raises(LengthMismatchError):
             tosca.WalkSample(
@@ -406,7 +428,7 @@ class TestWalkIO:
                 mode="independent_pairs", seed=0,
             )
 
-    @pytest.mark.parametrize("header", ["# mode=pairs seed=2", "# seed=two"])
+    @pytest.mark.parametrize("header", ["# mode=pairs seed=2", "# seed=two", "# n=-2"])
     def test_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "walks.csv"
         path.write_text(f"x,y\n{header}\n0,1\n")

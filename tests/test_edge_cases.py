@@ -93,6 +93,13 @@ class TestEdgeListInference:
         g = tosca.read_edge_list(path)
         assert g.n == 4
 
+    @pytest.mark.parametrize("text", ["", "\n", "# n=0\n"])
+    def test_no_vertices_rejected(self, tmp_path, text):
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        with pytest.raises(tosca.errors.EmptyMatrixError, match="no vertices"):
+            tosca.read_edge_list(path)
+
 
 class TestCliExtras:
     @pytest.fixture

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,3 +262,26 @@ class TestLabelIO:
         with pytest.raises(ParseError, match="no label rows") as info:
             tosca.galerkin.read_labels(path)
         assert info.value.line == line
+
+
+def test_projection_forms_no_n_by_n_array():
+    # n = 4000: a dense F alone would take 122 MiB
+    r_b, n_b = 32, 125
+    e = 0.001 * np.ones((r_b, r_b)) + 0.049 * np.eye(r_b)
+    g = tosca.add_self_loops(tosca.dsbm_sample(tosca.DSBMParams(r_b=r_b, n_b=n_b, e=e, seed=300)), 1.0)
+    s, mu = tosca.transition_matrix(g), tosca.uniform_density(g.n)
+    basis = tosca.indicator_basis(g.n, [range(n_b * j, n_b * (j + 1)) for j in range(r_b)])
+    small = three_cycles_graph()  # load the solver modules before tracing
+    tosca.reduced_eigenfunctions(
+        tosca.project(fb_operator(small), tosca.indicator_basis(12, [range(6), range(6, 12)])), 2
+    )
+    tracemalloc.start()
+    try:
+        op = tosca.forward_backward(s, mu)
+        vals, _ = tosca.reduced_eigenfunctions(tosca.project(op, basis), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert "m" not in op.__dict__
+    assert abs(vals[0] - 1.0) < 1e-12

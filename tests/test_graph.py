@@ -46,6 +46,11 @@ class TestFromEdgeList:
         with pytest.raises(NonPositiveWeightError):
             tosca.from_edge_list(2, [(0, 1, -2.0)])
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(NonPositiveWeightError, match="positive and finite"):
+            tosca.from_edge_list(2, [(0, 1, 1.0), (1, 0, weight)])
+
     def test_undirected_adjacency_symmetric_exactly(self, rng):
         # duplicate, reversed, and looped entries must still produce a
         # bitwise-symmetric matrix
@@ -102,6 +107,11 @@ class TestSelfLoops:
     def test_rejects_non_positive(self):
         with pytest.raises(NonPositiveWeightError):
             tosca.add_self_loops(tosca.from_edge_list(2, []), 0.0)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_rejects_non_finite(self, weight):
+        with pytest.raises(NonPositiveWeightError, match="positive and finite"):
+            tosca.add_self_loops(tosca.from_edge_list(2, []), weight)
 
 
 class TestTransitionMatrix:
@@ -366,7 +376,6 @@ class TestMatrixMarketLineParserEquivalence:
             MM_GENERAL + "3 3 3\n\n  1\t2\t1.0  \n\n+2 03 2.0\r\n3 1 .5\n   \n",
             # a '%' line among the entries is skipped
             MM_GENERAL + "3 3 2\n1 2 1.0\n% between\n2 3 2.0\n",
-            MM_GENERAL + "3 3 2\n1 2 inf\n2 3 1e400\n",
         ],
     )
     def test_same_graph(self, tmp_path, text):
@@ -388,6 +397,9 @@ class TestMatrixMarketLineParserEquivalence:
             ("1 2 1.0\n2 3 1.0\n3 1 1.0\n", 5),
             ("1 2 1.0\n\n", 4),
             ("1 2 1_0\n2 1 x\n", 4),
+            # a non-finite value is rejected before the shift
+            ("1 2 1.0\n2 3 1e400\n", 4),
+            ("1 2 nan\n2 3 -inf\n", 3),
         ],
     )
     def test_rejected_at_the_line_parsers_line(self, tmp_path, entries, line):
@@ -430,7 +442,7 @@ def assert_same_result(a, b):
     elif isinstance(a, tosca.Graph):
         assert_same_outcome(a, b)
     elif isinstance(a, tosca.WalkSample):
-        assert (a.mode, a.seed) == (b.mode, b.seed)
+        assert (a.mode, a.seed, a.n) == (b.mode, b.seed, b.n)
         for x, y in ((a.xs, b.xs), (a.ys, b.ys)):
             assert x.dtype == y.dtype and np.array_equal(x, y)
     else:
@@ -483,7 +495,8 @@ TABLE_FORMATS = {
         tosca.read_walks,
         table_line(
             [VERTEX, VERTEX], [",", ", "],
-            ["x,y", "# mode=single_trajectory seed=3", "# seed=-2", "# seed=x", "# mode=pairs", "#"],
+            ["x,y", "# mode=single_trajectory seed=3", "# seed=-2", "# seed=x", "# mode=pairs", "#",
+             "# n=4", "# seed=1 n=x", "# n=-1"],
         ),
     ),
     "labels": (
@@ -709,6 +722,7 @@ class TestEdgeListIO:
         "text,line,message",
         [
             ("# n=abc\n0\t1\t1.0\n", 1, "cannot parse n 'abc'"),
+            ("# n=-1\n", 1, "cannot parse n '-1'"),
             ("# n=3\n# seed=1 directed=x\n0\t1\t1.0\n", 2, "cannot parse directed 'x'"),
             ("0\t1\t1.0\n-1\t0\t1.0\n", 2, "negative vertex -1"),
             ("# n=3\n0\t1\t1.0\n\n1\t3\t1.0\n", 4, "vertex 3 outside \\[0, 3\\)"),

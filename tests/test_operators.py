@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tosca
-from tosca.errors import NonPositiveDensityError, NotUndirectedError, ZeroDegreeError
+from tosca.errors import (
+    EmptyMatrixError,
+    NonPositiveDensityError,
+    NotUndirectedError,
+    ZeroDegreeError,
+)
 
 from conftest import random_directed_graph, random_undirected_graph, three_cycles_graph
 
@@ -24,6 +31,10 @@ class TestDensity:
     def test_finite(self, mass):
         with pytest.raises(tosca.errors.ToscaError, match="non-finite mass at vertex 1"):
             tosca.Density(np.array([0.5, mass, 0.5]))
+
+    def test_uniform_on_no_vertices(self):
+        with pytest.raises(EmptyMatrixError):
+            tosca.uniform_density(0)
 
     def test_strict_positivity_predicate(self):
         assert tosca.Density(np.array([0.5, 0.5])).strictly_positive()
@@ -285,3 +296,115 @@ class TestStationaryDensity:
         pi = tosca.stationary_density(g)
         s = tosca.transition_matrix(g)
         assert np.abs(s.s.T @ pi.p - pi.p).max() < 1e-12
+
+
+def all_operators(s, mu):
+    """Every operator kind on (S, mu), keyed by kind."""
+    ops = {
+        "K": tosca.koopman(s, mu),
+        "P": tosca.perron_frobenius(s, mu),
+        "T": tosca.reweighted(s, mu),
+        "F": tosca.forward_backward(s, mu),
+        "B": tosca.backward_forward(s, mu),
+    }
+    ops.update(zip(("Cxx", "Cyy", "Cxy"), tosca.covariance_matrices(s, mu)))
+    return ops
+
+
+def dense_references(s, mu, nu):
+    """Every kind's dense matrix, built from plain numpy."""
+    a = s.s.toarray()
+    t = np.diag(1.0 / nu.p) @ a.T @ np.diag(mu.p)
+    return {
+        "K": a, "P": a.T, "T": t, "F": a @ t, "B": t @ a,
+        "Cxx": np.diag(mu.p), "Cyy": np.diag(nu.p), "Cxy": mu.p[:, None] * a,
+    }
+
+
+class TestSparseProductReference:
+    """Operators are sparse products; ``.m`` and projections match dense numpy."""
+
+    @pytest.fixture(params=["three_cycles", "random"])
+    def setup(self, request, rng):
+        if request.param == "three_cycles":
+            g = three_cycles_graph()
+            mu = tosca.uniform_density(g.n)
+        else:
+            g = random_directed_graph(15, rng)
+            masses = rng.uniform(0.1, 1.0, g.n)
+            mu = tosca.Density(masses / masses.sum())
+        s = tosca.transition_matrix(g)
+        return s, mu, all_operators(s, mu)
+
+    def test_dense_matrix_matches_numpy(self, setup):
+        s, mu, ops = setup
+        refs = dense_references(s, mu, ops["F"].nu)
+        for kind, op in ops.items():
+            assert "m" not in op.__dict__  # formed only when read
+            if kind in ("T", "F", "B"):
+                assert np.abs(op.m - refs[kind]).max() <= 1e-14 * np.abs(refs[kind]).max(), kind
+            else:
+                assert np.array_equal(op.m, refs[kind]), kind
+                assert not np.signbit(op.m).any(), kind
+
+    def test_projection_grams_match_dense_product(self, setup, rng):
+        s, mu, ops = setup
+        refs = dense_references(s, mu, ops["F"].nu)
+        phi = rng.standard_normal((4, s.n))
+        basis = tosca.Basis(phi_v=phi)
+        for kind in ("K", "P", "T", "F", "B"):
+            op = ops[kind]
+            d = (op.nu if kind in ("T", "B") else op.mu).p
+            red = tosca.project(op, basis)
+            g0, g1 = (phi * d) @ phi.T, (phi * d) @ refs[kind] @ phi.T
+            assert np.abs(red.g0 - g0).max() <= 1e-12 * np.abs(g0).max(), kind
+            assert np.abs(red.g1 - g1).max() <= 1e-12 * np.abs(g1).max(), kind
+            assert "m" not in op.__dict__
+
+
+@st.composite
+def walk_setups(draw, directed=True):
+    """A graph on n <= 12 vertices with unit self-loops, its S and a strictly positive mu."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    triples = draw(st.lists(st.tuples(vertex, vertex, st.floats(0.1, 10.0)), max_size=3 * n))
+    g = tosca.add_self_loops(tosca.from_edge_list(n, triples, directed=directed), 1.0)
+    masses = draw(arrays(np.float64, n, elements=st.floats(0.01, 1.0)))
+    return g, tosca.transition_matrix(g), tosca.Density(masses / masses.sum())
+
+
+class TestNorthStarProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(setup=walk_setups(), data=st.data())
+    def test_forward_backward_spectrum_in_unit_interval(self, setup, data):
+        # fb_spectrum clips kappa to [0, 1], so the bounds are checked on F itself
+        _, s, mu = setup
+        vals = np.linalg.eigvals(tosca.forward_backward(s, mu).m)
+        assert np.abs(vals.imag).max() <= 1e-10
+        vals = np.sort(vals.real)[::-1]
+        assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
+        k = data.draw(st.integers(1, s.n))
+        spec = tosca.fb_spectrum(s, mu, k)
+        assert np.abs(spec.lam - vals[:k]).max() <= 1e-10
+        gram = spec.phi.T @ (mu.p[:, None] * spec.phi)
+        assert np.abs(gram - np.eye(k)).max() <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(setup=walk_setups(), data=st.data())
+    def test_forward_backward_self_adjoint_in_mu(self, setup, data):
+        _, s, mu = setup
+        f = tosca.forward_backward(s, mu).linear
+        # single-precision entries keep the squared norms clear of underflow
+        entries = st.floats(-1.0, 1.0, width=32)
+        x, y = (data.draw(arrays(np.float64, s.n, elements=entries)) for _ in "xy")
+        lhs, rhs = mu.p @ (x * (f @ y)), mu.p @ ((f @ x) * y)
+        scale = np.sqrt(mu.p @ x**2) * np.sqrt(mu.p @ y**2)
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(setup=walk_setups(directed=False))
+    def test_undirected_stationary_forward_backward_is_koopman_squared(self, setup):
+        g, s, _ = setup
+        k = tosca.koopman(s).m
+        f = tosca.forward_backward(s, tosca.stationary_density(g)).m
+        assert np.abs(f - k @ k).max() <= 1e-12
