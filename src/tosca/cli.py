@@ -43,6 +43,16 @@ def _default_seed() -> int:
     return int(os.environ.get("TOSCA_SEED", "0"))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_graph(path: str) -> Graph:
     with open(path) as fh:
         first = fh.readline()
@@ -273,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="sample benchmark graphs")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
     dsbm = gen_sub.add_parser("dsbm", help="directed stochastic block model")
-    dsbm.add_argument("--blocks", type=int, required=True)
-    dsbm.add_argument("--block-size", type=int, required=True)
+    dsbm.add_argument("--blocks", type=_positive_int, required=True)
+    dsbm.add_argument("--block-size", type=_positive_int, required=True)
     dsbm.add_argument("--probs", required=True, help="CSV block probability matrix")
     dsbm.add_argument("--weight", type=float, default=1.0)
     dsbm.add_argument("--mtx", action="store_true", help="write Matrix Market instead of TSV")

@@ -79,21 +79,33 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per point, and the squared distance to it.
+    """Nearest centroid per point, and its score ||c||^2 - 2 x.c.
 
-    The argmin runs on ||c||^2 - 2 X C^T, one matrix product. The chosen
-    distance is then recomputed as sum((x - c_label)^2) from a centroid
-    array laid out like ``points``, so numpy reduces it in the order it
-    reduces the (n, k, d) broadcast ((points[:, None] - centroids[None])
-    ** 2).sum(axis=2): pairwise for row-major points, column by column
-    for column-major ones. The distances, and so the inertia, are
-    bitwise those of the broadcast.
+    One matrix product scores every centroid. The scores are formed in
+    the product's own buffer by the same operations as
+    ``||c||^2 - 2.0 * (X @ C.T)``, without two n x k temporaries. Adding
+    ||x||^2 to the chosen score gives the squared distance up to rounding.
     """
-    scores = (centroids**2).sum(axis=1) - 2.0 * (points @ centroids.T)
+    scores = points @ centroids.T
+    np.multiply(scores, 2.0, out=scores)
+    np.subtract((centroids**2).sum(axis=1), scores, out=scores)
     labels = np.argmin(scores, axis=1)
+    return labels, scores[np.arange(len(labels)), labels]
+
+
+def _sq_dist(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to its labelled centroid, bitwise.
+
+    Computed as sum((x - c_label)^2) from a centroid array laid out like
+    ``points``, so numpy reduces it in the order it reduces the (n, k, d)
+    broadcast ((points[:, None] - centroids[None]) ** 2).sum(axis=2):
+    pairwise for row-major points, column by column for column-major
+    ones. The distances, and so the inertia, are bitwise those of the
+    broadcast.
+    """
     chosen = np.empty_like(points)
     chosen[...] = centroids[labels]
-    return labels, ((points - chosen) ** 2).sum(axis=1)
+    return ((points - chosen) ** 2).sum(axis=1)
 
 
 def _lloyd(
@@ -105,27 +117,36 @@ def _lloyd(
 ) -> tuple[np.ndarray, float, list[float]]:
     """One restart: k-means++ init then Lloyd iterations.
 
-    Returns (labels, inertia, per-iteration inertia history). Empty
-    clusters are reseeded at the point farthest from its centroid, in
-    cluster order, so a reseed that empties a later cluster reseeds that
-    one too. Each centroid is its members' sum, accumulated in row order
-    by one weighted bincount per column, over their count; for d >= 2
-    that is bitwise points[labels == j].mean(axis=0).
+    Returns (labels, inertia, per-iteration objective history). Labels
+    come from ``_assign``'s scores, and each history entry is the sum of
+    the chosen scores plus sum ||x||^2, the inertia up to rounding. The
+    bitwise distances of ``_sq_dist`` are computed only where they are
+    read: for the returned inertia, and in an iteration that finds an
+    empty cluster. Empty clusters are reseeded at the point farthest from
+    its centroid, in cluster order, so a reseed that empties a later
+    cluster reseeds that one too. Each centroid is its members' sum,
+    accumulated in row order by one weighted bincount per column, over
+    their count; for d >= 2 that is bitwise points[labels == j].mean(axis=0).
     """
     centroids = _kmeanspp_init(points, k, rng)
+    sq = (points**2).sum(axis=1)
+    sq_total = sq.sum()
     history: list[float] = []
-    labels, dist2 = _assign(points, centroids)
+    labels, best = _assign(points, centroids)
     for _ in range(max_iter):
         counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            if counts[j] == 0:
-                far = int(np.argmax(dist2))
-                centroids[j] = points[far]
-                counts[labels[far]] -= 1
-                counts[j] = 1
-                labels[far] = j
-                dist2[far] = 0.0
-        history.append(float(dist2.sum()))
+        if not counts.all():
+            dist2 = _sq_dist(points, centroids, labels)
+            for j in range(k):
+                if counts[j] == 0:
+                    far = int(np.argmax(dist2))
+                    centroids[j] = points[far]
+                    counts[labels[far]] -= 1
+                    counts[j] = 1
+                    labels[far] = j
+                    dist2[far] = 0.0
+                    best[far] = -sq[far]
+        history.append(float(best.sum() + sq_total))
         sums = np.empty_like(centroids)
         for c in range(points.shape[1]):
             sums[:, c] = np.bincount(labels, weights=points[:, c], minlength=k)
@@ -134,11 +155,11 @@ def _lloyd(
         new_centroids[filled] = sums[filled] / counts[filled, None]
         shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
-        labels, dist2 = _assign(points, centroids)
+        labels, best = _assign(points, centroids)
         if shift <= tol:
             break
-    history.append(float(dist2.sum()))
-    return labels, float(dist2.sum()), history
+    history.append(float(best.sum() + sq_total))
+    return labels, float(_sq_dist(points, centroids, labels).sum()), history
 
 
 def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clustering:

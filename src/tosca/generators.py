@@ -33,11 +33,15 @@ class DSBMParams:
     seed: int = 0
 
     def __post_init__(self):
+        if self.r_b < 0 or self.n_b < 0:
+            raise ToscaError(
+                f"block count and block size must be nonnegative, got {self.r_b} and {self.n_b}"
+            )
         e = np.asarray(self.e, dtype=np.float64)
         object.__setattr__(self, "e", e)
         if e.shape != (self.r_b, self.r_b):
             raise ToscaError(f"probability matrix must be {self.r_b}x{self.r_b}")
-        if ((e < 0.0) | (e > 1.0)).any():
+        if not ((e >= 0.0) & (e <= 1.0)).all():  # nan fails both
             raise ToscaError("block probabilities must lie in [0, 1]")
         if self.weight <= 0.0:
             raise ToscaError("edge weight must be positive")
@@ -58,21 +62,41 @@ def dsbm_sample(params: DSBMParams) -> Graph:
     generator never adds self-loops beyond what the blocks produce;
     regularization is the caller's explicit step.
 
-    The uniforms are drawn one block row (n_b x n) at a time. The
-    generator fills arrays in C order, so the draws, and the graph, are
-    those of a single n x n draw compared with the block-constant
-    threshold matrix; memory stays at n_b x n.
+    Block pairs are drawn in row-major order, each by ``_bernoulli_cells``
+    over its n_b x n_b cells, so time and memory are proportional to the
+    edges drawn rather than to n^2.
     """
     n, n_b = params.n, params.n_b
     rng = np.random.default_rng(params.seed)
     src, dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for i in range(params.r_b):
-        rows, cols = np.nonzero(rng.random((n_b, n)) < np.repeat(params.e[i], n_b))
-        src.append(rows + i * n_b)
-        dst.append(cols)
+        for j in range(params.r_b):
+            hits = _bernoulli_cells(rng, n_b * n_b, float(params.e[i, j]))
+            src.append(i * n_b + hits // n_b)
+            dst.append(j * n_b + hits % n_b)
     src, dst = np.concatenate(src), np.concatenate(dst)
     weight = np.full(len(src), float(params.weight))
     return _from_arrays(n, src, dst, weight, directed=True)
+
+
+def _bernoulli_cells(rng: np.random.Generator, cells: int, p: float) -> np.ndarray:
+    """Ascending indices of the successes among ``cells`` Bernoulli(p) trials.
+
+    The gaps between successive successes are Geometric(p) (Batagelj &
+    Brandes, Phys. Rev. E 71, 2005). They are drawn in batches sized to
+    cover the expected count with room to spare, and never more than
+    cells + 1 at once, which always reaches past the last cell; a further
+    batch is drawn only while the running position falls short.
+    """
+    if cells == 0 or p == 0.0:
+        return np.empty(0, dtype=np.int64)
+    mean = cells * p
+    batch = min(cells + 1, int(mean + 6.0 * np.sqrt(mean)) + 16)
+    parts = [np.cumsum(rng.geometric(p, batch)) - 1]
+    while parts[-1][-1] < cells:
+        parts.append(parts[-1][-1] + np.cumsum(rng.geometric(p, batch)))
+    hits = np.concatenate(parts)
+    return hits[: np.searchsorted(hits, cells)]
 
 
 @dataclass(frozen=True)

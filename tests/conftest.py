@@ -74,6 +74,18 @@ def example_block_matrix(p: float = 0.8, q: float = 0.1) -> np.ndarray:
     )
 
 
+def dense_dsbm_edges(params):
+    """Reference sampler: one n x n uniform draw against kron(e, ones).
+
+    A test that checks a property of one fixed block-model graph builds
+    it here, so that graph stays the same whatever ``dsbm_sample`` draws.
+    """
+    rng = np.random.default_rng(params.seed)
+    blocks = np.ones((params.n_b, params.n_b))
+    mask = rng.random((params.n, params.n)) < np.kron(params.e, blocks)
+    return np.nonzero(mask)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -76,6 +76,34 @@ class TestGenerate:
         assert code == 3
         assert f"line {line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--blocks", "--block-size"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_bad_size_is_usage_error(self, tmp_path, probs_csv, capsys, flag, value):
+        out = tmp_path / "g.tsv"
+        args = {"--blocks": "2", "--block-size": "4"}
+        args[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "generate", "dsbm", "--blocks", args["--blocks"],
+                "--block-size", args["--block-size"], "--probs", probs_csv, "-o", str(out),
+            ])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_probability_data_error(self, tmp_path, capsys, entry):
+        probs = tmp_path / "p.csv"
+        probs.write_text(f"0.3,{entry}\n0.1,0.3\n")
+        out = tmp_path / "g.tsv"
+        code = main([
+            "generate", "dsbm", "--blocks", "2", "--block-size", "4",
+            "--probs", str(probs), "-o", str(out),
+        ])
+        assert code == 3
+        assert "block probabilities must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path, probs_csv):
         out_a, out_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         args = ["generate", "dsbm", "--blocks", "2", "--block-size", "10",

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 import tosca
 from tosca import clustering
-from tosca.clustering import _assign, _lloyd
+from tosca.clustering import _assign, _lloyd, _sq_dist
 from tosca.errors import (
     DegeneratePointsError,
     EmptySubsetError,
@@ -85,11 +85,30 @@ class TestKMeans:
         assert set(result.labels.tolist()) == set(range(7))
 
 
-def broadcast_assign(points, centroids):
+def broadcast_distances(points, centroids):
     """Brute force: every point-centroid distance from one (n, k, d) array."""
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def broadcast_assign(points, centroids):
+    """``_assign`` by brute force: the argmin of the broadcast distances,
+    and the chosen distance less ||x||^2 as its score."""
+    d2 = broadcast_distances(points, centroids)
     labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(len(points)), labels]
+    return labels, d2[np.arange(len(points)), labels] - (points**2).sum(axis=1)
+
+
+def patch_assign(monkeypatch):
+    """Route the Lloyd loop's labels through ``broadcast_assign``; the
+    returned list grows by one entry per call."""
+    calls = []
+
+    def counting(points, centroids):
+        calls.append(None)
+        return broadcast_assign(points, centroids)
+
+    monkeypatch.setattr(clustering, "_assign", counting)
+    return calls
 
 
 def _layout(a, order):
@@ -113,8 +132,8 @@ class TestGemmAssign:
     @given(points_and_centroids())
     def test_matches_brute_force_off_ties(self, case):
         points, centroids = case
-        labels, dist2 = _assign(points, centroids)
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels, best = _assign(points, centroids)
+        d2 = broadcast_distances(points, centroids)
         best_two = np.sort(d2, axis=1)[:, :2]
         clear = (
             np.ones(len(points), dtype=bool)
@@ -122,9 +141,11 @@ class TestGemmAssign:
             else best_two[:, 1] - best_two[:, 0] > 1e-12
         )
         assert np.array_equal(labels[clear], np.argmin(d2, axis=1)[clear])
-        # the reported distance is the broadcast one at the chosen label,
-        # bit for bit, near-ties included
-        assert np.array_equal(dist2, d2[np.arange(len(points)), labels])
+        chosen = d2[np.arange(len(points)), labels]
+        # the score plus ||x||^2 is the chosen distance up to rounding ...
+        assert np.allclose(best + (points**2).sum(axis=1), chosen, rtol=0.0, atol=1e-12)
+        # ... and _sq_dist is the broadcast one, bit for bit, near-ties included
+        assert np.array_equal(_sq_dist(points, centroids, labels), chosen)
 
     @pytest.mark.parametrize("order", ["C", "F", "F-slice", "rows"])
     def test_distances_bitwise_in_every_layout(self, rng, order):
@@ -138,10 +159,12 @@ class TestGemmAssign:
             "rows": base[::2, :32],
         }[order]
         centroids = rng.normal(size=(32, 32))
-        labels, dist2 = _assign(points, centroids)
-        ref_labels, ref_dist2 = broadcast_assign(points, centroids)
-        assert np.array_equal(labels, ref_labels)
-        assert np.array_equal(dist2, ref_dist2)
+        labels, _ = _assign(points, centroids)
+        d2 = broadcast_distances(points, centroids)
+        assert np.array_equal(labels, np.argmin(d2, axis=1))
+        assert np.array_equal(
+            _sq_dist(points, centroids, labels), d2[np.arange(len(points)), labels]
+        )
 
     @pytest.mark.parametrize(
         "n,k,d,order",
@@ -153,8 +176,9 @@ class TestGemmAssign:
         points = _layout(centres[rng.integers(k, size=n)] + rng.normal(size=(n, d)), order)
         cfg = tosca.KMeansConfig(restarts=4, seed=5)
         gemm = tosca.kmeans(points, k, cfg)
-        monkeypatch.setattr(clustering, "_assign", broadcast_assign)
+        calls = patch_assign(monkeypatch)
         brute = tosca.kmeans(points, k, cfg)
+        assert calls
         assert np.array_equal(gemm.labels, brute.labels)
         assert gemm.inertia == brute.inertia
 
@@ -165,26 +189,31 @@ class TestGemmAssign:
             tosca.dsbm_sample(tosca.DSBMParams(r_b=6, n_b=40, e=e, seed=2)), 1.0
         )
         gemm = tosca.cluster_graph(g, 6)
-        monkeypatch.setattr(clustering, "_assign", broadcast_assign)
+        calls = patch_assign(monkeypatch)
         brute = tosca.cluster_graph(g, 6)
+        assert calls
         assert np.array_equal(gemm.labels, brute.labels)
         assert gemm.inertia == brute.inertia
 
 
 def mask_loop_lloyd(points, k, rng, max_iter, tol):
-    """Reference Lloyd restart: reseed and centroid update by one boolean
-    mask per cluster."""
+    """Reference Lloyd restart: reseed by the broadcast-equal distances,
+    centroid update by one boolean mask per cluster, history from the
+    scores."""
     centroids = clustering._kmeanspp_init(points, k, rng)
+    sq = (points**2).sum(axis=1)
     history = []
-    labels, dist2 = clustering._assign(points, centroids)
+    labels, best = clustering._assign(points, centroids)
     for _ in range(max_iter):
+        dist2 = _sq_dist(points, centroids, labels)
         for j in range(k):
             if not (labels == j).any():
                 far = int(np.argmax(dist2))
                 centroids[j] = points[far]
                 labels[far] = j
                 dist2[far] = 0.0
-        history.append(float(dist2.sum()))
+                best[far] = -sq[far]
+        history.append(float(best.sum() + sq.sum()))
         new_centroids = centroids.copy()
         for j in range(k):
             members = labels == j
@@ -192,11 +221,11 @@ def mask_loop_lloyd(points, k, rng, max_iter, tol):
                 new_centroids[j] = points[members].mean(axis=0)
         shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
-        labels, dist2 = clustering._assign(points, centroids)
+        labels, best = clustering._assign(points, centroids)
         if shift <= tol:
             break
-    history.append(float(dist2.sum()))
-    return labels, float(dist2.sum()), history
+    history.append(float(best.sum() + sq.sum()))
+    return labels, float(_sq_dist(points, centroids, labels).sum()), history
 
 
 def assert_same_restart(a, b):

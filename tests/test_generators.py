@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tosca
+from tosca import generators
 from tosca.errors import ParseError, ToscaError
 
 from conftest import example_block_matrix
@@ -48,6 +49,18 @@ class TestDsbmSample:
         with pytest.raises(ToscaError):
             tosca.DSBMParams(r_b=2, n_b=3, e=np.full((2, 2), 1.5), seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities(self, bad):
+        e = np.full((2, 2), 0.5)
+        e[1, 0] = bad
+        with pytest.raises(ToscaError, match=r"must lie in \[0, 1\]"):
+            tosca.DSBMParams(r_b=2, n_b=3, e=e, seed=0)
+
+    @pytest.mark.parametrize("r_b,n_b", [(-1, 3), (2, -1)])
+    def test_negative_sizes(self, r_b, n_b):
+        with pytest.raises(ToscaError, match="nonnegative"):
+            tosca.DSBMParams(r_b=r_b, n_b=n_b, e=np.full((2, 2), 0.5), seed=0)
+
     def test_planted_partition_recoverable(self):
         # dense-diagonal blocks at (p, q) = (0.8, 0.1) for 2..4 blocks
         for r_b in (2, 3, 4):
@@ -64,37 +77,113 @@ class TestDsbmSample:
             assert np.median(aris) == 1.0
 
 
-def dense_dsbm_edges(params):
-    """Reference sampler: one n x n uniform draw against kron(e, ones)."""
-    rng = np.random.default_rng(params.seed)
-    blocks = np.ones((params.n_b, params.n_b))
-    mask = rng.random((params.n, params.n)) < np.kron(params.e, blocks)
-    return np.nonzero(mask)
+class TestBernoulliSampler:
+    CASES = [
+        (1, 30, [[0.3]]),
+        (2, 6, [[0.0, 1.0], [1.0, 0.0]]),
+        (3, 10, [[0.5, 0.0, 0.2], [0.1, 0.9, 0.0], [1.0, 0.05, 0.4]]),
+        (4, 25, "example"),
+        (5, 1, [[0.5] * 5] * 5),
+    ]
+
+    @staticmethod
+    def params(r_b, n_b, e, seed, weight=1.5):
+        e = example_block_matrix() if isinstance(e, str) else np.asarray(e)
+        return tosca.DSBMParams(r_b=r_b, n_b=n_b, e=e, weight=weight, seed=seed)
+
+    @pytest.mark.parametrize("r_b,n_b,e", CASES)
+    def test_seed_determines_edges(self, r_b, n_b, e):
+        params = self.params(r_b, n_b, e, seed=3)
+        a, b = tosca.dsbm_sample(params), tosca.dsbm_sample(params)
+        assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+        if ((params.e > 0.0) & (params.e < 1.0)).any():  # else nothing is left to chance
+            others = [tosca.dsbm_sample(self.params(r_b, n_b, e, seed=s)) for s in (4, 5)]
+            assert all(a.edge_multiset() != o.edge_multiset() for o in others)
+
+    def test_zero_and_one_probabilities(self):
+        # blocks 0 -> 1 and 2 -> 0 full, everything else empty
+        e = np.zeros((3, 3))
+        e[0, 1] = e[2, 0] = 1.0
+        g = tosca.dsbm_sample(self.params(3, 7, e, seed=0))
+        a = g.adjacency.toarray()
+        full = np.kron(e, np.ones((7, 7)))
+        assert np.array_equal(a, 1.5 * full)
+
+    @pytest.mark.parametrize("r_b,n_b,e", CASES)
+    def test_edges_distinct_and_inside_their_block_pair(self, r_b, n_b, e):
+        params = self.params(r_b, n_b, e, seed=7)
+        g = tosca.dsbm_sample(params)
+        # a duplicate draw would be summed into a heavier edge
+        assert g.weight.tolist() == [1.5] * g.num_edges
+        assert len(set(zip(g.src.tolist(), g.dst.tolist()))) == g.num_edges
+        assert (params.e[g.src // n_b, g.dst // n_b] > 0.0).all()
+        assert ((0 <= g.src) & (g.src < params.n) & (0 <= g.dst) & (g.dst < params.n)).all()
+
+    def test_pair_counts_binomial(self):
+        # z-scores of every block pair's edge count under Binomial(n_b^2, p)
+        e = np.array([[0.3, 0.01, 0.0005], [0.9, 0.05, 0.2], [0.002, 0.5, 0.99]])
+        n_b = 60
+        cells = n_b * n_b
+        z = []
+        for seed in range(8):
+            a = tosca.dsbm_sample(self.params(3, n_b, e, seed)).adjacency.toarray()
+            counts = a.reshape(3, n_b, 3, n_b).astype(bool).sum(axis=(1, 3))
+            z.append((counts - cells * e) / np.sqrt(cells * e * (1.0 - e)))
+        z = np.array(z)
+        assert np.abs(z).max() < 4.5
+        assert abs(z.mean()) < 0.5  # 72 z-scores: the mean has sd 0.12
+        assert 0.5 < (z**2).mean() < 1.6
+
+    def test_batches_continue_until_past_the_last_cell(self):
+        class UnitGaps:
+            def geometric(self, p, size):
+                return np.ones(size, dtype=np.int64)
+
+        # p = 0.001 sizes each batch at 23 gaps, so 1000 cells take 44 batches
+        cells = generators._bernoulli_cells(UnitGaps(), 1000, 0.001)
+        assert np.array_equal(cells, np.arange(1000))
+
+    @pytest.mark.parametrize("cells,p", [(1, 0.5), (10, 1.0), (5000, 0.02), (10**6, 3e-5)])
+    def test_cells_ascending_and_in_range(self, cells, p):
+        hits = generators._bernoulli_cells(np.random.default_rng(1), cells, p)
+        assert (np.diff(hits) > 0).all()
+        assert len(hits) == 0 or 0 <= hits[0] <= hits[-1] < cells
+
+    def test_memory_proportional_to_edges(self):
+        # one block of 4M cells at p = 0.02: 80k edges, where a permutation
+        # of the cells alone would take 32 MiB
+        params = tosca.DSBMParams(r_b=1, n_b=2000, e=[[0.02]], seed=0)
+        tracemalloc.start()
+        try:
+            g = tosca.dsbm_sample(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(g.num_edges - 80000) < 2000
+        assert peak < 16 * 2**20
+
+    def test_hundred_thousand_vertices(self):
+        # 32 blocks of 3125: about 2.2M edges among 10^10 cells
+        e = np.full((32, 32), 1e-4)
+        np.fill_diagonal(e, 0.004)
+        params = tosca.DSBMParams(r_b=32, n_b=3125, e=e, seed=0)
+        tracemalloc.start()
+        try:
+            g = tosca.dsbm_sample(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = 3125**2 * e.sum()
+        assert abs(g.num_edges - expected) < 6 * np.sqrt(expected)
+        assert peak < 256 * 2**20
+
+    @pytest.mark.parametrize("r_b,n_b", [(0, 4), (2, 0)])
+    def test_empty_model(self, r_b, n_b):
+        g = tosca.dsbm_sample(self.params(r_b, n_b, np.full((r_b, r_b), 0.5), seed=1))
+        assert (g.n, g.num_edges) == (0, 0)
 
 
 class TestBlockRowSampler:
-    @pytest.mark.parametrize(
-        "r_b,n_b,e,seed",
-        [
-            (1, 30, [[0.3]], 0),
-            (1, 5, [[1.0]], 1),
-            (2, 6, [[0.0, 1.0], [1.0, 0.0]], 2),
-            (3, 10, [[0.5, 0.0, 0.2], [0.1, 0.9, 0.0], [1.0, 0.05, 0.4]], 4),
-            (4, 25, "example", 11),
-            (5, 1, [[0.5] * 5] * 5, 9),
-            (0, 4, np.zeros((0, 0)), 1),
-            (2, 0, [[0.5, 0.5], [0.5, 0.5]], 1),
-        ],
-    )
-    def test_edges_equal_dense_reference(self, r_b, n_b, e, seed):
-        e = example_block_matrix() if isinstance(e, str) else np.asarray(e)
-        params = tosca.DSBMParams(r_b=r_b, n_b=n_b, e=e, weight=1.5, seed=seed)
-        g = tosca.dsbm_sample(params)
-        src, dst = dense_dsbm_edges(params)
-        assert np.array_equal(g.src, src)
-        assert np.array_equal(g.dst, dst)
-        assert g.weight.tolist() == [1.5] * len(src)
-
     def test_memory_is_one_block_row(self):
         e = np.full((16, 16), 0.001) + 0.049 * np.eye(16)
         params = tosca.DSBMParams(r_b=16, n_b=250, e=e, seed=0)
