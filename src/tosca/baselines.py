@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from .clustering import Clustering, KMeansConfig, kmeans
-from .errors import DegenerateSpectrumError, KTooLargeError, ZeroDegreeError
+from .errors import DegenerateSpectrumError, ZeroDegreeError, check_k
 from .graph import Graph, degree_info
 from .operators import _product
 from .spectral import _fix_signs, _top_k
@@ -70,8 +70,7 @@ def ddbs_cluster(g: Graph, k: int, cfg: KMeansConfig | None = None) -> Clusterin
     k-means runs on D^-1/2 x for the top-k eigenvectors x of
     D^-1/2 M D^-1/2, where D = diag(M 1).
     """
-    if not 1 <= k <= g.n:
-        raise KTooLargeError(f"k={k} outside [1, {g.n}]")
+    check_k(k, g.n)
     m = _ddbs_operator(g)
     deg = m @ np.ones(g.n)
     if not (deg > 0.0).any():
@@ -90,8 +89,7 @@ def herm_cluster(g: Graph, k: int, cfg: KMeansConfig | None = None) -> Clusterin
     fixed, give the 2 ceil(k/2) feature columns Re x_j, Im x_j; they
     span the planes of the singular-vector pairs [u_j, v_j] of C.
     """
-    if not 1 <= k <= g.n:
-        raise KTooLargeError(f"k={k} outside [1, {g.n}]")
+    check_k(k, g.n)
     import scipy.sparse as sp
 
     deg = degree_info(g)

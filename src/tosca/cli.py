@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -43,14 +44,19 @@ def _default_seed() -> int:
     return int(os.environ.get("TOSCA_SEED", "0"))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _load_graph(path: str) -> Graph:
@@ -61,8 +67,8 @@ def _load_graph(path: str) -> Graph:
     return read_edge_list(path)
 
 
-def _resolve_mu(spec: str, g: Graph) -> Density:
-    if spec == "uniform":
+def _resolve_mu(spec: str | None, g: Graph) -> Density:
+    if spec in (None, "uniform"):
         return uniform_density(g.n)
     if spec == "stationary":
         return stationary_density(g)
@@ -129,7 +135,7 @@ def _cmd_cluster(args) -> int:
     if args.method == "fb":
         clustering = cluster_graph(
             g, args.k, mu=_resolve_mu(args.mu, g), cfg=cfg,
-            use=args.use, drop_first=args.drop_first,
+            use=args.use or "phi", drop_first=args.drop_first,
         )
         summary["kappa"] = [float(x) for x in clustering.spectrum.kappa]
         summary["lambda"] = [float(x) for x in clustering.spectrum.lam]
@@ -157,7 +163,8 @@ def _cmd_spectrum(args) -> int:
         "num": args.num,
         "kappa": [float(x) for x in spec.kappa],
         "lambda": [float(x) for x in spec.lam],
-        "suggested_k": spectral_gap(spec.lam, args.num),
+        # one value leaves no gap to inspect, and k = 1 is the only choice
+        "suggested_k": spectral_gap(spec.lam, args.num) if spec.k > 1 else 1,
         "wall_time_s": time.perf_counter() - start,
         "output": args.output,
     }
@@ -184,12 +191,6 @@ def _cmd_estimate(args) -> int:
     if args.walks:
         sample = read_walks(args.walks)
         n = sample.n
-        sets = galerkin.read_partition(args.basis, n)
-        if n is None:
-            # walks without 'n=' in their header fix no vertex count: the
-            # partition may widen it
-            n = int(max(sample.xs.max(), sample.ys.max())) + 1 if sample.m else 0
-            n = max(n, max(max(group) for group in sets) + 1)
     else:
         g = _prepare(args)
         mu = _resolve_mu(args.mu, g)
@@ -199,7 +200,12 @@ def _cmd_estimate(args) -> int:
         else:
             sample = sample_pairs(s, mu, args.walkers, args.seed)
         n = g.n
-        sets = galerkin.read_partition(args.basis, n)
+    sets = galerkin.read_partition(args.basis, n)
+    if n is None:
+        # walks without 'n=' in their header fix no vertex count: the
+        # partition may widen it
+        n = int(max(sample.xs.max(), sample.ys.max())) + 1 if sample.m else 0
+        n = max(n, max(max(group) for group in sets) + 1)
     basis = galerkin.indicator_basis(n, sets)
     grams = empirical_grams(sample, basis)
     est = estimated_operators(grams, args.ridge)
@@ -269,8 +275,8 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("graph", help="edge-list TSV or Matrix Market file")
     parser.add_argument("--self-loops", type=float, default=None, metavar="W",
                         help="add W to every diagonal entry before processing")
-    parser.add_argument("--mu", default="uniform",
-                        help="start density: uniform, stationary, or a file of masses")
+    parser.add_argument("--mu", default=None,
+                        help="start density: uniform (the default), stationary, or a file of masses")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="sample benchmark graphs")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
     dsbm = gen_sub.add_parser("dsbm", help="directed stochastic block model")
-    dsbm.add_argument("--blocks", type=_positive_int, required=True)
-    dsbm.add_argument("--block-size", type=_positive_int, required=True)
+    dsbm.add_argument("--blocks", type=_int_at_least(1), required=True)
+    dsbm.add_argument("--block-size", type=_int_at_least(1), required=True)
     dsbm.add_argument("--probs", required=True, help="CSV block probability matrix")
     dsbm.add_argument("--weight", type=float, default=1.0)
     dsbm.add_argument("--mtx", action="store_true", help="write Matrix Market instead of TSV")
@@ -296,9 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_options(cluster)
     cluster.add_argument("-k", type=int, required=True)
     cluster.add_argument("--method", choices=["fb", "ddbs", "herm"], default="fb")
-    cluster.add_argument("--use", choices=["phi", "psi", "both"], default="phi")
+    cluster.add_argument("--use", choices=["phi", "psi", "both"], default=None,
+                         help="eigenfunctions to cluster (default phi); --method fb only")
     cluster.add_argument("--drop-first", action="store_true",
-                         help="drop the constant eigenfunction before k-means")
+                         help="drop the constant eigenfunction before k-means; --method fb only")
     cluster.add_argument("--restarts", type=int, default=10)
     cluster.add_argument("-o", "--output", required=True)
     _add_common(cluster)
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("graph", nargs="?", default=None)
     estimate.add_argument("--self-loops", type=float, default=None, metavar="W")
     estimate.add_argument("--mu", default="uniform")
-    estimate.add_argument("--walkers", type=int, default=10000)
+    estimate.add_argument("--walkers", type=_int_at_least(0), default=10000)
     estimate.add_argument("--mode", choices=["pairs", "trajectory"], default="pairs")
     estimate.add_argument("--walks", default=None,
                           help="walk-pair CSV; skips sampling (graph not needed)")
@@ -357,6 +364,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "estimate" and args.graph is None and args.walks is None:
         parser.error("estimate needs a graph or --walks")
+    if args.command == "cluster" and args.method != "fb":
+        flags = {"--mu": args.mu is not None, "--use": args.use is not None,
+                 "--drop-first": args.drop_first}
+        given = [flag for flag, on in flags.items() if on]
+        if given:
+            parser.error(f"--method {args.method} does not take {', '.join(given)}; only fb does")
     try:
         return args.func(args)
     except ToscaError as exc:

@@ -14,13 +14,8 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import (
-    DegeneratePointsError,
-    EmptySubsetError,
-    IndexOutOfRangeError,
-    KTooLargeError,
-)
-from .graph import Graph, transition_matrix
+from .errors import DegeneratePointsError, EmptySubsetError, check_k
+from .graph import Graph, _check_vertices, transition_matrix
 from .operators import Density, forward_backward, uniform_density
 from .spectral import SpectrumResult, fb_spectrum
 
@@ -172,9 +167,7 @@ def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clust
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
-    n = len(points)
-    if k < 1 or k > n:
-        raise KTooLargeError(f"k={k} outside [1, {n}]")
+    check_k(k, len(points))
     if len(np.unique(points, axis=0)) < k:
         raise DegeneratePointsError(
             f"fewer than k={k} distinct rows; clusters would be empty"
@@ -230,10 +223,7 @@ def coherence_score(g: Graph, mu: Density | None, subset: Iterable[int]) -> floa
     idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.int64)
     if len(idx) == 0:
         raise EmptySubsetError("coherence of the empty set is undefined")
-    if idx.min() < 0 or idx.max() >= g.n:
-        raise IndexOutOfRangeError(
-            f"vertex index {int(idx.max())} outside [0, {g.n})"
-        )
+    _check_vertices(idx, g.n)
     indicator = np.zeros(g.n)
     indicator[idx] = 1.0
     f = forward_backward(transition_matrix(g), mu or uniform_density(g.n))

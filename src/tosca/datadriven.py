@@ -36,13 +36,13 @@ import numpy as np
 
 from .errors import (
     EmptySampleError,
-    IndexOutOfRangeError,
     LengthMismatchError,
     SingularGramError,
 )
 from .galerkin import Basis
 from .graph import (
     TransitionMatrix,
+    _check_vertices,
     _header_values,
     _read_rows,
     _vertex_count,
@@ -204,13 +204,6 @@ def sample_trajectory(
     )
 
 
-def _check_vertices(vertices: np.ndarray, n: int) -> None:
-    outside = (vertices < 0) | (vertices >= n)
-    if outside.any():
-        bad = int(vertices[np.argmax(outside)])
-        raise IndexOutOfRangeError(f"walk vertex {bad} outside [0, {n})")
-
-
 def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
     """Empirical covariance matrices of the basis evaluated on the walk.
 
@@ -221,8 +214,8 @@ def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
         raise EmptySampleError("cannot estimate from an empty sample")
     phi, n, m = basis.phi_v, basis.n, sample.m
     xs, ys = np.asarray(sample.xs), np.asarray(sample.ys)
-    _check_vertices(xs, n)
-    _check_vertices(ys, n)
+    _check_vertices(xs, n, "walk vertex")
+    _check_vertices(ys, n, "walk vertex")
     import scipy.sparse as sp
 
     pairs = sp.csr_matrix((np.ones(m), (xs, ys)), shape=(n, n))

@@ -68,11 +68,17 @@ class KOutOfRangeError(ToscaError):
     exit_code = EXIT_USAGE
 
 
+# A second name for KOutOfRangeError: ``except KTooLargeError`` catches every k error.
+KTooLargeError = KOutOfRangeError
+
+
+def check_k(k: int, n: int) -> None:
+    """Raise KOutOfRangeError unless 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise KOutOfRangeError(f"k={k} outside [1, {n}]")
+
+
 class TooFewValuesError(ToscaError):
-    exit_code = EXIT_USAGE
-
-
-class KTooLargeError(ToscaError):
     exit_code = EXIT_USAGE
 
 

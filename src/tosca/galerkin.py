@@ -18,11 +18,11 @@ import numpy as np
 from .errors import (
     EmptySetError,
     IndexOutOfRangeError,
-    KOutOfRangeError,
     OverlappingSetsError,
     ParseError,
     SingularGramError,
     ToscaError,
+    check_k,
 )
 from .graph import _read_rows, _vertex_fault, _write_rows
 from .operators import OperatorMatrix
@@ -135,9 +135,7 @@ def reduced_eigenfunctions(
     G1 xi = lambda G0 xi is solved; other kinds go through the general
     eigensolver and are returned sorted by real part.
     """
-    r = red.basis.r
-    if not 1 <= k <= r:
-        raise KOutOfRangeError(f"k={k} outside [1, {r}]")
+    check_k(k, red.basis.r)
     if red.kind in _SELF_ADJOINT_KINDS:
         import scipy.linalg as sla
 

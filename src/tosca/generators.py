@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import KMeansConfig, cluster_graph
-from .errors import ToscaError
+from .errors import NonPositiveWeightError, ToscaError
 from .graph import Graph, _from_arrays, _read_rows, _write_rows, add_self_loops
 from .metrics import adjusted_rand_index
 
@@ -43,8 +43,10 @@ class DSBMParams:
             raise ToscaError(f"probability matrix must be {self.r_b}x{self.r_b}")
         if not ((e >= 0.0) & (e <= 1.0)).all():  # nan fails both
             raise ToscaError("block probabilities must lie in [0, 1]")
-        if self.weight <= 0.0:
-            raise ToscaError("edge weight must be positive")
+        if not 0.0 < self.weight < np.inf:  # nan fails both
+            raise NonPositiveWeightError(
+                f"edge weight must be positive and finite, got {self.weight}"
+            )
 
     @property
     def n(self) -> int:

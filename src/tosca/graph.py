@@ -106,10 +106,16 @@ class TransitionMatrix:
         return self.s.toarray()
 
 
+def _check_vertices(vertices: np.ndarray, n: int, what: str = "vertex index") -> None:
+    """Raise IndexOutOfRangeError naming the first of ``vertices`` outside [0, n)."""
+    if len(vertices) and not 0 <= vertices.min() <= vertices.max() < n:
+        bad = vertices[(vertices < 0) | (vertices >= n)][0]
+        raise IndexOutOfRangeError(f"{what} {bad} outside [0, {n})")
+
+
 def _validate_triples(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
-    for v in (src, dst):
-        if len(v) and not 0 <= v.min() <= v.max() < n:
-            raise IndexOutOfRangeError(f"vertex index {v[(v < 0) | (v >= n)][0]} outside [0, {n})")
+    _check_vertices(src, n)
+    _check_vertices(dst, n)
     bad = ~((weight > 0.0) & (weight < np.inf))  # nan fails both
     if bad.any():
         i = int(np.argmax(bad))
@@ -120,15 +126,21 @@ def _validate_triples(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarr
 
 
 def _aggregate(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int):
-    """Sum duplicate (src, dst) pairs; output sorted by (src, dst)."""
+    """Sum duplicate (src, dst) pairs; output sorted by (src, dst).
+
+    Each pair's weights are summed by ``np.add.reduceat`` in their input
+    order, which is not strictly left to right: [1e16, 1, 1] sums to 1e16 + 2.
+    """
     if len(src) == 0:
         return src, dst, weight
     key = src.astype(np.int64) * n + dst.astype(np.int64)
     order = np.argsort(key, kind="stable")
     key, weight = key[order], weight[order]
-    uniq, start = np.unique(key, return_index=True)
+    del order  # freed before the starts are found, which sets the memory peak
+    start = np.flatnonzero(np.diff(key, prepend=-1))  # each key's first index
     summed = np.add.reduceat(weight, start)
-    return (uniq // n).astype(np.int64), (uniq % n).astype(np.int64), summed
+    uniq = key[start]
+    return uniq // n, uniq % n, summed
 
 
 def from_edge_list(
@@ -179,10 +191,9 @@ def add_self_loops(g: Graph, w: float = 1.0) -> Graph:
 
 
 def degree_info(g: Graph) -> DegreeInfo:
-    out = np.zeros(g.n)
-    np.add.at(out, g.src, g.weight)
-    inn = np.zeros(g.n)
-    np.add.at(inn, g.dst, g.weight)
+    # bincount sums in input order like np.add.at; float64 also without edges
+    out = np.bincount(g.src, g.weight, minlength=g.n).astype(np.float64, copy=False)
+    inn = np.bincount(g.dst, g.weight, minlength=g.n).astype(np.float64, copy=False)
     return DegreeInfo(out_degrees=out, in_degrees=inn)
 
 

@@ -46,8 +46,7 @@ def contingency_table(a: Sequence[int], b: Sequence[int]) -> ContingencyTable:
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     ka, kb = ai.max() + 1, bi.max() + 1
-    counts = np.zeros((ka, kb), dtype=np.int64)
-    np.add.at(counts, (ai, bi), 1)
+    counts = np.bincount(ai * kb + bi, minlength=ka * kb).reshape(ka, kb)
     return ContingencyTable(
         counts=counts,
         row_marginals=counts.sum(axis=1),

@@ -23,12 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRangeError,
-    KOutOfRangeError,
-    NotUndirectedError,
-    TooFewValuesError,
-)
+from .errors import IndexOutOfRangeError, TooFewValuesError, check_k
 from .graph import Graph, TransitionMatrix, lazy_chain, transition_matrix
 from .operators import Density, _positive_image, stationary_density
 
@@ -158,9 +153,7 @@ def _top_k(
 
 def fb_spectrum(s: TransitionMatrix, mu: Density, k: int) -> SpectrumResult:
     """Top-k paired eigenfunctions of the forward-backward operators."""
-    n = s.n
-    if not 1 <= k <= n:
-        raise KOutOfRangeError(f"k={k} outside [1, {n}]")
+    check_k(k, s.n)
     nu = _positive_image(s, mu)
 
     import scipy.sparse as sp
@@ -185,12 +178,8 @@ def koopman_spectrum(g: Graph, k: int, lazy: bool = False) -> KoopmanSpectrum:
     """
     import scipy.sparse as sp
 
-    a = g.adjacency
-    if (a != a.T).nnz != 0:
-        raise NotUndirectedError("Koopman spectra are only real for undirected graphs")
-    if not 1 <= k <= g.n:
-        raise KOutOfRangeError(f"k={k} outside [1, {g.n}]")
     pi = stationary_density(g)
+    check_k(k, g.n)
     s = transition_matrix(g)
     if lazy:
         s = lazy_chain(s)

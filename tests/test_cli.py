@@ -104,6 +104,21 @@ class TestGenerate:
         assert "block probabilities must lie in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("probs", ["0.0,0.0\n0.0,0.0\n", "0.1,0.8\n0.8,0.1\n"])
+    def test_bad_weight_data_error(self, tmp_path, capsys, weight, probs):
+        path = tmp_path / "p.csv"
+        path.write_text(probs)
+        out = tmp_path / "g.tsv"
+        code = main([
+            "generate", "dsbm", "--blocks", "2", "--block-size", "4", "--probs", str(path),
+            f"--weight={weight}", "-o", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"edge weight must be positive and finite, got {float(weight)}" in err
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path, probs_csv):
         out_a, out_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         args = ["generate", "dsbm", "--blocks", "2", "--block-size", "10",
@@ -141,6 +156,52 @@ class TestCluster:
         labels = np.array([int(l.split(",")[1]) for l in lines[1:]])
         truth = np.repeat([0, 1, 2], 4)
         assert tosca.adjusted_rand_index(labels, truth) == 1.0
+
+    @pytest.mark.parametrize(
+        "flags", [["--use", "phi"], ["--use", "both"], ["--drop-first"], ["--use", "psi", "--drop-first"]]
+    )
+    def test_feature_flags_match_library(self, tmp_path, cycles_tsv, flags):
+        out = tmp_path / "labels.csv"
+        assert main([
+            "cluster", cycles_tsv, "-k", "3", "--self-loops", "1.0", *flags, "-o", str(out),
+        ]) == 0
+        g = tosca.add_self_loops(tosca.read_edge_list(cycles_tsv), 1.0)
+        use = flags[1] if flags[0] == "--use" else "phi"
+        expected = tosca.cluster_graph(g, 3, use=use, drop_first="--drop-first" in flags)
+        assert np.array_equal(tosca.galerkin.read_labels(out), expected.labels)
+
+    def test_use_phi_is_the_default(self, tmp_path, cycles_tsv):
+        outs = [tmp_path / "default.csv", tmp_path / "phi.csv", tmp_path / "mu.csv"]
+        base = ["cluster", cycles_tsv, "-k", "3", "--self-loops", "1.0"]
+        assert main([*base, "-o", str(outs[0])]) == 0
+        assert main([*base, "--use", "phi", "-o", str(outs[1])]) == 0
+        assert main([*base, "--mu", "uniform", "-o", str(outs[2])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize("method", ["ddbs", "herm"])
+    @pytest.mark.parametrize(
+        "flags", [["--use", "psi"], ["--use", "phi"], ["--drop-first"], ["--mu", "stationary"],
+                  ["--mu", "uniform"]]
+    )
+    def test_fb_only_flags_are_usage_errors(self, tmp_path, cycles_tsv, capsys, method, flags):
+        out = tmp_path / "l.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "cluster", cycles_tsv, "-k", "3", "--method", method, "--self-loops", "1.0",
+                *flags, "-o", str(out),
+            ])
+        assert exc.value.code == 2
+        assert f"--method {method} does not take {flags[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fb_only_flags_named_together(self, tmp_path, cycles_tsv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "cluster", cycles_tsv, "-k", "3", "--method", "ddbs", "--use", "psi",
+                "--drop-first", "--mu", "stationary", "-o", str(tmp_path / "l.csv"),
+            ])
+        assert exc.value.code == 2
+        assert "does not take --mu, --use, --drop-first" in capsys.readouterr().err
 
     def test_k_too_large_usage_error(self, tmp_path, cycles_tsv, capsys):
         code = main([
@@ -255,6 +316,16 @@ class TestSpectrum:
             for i, (kappa, lam) in enumerate(zip(summary["kappa"], summary["lambda"]), start=1)
         )
 
+    def test_one_value_suggests_k_one(self, tmp_path, cycles_tsv, capsys):
+        out = tmp_path / "spec.csv"
+        assert main([
+            "spectrum", cycles_tsv, "--num", "1", "--self-loops", "1.0", "-o", str(out), "--json",
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["suggested_k"] == 1
+        assert len(summary["lambda"]) == 1
+        assert out.read_text().splitlines()[2].startswith("1,")
+
     def test_env_seed_fallback(self, tmp_path, cycles_tsv, monkeypatch):
         monkeypatch.setenv("TOSCA_SEED", "42")
         out = tmp_path / "spec.csv"
@@ -337,6 +408,27 @@ class TestEstimate:
         basis = tosca.indicator_basis(12, [range(0, 4), range(4, 8), range(8, 12)])
         oracle, _ = tosca.reduced_eigenfunctions(tosca.project(op, basis), 3)
         assert np.abs(np.asarray(payload["eigenvalues"]) - oracle).max() < 0.05
+
+    @pytest.mark.parametrize("walkers", ["-5", "x"])
+    def test_bad_walkers_usage_error(self, tmp_path, cycles_tsv, capsys, walkers):
+        partition = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([range(0, 12)], partition)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "estimate", cycles_tsv, "--self-loops", "1.0", "--walkers", walkers,
+                "--basis", str(partition), "-o", str(tmp_path / "est.json"),
+            ])
+        assert exc.value.code == 2
+        assert "argument --walkers" in capsys.readouterr().err
+
+    def test_zero_walkers_data_error(self, tmp_path, cycles_tsv, capsys):
+        partition = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([range(0, 12)], partition)
+        assert main([
+            "estimate", cycles_tsv, "--self-loops", "1.0", "--walkers", "0",
+            "--basis", str(partition), "-o", str(tmp_path / "est.json"),
+        ]) == 3
+        assert "cannot estimate from an empty sample" in capsys.readouterr().err
 
     def test_estimate_from_walks_csv(self, tmp_path, cycles_tsv):
         partition = tmp_path / "partition.csv"

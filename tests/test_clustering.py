@@ -11,6 +11,7 @@ from tosca.clustering import _assign, _lloyd, _sq_dist
 from tosca.errors import (
     DegeneratePointsError,
     EmptySubsetError,
+    IndexOutOfRangeError,
     KTooLargeError,
     NonPositiveDensityError,
 )
@@ -357,6 +358,13 @@ class TestCoherenceScore:
         g = three_cycles_graph()
         with pytest.raises(EmptySubsetError):
             tosca.coherence_score(g, None, set())
+
+    @pytest.mark.parametrize("subset, bad", [([-1, 2], -1), ([2, 5, 3], 3), ([0, 4, -2], -2)])
+    def test_vertex_outside_graph_named(self, subset, bad):
+        # the first vertex outside [0, n) in sorted order, not the largest vertex
+        g = tosca.from_edge_list(3, [(i, (i + 1) % 3, 1.0) for i in range(3)])
+        with pytest.raises(IndexOutOfRangeError, match=rf"^vertex index {bad} outside \[0, 3\)$"):
+            tosca.coherence_score(g, None, subset)
 
     def test_matches_dense_forward_backward(self, rng):
         for _ in range(5):

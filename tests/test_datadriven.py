@@ -266,12 +266,14 @@ class TestEmpiricalGrams:
                           (grams.gxy, reference.gxy)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("xs, ys", [([0, 5], [1, 2]), ([0, 1], [2, -1])])
-    def test_vertex_outside_basis_rejected(self, xs, ys):
+    @pytest.mark.parametrize(
+        "xs, ys, bad", [([0, 5], [1, 2], 5), ([0, 1], [2, -1], -1), ([7, 6], [1, 2], 7)]
+    )
+    def test_vertex_outside_basis_rejected(self, xs, ys, bad):
         sample = tosca.WalkSample(
             xs=np.array(xs), ys=np.array(ys), mode="independent_pairs", seed=0
         )
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(IndexOutOfRangeError, match=rf"^walk vertex {bad} outside \[0, 5\)$"):
             tosca.empirical_grams(sample, tosca.indicator_basis(5, [[0, 1], [2, 3, 4]]))
 
     def test_symmetric_psd(self):

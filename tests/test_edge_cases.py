@@ -7,6 +7,9 @@ import pytest
 
 import tosca
 from tosca.cli import main
+from tosca.errors import KOutOfRangeError, KTooLargeError
+
+from conftest import random_undirected_graph, three_cycles_graph
 
 
 class TestSingleVertex:
@@ -170,3 +173,33 @@ def test_coherence_with_explicit_density():
     mu = tosca.Density(np.array([0.25, 0.25, 0.5]))
     assert tosca.coherence_score(g, mu, {2}) == pytest.approx(1.0, abs=1e-12)
     assert tosca.coherence_score(g, mu, {0, 1}) == pytest.approx(1.0, abs=1e-12)
+
+
+def _k_entry_points():
+    """name -> (n, call(k)) for every function that takes a cluster or eigenpair count k."""
+    directed = three_cycles_graph()
+    s, mu = tosca.transition_matrix(directed), tosca.uniform_density(directed.n)
+    undirected = random_undirected_graph(7, np.random.default_rng(0))
+    basis = tosca.indicator_basis(12, [range(0, 4), range(4, 8), range(8, 12)])
+    reduced = tosca.project(tosca.forward_backward(s, mu), basis)
+    points = np.arange(10.0)
+    return {
+        "fb_spectrum": (12, lambda k: tosca.fb_spectrum(s, mu, k)),
+        "koopman_spectrum": (7, lambda k: tosca.koopman_spectrum(undirected, k)),
+        "kmeans": (10, lambda k: tosca.kmeans(points, k)),
+        "ddbs_cluster": (12, lambda k: tosca.ddbs_cluster(directed, k)),
+        "herm_cluster": (12, lambda k: tosca.herm_cluster(directed, k)),
+        "reduced_eigenfunctions": (3, lambda k: tosca.reduced_eigenfunctions(reduced, k)),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_k_entry_points()))
+@pytest.mark.parametrize("past", [False, True])
+def test_k_outside_range_is_one_error(entry, past):
+    n, call = _k_entry_points()[entry]
+    k = n + 1 if past else 0
+    with pytest.raises(KTooLargeError) as info:  # the second name catches every k error
+        call(k)
+    assert type(info.value) is KOutOfRangeError
+    assert str(info.value) == f"k={k} outside [1, {n}]"
+    assert info.value.exit_code == 2

@@ -6,12 +6,17 @@ import pytest
 
 import tosca
 from tosca import generators
-from tosca.errors import ParseError, ToscaError
+from tosca.errors import NonPositiveWeightError, ParseError, ToscaError
 
 from conftest import example_block_matrix
 
 
 class TestDsbmSample:
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_weight_positive_and_finite(self, weight):
+        with pytest.raises(NonPositiveWeightError, match=f"got {weight}$"):
+            tosca.DSBMParams(r_b=2, n_b=3, e=np.zeros((2, 2)), weight=weight)
+
     def test_all_zero_probabilities(self):
         params = tosca.DSBMParams(r_b=2, n_b=5, e=np.zeros((2, 2)), seed=0)
         assert tosca.dsbm_sample(params).num_edges == 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tosca
 from tosca import cli as cli_module, graph as graph_module
@@ -182,6 +182,67 @@ class TestDegrees:
         info = tosca.degree_info(g)
         assert np.allclose(info.out_degrees, a.sum(axis=1), rtol=1e-15, atol=0)
         assert np.allclose(info.in_degrees, a.sum(axis=0), rtol=1e-15, atol=0)
+
+    def test_bitwise_equal_to_add_at(self, rng):
+        g = random_undirected_graph(40, rng, density=0.4)
+        info = tosca.degree_info(g)
+        for got, index in ((info.out_degrees, g.src), (info.in_degrees, g.dst)):
+            want = np.zeros(g.n)
+            np.add.at(want, index, g.weight)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless_graph_has_float_zero_degrees(self, n):
+        info = tosca.degree_info(tosca.from_edge_list(n, []))
+        for degrees in (info.out_degrees, info.in_degrees):
+            assert degrees.dtype == np.float64
+            assert degrees.tolist() == [0.0] * n
+
+
+def two_sort_aggregate(src, dst, weight, n):
+    """``_aggregate`` as it was: the sorted keys sorted again by ``np.unique``."""
+    key = src.astype(np.int64) * n + dst.astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    key, weight = key[order], weight[order]
+    uniq, start = np.unique(key, return_index=True)
+    summed = np.add.reduceat(weight, start)
+    return (uniq // n).astype(np.int64), (uniq % n).astype(np.int64), summed
+
+
+@st.composite
+def duplicate_heavy_edges(draw):
+    """Edges on at most 3 x 3 pairs, so most pairs repeat, with weights of mixed scale."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    weight = st.one_of(
+        st.sampled_from([1e16, 1.0, 0.1, 3.0, 1e-300]),
+        st.floats(min_value=1e-300, max_value=1e300),
+    )
+    src = draw(st.lists(vertex, min_size=m, max_size=m))
+    dst = draw(st.lists(vertex, min_size=m, max_size=m))
+    weights = draw(st.lists(weight, min_size=m, max_size=m))
+    return n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(weights)
+
+
+class TestAggregate:
+    @settings(max_examples=300, deadline=None)
+    @given(edges=duplicate_heavy_edges())
+    @example(edges=(1, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
+                    np.array([1e16, 1.0, 1.0])))
+    def test_bitwise_equal_to_two_sort_version(self, edges):
+        n, src, dst, weight = edges
+        got = graph_module._aggregate(src, dst, weight, n)
+        want = two_sort_aggregate(src, dst, weight, n)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_reduceat_is_not_left_to_right(self):
+        # why _aggregate keeps reduceat: a left-to-right bincount would give 1e16 here
+        zeros = np.zeros(3, dtype=np.int64)
+        _, _, summed = graph_module._aggregate(zeros, zeros, np.array([1e16, 1.0, 1.0]), 1)
+        assert summed.tolist() == [1e16 + 2.0]
+        assert np.bincount(zeros, np.array([1e16, 1.0, 1.0])).tolist() == [1e16]
 
 
 class TestMatrixMarket:

@@ -8,6 +8,7 @@ from tosca.errors import (
     KOutOfRangeError,
     NotUndirectedError,
     TooFewValuesError,
+    ZeroDegreeError,
 )
 
 from tosca.spectral import _fix_signs
@@ -244,8 +245,18 @@ class TestKoopmanSpectrum:
 
     def test_directed_rejected(self):
         g = tosca.from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-        with pytest.raises(NotUndirectedError):
+        with pytest.raises(NotUndirectedError, match="adjacency matrix is not symmetric"):
             tosca.koopman_spectrum(g, 2)
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_graph_checked_before_k(self, k):
+        # symmetry, then zero degree, then k: the stationary density's own checks come first
+        directed = tosca.from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        with pytest.raises(NotUndirectedError):
+            tosca.koopman_spectrum(directed, k)
+        isolated = tosca.from_edge_list(3, [(0, 1, 1.0)], directed=False)
+        with pytest.raises(ZeroDegreeError, match="vertex 2 has zero degree"):
+            tosca.koopman_spectrum(isolated, k)
 
     def test_pi_orthonormal_vectors(self, rng):
         g = random_undirected_graph(10, rng)
