@@ -40,6 +40,10 @@ from .spectral import embed_coordinates, fb_spectrum, spectral_gap
 __all__ = ["main"]
 
 
+# Walk pairs (or trajectory steps) that `estimate` samples by default.
+_WALKERS = 10000
+
+
 def _default_seed() -> int:
     return int(os.environ.get("TOSCA_SEED", "0"))
 
@@ -195,10 +199,11 @@ def _cmd_estimate(args) -> int:
         g = _prepare(args)
         mu = _resolve_mu(args.mu, g)
         s = transition_matrix(g)
+        walkers = _WALKERS if args.walkers is None else args.walkers
         if args.mode == "trajectory":
-            sample = sample_trajectory(s, mu, args.walkers, args.seed)
+            sample = sample_trajectory(s, mu, walkers, args.seed)
         else:
-            sample = sample_pairs(s, mu, args.walkers, args.seed)
+            sample = sample_pairs(s, mu, walkers, args.seed)
         n = g.n
     sets = galerkin.read_partition(args.basis, n)
     if n is None:
@@ -306,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="eigenfunctions to cluster (default phi); --method fb only")
     cluster.add_argument("--drop-first", action="store_true",
                          help="drop the constant eigenfunction before k-means; --method fb only")
-    cluster.add_argument("--restarts", type=int, default=10)
+    cluster.add_argument("--restarts", type=_int_at_least(1), default=10)
     cluster.add_argument("-o", "--output", required=True)
     _add_common(cluster)
-    cluster.set_defaults(func=_cmd_cluster)
+    cluster.set_defaults(func=_cmd_cluster, usage_error=cluster.error)
 
     spectrum = sub.add_parser("spectrum", help="singular values / eigenvalues")
     _add_graph_options(spectrum)
@@ -329,17 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
     estimate = sub.add_parser("estimate", help="operators from random-walk data")
     estimate.add_argument("graph", nargs="?", default=None)
     estimate.add_argument("--self-loops", type=float, default=None, metavar="W")
-    estimate.add_argument("--mu", default="uniform")
-    estimate.add_argument("--walkers", type=_int_at_least(0), default=10000)
-    estimate.add_argument("--mode", choices=["pairs", "trajectory"], default="pairs")
+    estimate.add_argument("--mu", default=None, help="start density (default uniform)")
+    estimate.add_argument("--walkers", type=_int_at_least(0), default=None,
+                          help=f"pairs or trajectory steps to sample (default {_WALKERS})")
+    estimate.add_argument("--mode", choices=["pairs", "trajectory"], default=None,
+                          help="sample independent pairs (the default) or one trajectory")
     estimate.add_argument("--walks", default=None,
-                          help="walk-pair CSV; skips sampling (graph not needed)")
+                          help="walk-pair CSV instead of a graph; skips sampling")
     estimate.add_argument("--basis", required=True, help="partition CSV")
     estimate.add_argument("--ridge", type=float, default=None)
     estimate.add_argument("--save-walks", default=None)
     estimate.add_argument("-o", "--output", required=True)
     _add_common(estimate)
-    estimate.set_defaults(func=_cmd_estimate)
+    estimate.set_defaults(func=_cmd_estimate, usage_error=estimate.error)
 
     ev = sub.add_parser("eval", help="compare two label files")
     ev.add_argument("labels")
@@ -359,17 +366,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "estimate" and args.graph is None and args.walks is None:
-        parser.error("estimate needs a graph or --walks")
-    if args.command == "cluster" and args.method != "fb":
+def _check_branch(args) -> None:
+    """Usage errors argparse cannot see: input given to a branch of the
+    command that does not read it. They go through the subcommand's own
+    parser, so its usage line heads the message."""
+    if args.command == "estimate":
+        if args.walks is None:
+            if args.graph is None:
+                args.usage_error("a graph or --walks is required")
+            return
+        options = {"a graph": args.graph, "--self-loops": args.self_loops, "--mu": args.mu,
+                   "--mode": args.mode, "--walkers": args.walkers}
+        given = [name for name, value in options.items() if value is not None]
+        if given:
+            args.usage_error(f"--walks does not take {', '.join(given)}; "
+                             "they apply to sampling from a graph")
+    elif args.command == "cluster" and args.method != "fb":
         flags = {"--mu": args.mu is not None, "--use": args.use is not None,
                  "--drop-first": args.drop_first}
         given = [flag for flag, on in flags.items() if on]
         if given:
-            parser.error(f"--method {args.method} does not take {', '.join(given)}; only fb does")
+            args.usage_error(
+                f"--method {args.method} does not take {', '.join(given)}; only fb does"
+            )
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    _check_branch(args)
     try:
         return args.func(args)
     except ToscaError as exc:

@@ -40,6 +40,10 @@ class KMeansConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be a number >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -57,35 +61,96 @@ class Clustering:
     spectrum: SpectrumResult | None = None
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(points)
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # all remaining points coincide with chosen centroids
-            centroids[j] = points[rng.integers(n)]
-            continue
-        centroids[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
-    return centroids
+# Scores are computed in row blocks of about this many floats, whatever
+# n, k and the number of live restarts.
+_BLOCK = 1 << 16
+# The centroid stack is padded to whole tiles of this many columns.
+_TILE = 8
+
+
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Slices of about ``_BLOCK / width`` rows covering n rows, none of
+    them a single row unless n is 1."""
+    edges = [*range(0, n, max(2, _BLOCK // width)), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _score_blocks(points: np.ndarray, centroids: np.ndarray):
+    """Scores ||c||^2 - 2 x.c of every point against every centroid.
+
+    Yields (rows, scores) per row block; ``scores`` has one column per
+    centroid. One matrix product scores a block, and the scores are
+    formed in its buffer by the same operations as
+    ``||c||^2 - 2.0 * (X @ C.T)``. Each score is the one a product over
+    all n points gives, whatever the number of centroids: points are
+    taken column-major, the stack is padded with zero centroids to whole
+    tiles, and no block holds a single row. The BLAS computes edge
+    columns and single rows of a product by other kernels, whose sums
+    can differ in the last bit.
+    """
+    points = np.asfortranarray(points)
+    m, d = centroids.shape
+    width = -(-m // _TILE) * _TILE
+    stack = np.zeros((width, d))
+    stack[:m] = centroids
+    norms = (stack**2).sum(axis=1)
+    for rows in _row_blocks(len(points), width):
+        scores = points[rows] @ stack.T
+        np.multiply(scores, 2.0, out=scores)
+        np.subtract(norms, scores, out=scores)
+        yield rows, scores[:, :m]
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per point, and its score ||c||^2 - 2 x.c.
+    """Nearest centroid per point for a stack of restarts, and its score.
 
-    One matrix product scores every centroid. The scores are formed in
-    the product's own buffer by the same operations as
-    ``||c||^2 - 2.0 * (X @ C.T)``, without two n x k temporaries. Adding
-    ||x||^2 to the chosen score gives the squared distance up to rounding.
+    ``centroids`` has shape (restarts, k, d). Returns labels and scores
+    of shape (restarts, n): each restart's argmin over its own k scores
+    ||c||^2 - 2 x.c (the lowest index wins a tie), and the chosen score.
+    Adding ||x||^2 to it gives the squared distance up to rounding.
     """
-    scores = points @ centroids.T
-    np.multiply(scores, 2.0, out=scores)
-    np.subtract((centroids**2).sum(axis=1), scores, out=scores)
-    labels = np.argmin(scores, axis=1)
-    return labels, scores[np.arange(len(labels)), labels]
+    r, k, d = centroids.shape
+    labels = np.empty((r, len(points)), dtype=np.intp)
+    best = np.empty((r, len(points)))
+    for rows, scores in _score_blocks(points, centroids.reshape(r * k, d)):
+        scores = scores.reshape(len(scores), r, k)
+        chosen = scores.argmin(axis=2)
+        labels[:, rows] = chosen.T
+        best[:, rows] = np.take_along_axis(scores, chosen[:, :, None], axis=2)[:, :, 0].T
+    return labels, best
+
+
+def _kmeanspp_init(points: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray:
+    """k-means++ centroids for every restart, shape (restarts, k, d).
+
+    Restart r draws from ``default_rng([seed, r])``, in the order it
+    would alone. All restarts take each step together: one product
+    gives the squared distance of every point to each restart's new
+    centroid as ||x||^2 + ||c||^2 - 2 x.c, floored at 0.
+    """
+    points = np.asfortranarray(points)
+    n = len(points)
+    sq = (points**2).sum(axis=1)
+    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+    centroids = np.empty((restarts, k, points.shape[1]))
+    chosen = np.empty(restarts, dtype=np.intp)
+    d2 = np.empty((restarts, n))
+    for j in range(k):
+        for r, rng in enumerate(rngs):
+            total = d2[r].sum() if j else 0.0
+            # the first centroid, or every point coincides with a chosen one
+            chosen[r] = rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2[r] / total)
+        centroids[:, j] = points[chosen]
+        if j == k - 1:
+            break
+        step = np.empty_like(d2)
+        for rows, scores in _score_blocks(points, centroids[:, j]):
+            step[:, rows] = (scores + sq[rows, None]).T
+        np.maximum(step, 0.0, out=step)
+        d2 = np.minimum(d2, step, out=d2) if j else step
+    return centroids
 
 
 def _sq_dist(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -96,72 +161,108 @@ def _sq_dist(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> n
     broadcast ((points[:, None] - centroids[None]) ** 2).sum(axis=2):
     pairwise for row-major points, column by column for column-major
     ones. The distances, and so the inertia, are bitwise those of the
-    broadcast.
+    broadcast. Row blocks of at least two rows bound the temporaries and
+    keep that order; a single row would be reduced pairwise.
     """
-    chosen = np.empty_like(points)
-    chosen[...] = centroids[labels]
-    return ((points - chosen) ** 2).sum(axis=1)
+    dist2 = np.empty(len(points))
+    for rows in _row_blocks(len(points), points.shape[1]):
+        chosen = np.empty_like(points[rows])
+        chosen[...] = centroids[labels[rows]]
+        np.subtract(points[rows], chosen, out=chosen)
+        dist2[rows] = np.square(chosen, out=chosen).sum(axis=1)
+    return dist2
+
+
+def _member_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Member sums of every cluster of every restart, shape (restarts, k, d).
+
+    One sparse one-hot product adds each cluster's members in row order,
+    as a weighted bincount does, so each sum is bitwise the bincount's.
+    """
+    import scipy.sparse as sp
+
+    restarts, n = labels.shape
+    rows = labels.T + k * np.arange(restarts)
+    onehot = sp.csc_array(
+        (np.ones(rows.size), rows.ravel(), np.arange(0, rows.size + 1, restarts)),
+        shape=(k * restarts, n),
+    )
+    return (onehot @ points).reshape(restarts, k, -1)
 
 
 def _lloyd(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    max_iter: int,
-    tol: float,
-) -> tuple[np.ndarray, float, list[float]]:
-    """One restart: k-means++ init then Lloyd iterations.
+    points: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float
+) -> list[tuple[np.ndarray, float, list[float]]]:
+    """Lloyd iterations for a stack of restarts, all live ones together.
 
-    Returns (labels, inertia, per-iteration objective history). Labels
-    come from ``_assign``'s scores, and each history entry is the sum of
-    the chosen scores plus sum ||x||^2, the inertia up to rounding. The
-    bitwise distances of ``_sq_dist`` are computed only where they are
-    read: for the returned inertia, and in an iteration that finds an
-    empty cluster. Empty clusters are reseeded at the point farthest from
-    its centroid, in cluster order, so a reseed that empties a later
-    cluster reseeds that one too. Each centroid is its members' sum,
-    accumulated in row order by one weighted bincount per column, over
-    their count; for d >= 2 that is bitwise points[labels == j].mean(axis=0).
+    ``centroids`` holds each restart's start, shape (restarts, k, d).
+    Returns (labels, inertia, per-iteration objective history) per
+    restart. A restart leaves the batch once its centroids move by at
+    most ``tol`` or after ``max_iter`` rounds, with the labels of its
+    last assignment. Labels come from ``_assign``'s scores, and each
+    history entry is the sum of the chosen scores plus sum ||x||^2, the
+    inertia up to rounding. The bitwise distances of ``_sq_dist`` are
+    computed only where they are read: for the inertia, and in a
+    restart that finds an empty cluster. Empty clusters are reseeded at
+    the point farthest from its centroid, in cluster order, so a reseed
+    that empties a later cluster reseeds that one too. Each centroid is
+    its members' sum over their count. One sparse one-hot product forms
+    the sums of every restart, adding each cluster's members in row
+    order; for d >= 2 that is bitwise points[labels == j].mean(axis=0).
     """
-    centroids = _kmeanspp_init(points, k, rng)
+    centroids = np.array(centroids, dtype=np.float64)
+    k = centroids.shape[1]
+    by_column = np.asfortranarray(points)
+    by_row = np.ascontiguousarray(points)
     sq = (points**2).sum(axis=1)
     sq_total = sq.sum()
-    history: list[float] = []
-    labels, best = _assign(points, centroids)
-    for _ in range(max_iter):
-        counts = np.bincount(labels, minlength=k)
-        if not counts.all():
-            dist2 = _sq_dist(points, centroids, labels)
+    live = np.arange(len(centroids))
+    histories: list[list[float]] = [[] for _ in live]
+    runs: list = [None] * len(live)
+    labels, best = _assign(by_column, centroids)
+    done = np.full(len(live), max_iter == 0)
+    rounds = 0
+    while True:
+        for i in np.flatnonzero(done):
+            histories[live[i]].append(float(best[i].sum() + sq_total))
+            inertia = float(_sq_dist(points, centroids[i], labels[i]).sum())
+            runs[live[i]] = (labels[i].copy(), inertia, histories[live[i]])
+        if done.all():
+            return runs
+        live, centroids, labels, best = live[~done], centroids[~done], labels[~done], best[~done]
+        offset = labels + k * np.arange(len(live))[:, None]
+        counts = np.bincount(offset.ravel(), minlength=k * len(live)).reshape(-1, k)
+        for i in np.flatnonzero(~counts.all(axis=1)):
+            dist2 = _sq_dist(points, centroids[i], labels[i])
             for j in range(k):
-                if counts[j] == 0:
-                    far = int(np.argmax(dist2))
-                    centroids[j] = points[far]
-                    counts[labels[far]] -= 1
-                    counts[j] = 1
-                    labels[far] = j
-                    dist2[far] = 0.0
-                    best[far] = -sq[far]
-        history.append(float(best.sum() + sq_total))
-        sums = np.empty_like(centroids)
-        for c in range(points.shape[1]):
-            sums[:, c] = np.bincount(labels, weights=points[:, c], minlength=k)
-        new_centroids = centroids.copy()
+                if counts[i, j]:
+                    continue
+                far = int(np.argmax(dist2))
+                centroids[i, j] = points[far]
+                counts[i, labels[i, far]] -= 1
+                counts[i, j] = 1
+                labels[i, far] = j
+                dist2[far] = 0.0
+                best[i, far] = -sq[far]
+        for i, r in enumerate(live):
+            histories[r].append(float(best[i].sum() + sq_total))
+        sums = _member_sums(by_row, labels, k)
+        moved = centroids.copy()
         filled = counts > 0
-        new_centroids[filled] = sums[filled] / counts[filled, None]
-        shift = np.abs(new_centroids - centroids).max()
-        centroids = new_centroids
-        labels, best = _assign(points, centroids)
-        if shift <= tol:
-            break
-    history.append(float(best.sum() + sq_total))
-    return labels, float(_sq_dist(points, centroids, labels).sum()), history
+        moved[filled] = sums[filled] / counts[filled][:, None]
+        shift = np.abs(moved - centroids).max(axis=(1, 2))
+        centroids = moved
+        labels, best = _assign(by_column, centroids)
+        rounds += 1
+        done = (shift <= tol) | (rounds == max_iter)
 
 
 def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clustering:
     """Best-of-restarts Lloyd clustering with k-means++ initialization.
 
-    Restarts tie-break on inertia (within 1e-12) toward the lower
-    restart index, so results are reproducible bit for bit.
+    All restarts run as one batch. Restarts tie-break on inertia (within
+    1e-12) toward the lower restart index, so results are reproducible
+    bit for bit.
     """
     cfg = cfg or KMeansConfig()
     points = np.asarray(points, dtype=np.float64)
@@ -172,10 +273,9 @@ def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clust
         raise DegeneratePointsError(
             f"fewer than k={k} distinct rows; clusters would be empty"
         )
+    init = _kmeanspp_init(points, k, cfg.seed, cfg.restarts)
     best: tuple[float, np.ndarray] | None = None
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        labels, inertia, _ = _lloyd(points, k, rng, cfg.max_iter, cfg.tol)
+    for labels, inertia, _ in _lloyd(points, init, cfg.max_iter, cfg.tol):
         if best is None or inertia < best[0] - _TIE_TOL:
             best = (inertia, labels)
     inertia, labels = best

@@ -191,7 +191,9 @@ class TestCluster:
                 *flags, "-o", str(out),
             ])
         assert exc.value.code == 2
-        assert f"--method {method} does not take {flags[0]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tosca cluster ")
+        assert f"tosca cluster: error: --method {method} does not take {flags[0]}" in err
         assert not out.exists()
 
     def test_fb_only_flags_named_together(self, tmp_path, cycles_tsv, capsys):
@@ -202,6 +204,18 @@ class TestCluster:
             ])
         assert exc.value.code == 2
         assert "does not take --mu, --use, --drop-first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("restarts", ["0", "-1", "x"])
+    def test_bad_restarts_usage_error(self, tmp_path, cycles_tsv, capsys, restarts):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "cluster", cycles_tsv, "-k", "3", "--restarts", restarts,
+                "-o", str(tmp_path / "l.csv"),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tosca cluster ")
+        assert "argument --restarts" in err
 
     def test_k_too_large_usage_error(self, tmp_path, cycles_tsv, capsys):
         code = main([
@@ -551,6 +565,55 @@ class TestEstimate:
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--basis", str(partition), "-o", str(tmp_path / "e.json")])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tosca estimate ")
+        assert "tosca estimate: error: a graph or --walks is required" in err
+
+    @pytest.mark.parametrize(
+        "given, named",
+        [
+            (["--mu", "stationary"], "--mu"),
+            (["--mode", "trajectory"], "--mode"),
+            (["--mode", "pairs"], "--mode"),
+            (["--walkers", "5"], "--walkers"),
+            (["--walkers", "10000"], "--walkers"),
+            (["--self-loops", "3"], "--self-loops"),
+            (["{graph}"], "a graph"),
+            (
+                ["--mu", "stationary", "--mode", "trajectory", "--walkers", "5",
+                 "--self-loops", "3"],
+                "--self-loops, --mu, --mode, --walkers",
+            ),
+        ],
+    )
+    def test_walks_take_no_sampling_input(self, tmp_path, cycles_tsv, capsys, given, named):
+        partition = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([range(0, 6), range(6, 12)], partition)
+        walks = tmp_path / "walks.csv"
+        walks.write_text("# mode=independent_pairs seed=0 n=12\nx,y\n0,1\n1,0\n")
+        out = tmp_path / "est.json"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "estimate", *(arg.format(graph=cycles_tsv) for arg in given),
+                "--walks", str(walks), "--basis", str(partition), "-o", str(out),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tosca estimate ")
+        assert f"tosca estimate: error: --walks does not take {named};" in err
+        assert not out.exists()
+
+    def test_sampling_defaults_spelled_out_give_the_same_bytes(self, tmp_path, cycles_tsv):
+        partition = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([range(0, 6), range(6, 12)], partition)
+        outs = [tmp_path / "default.json", tmp_path / "spelled.json"]
+        base = ["estimate", cycles_tsv, "--self-loops", "1.0", "--basis", str(partition)]
+        assert main([*base, "-o", str(outs[0])]) == 0
+        assert main([
+            *base, "--mu", "uniform", "--mode", "pairs", "--walkers", "10000", "-o", str(outs[1]),
+        ]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["m"] == 10000
 
 
 GOOD_INPUTS = {

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import tosca
 from tosca import clustering
-from tosca.clustering import _assign, _lloyd, _sq_dist
+from tosca.clustering import _assign, _kmeanspp_init, _lloyd, _sq_dist
 from tosca.errors import (
     DegeneratePointsError,
     EmptySubsetError,
@@ -65,10 +66,7 @@ class TestKMeans:
 
     def test_inertia_nonincreasing_per_iteration(self, rng):
         points = rng.normal(size=(100, 4))
-        for restart in range(5):
-            _, _, history = _lloyd(
-                points, 5, np.random.default_rng([7, restart]), 300, 1e-9
-            )
+        for _, _, history in _lloyd(points, _kmeanspp_init(points, 5, 7, 5), 300, 1e-9):
             diffs = np.diff(history)
             assert (diffs <= 1e-12).all()
 
@@ -85,6 +83,40 @@ class TestKMeans:
         result = tosca.kmeans(points, 7)
         assert set(result.labels.tolist()) == set(range(7))
 
+    def test_no_iterations_keeps_the_init_assignment(self, rng):
+        points = rng.normal(size=(40, 3))
+        result = tosca.kmeans(points, 4, tosca.KMeansConfig(restarts=1, max_iter=0, seed=2))
+        init = _kmeanspp_init(points, 4, 2, 1)
+        assert np.array_equal(result.labels, broadcast_assign(points, init)[0][0])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"restarts": 0}, "restarts"),
+            ({"max_iter": -1}, "max_iter"),
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": -1e-9}, "tol"),
+        ],
+    )
+    def test_config_rejects_values_out_of_range(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            tosca.KMeansConfig(**kwargs)
+
+    def test_peak_memory_does_not_grow_with_restarts_times_k(self):
+        # one (n, restarts * k) score array would take 51 MB here; the
+        # row blocks keep the scores near 64k floats
+        n, k, restarts = 20000, 32, 10
+        points = np.asfortranarray(np.random.default_rng(0).normal(size=(n, 32)))
+        cfg = tosca.KMeansConfig(restarts=restarts, max_iter=3)
+        tosca.kmeans(points[:64], 2, cfg)  # loads what kmeans imports on first use
+        tracemalloc.start()
+        try:
+            tosca.kmeans(points, k, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * restarts * k * 8 / 2
+
 
 def broadcast_distances(points, centroids):
     """Brute force: every point-centroid distance from one (n, k, d) array."""
@@ -92,11 +124,15 @@ def broadcast_distances(points, centroids):
 
 
 def broadcast_assign(points, centroids):
-    """``_assign`` by brute force: the argmin of the broadcast distances,
-    and the chosen distance less ||x||^2 as its score."""
-    d2 = broadcast_distances(points, centroids)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(len(points)), labels] - (points**2).sum(axis=1)
+    """``_assign`` by brute force, one restart at a time: the argmin of the
+    broadcast distances, and the chosen distance less ||x||^2 as its score."""
+    labels, best = [], []
+    for restart in centroids:
+        d2 = broadcast_distances(points, restart)
+        chosen = np.argmin(d2, axis=1)
+        labels.append(chosen)
+        best.append(d2[np.arange(len(points)), chosen] - (points**2).sum(axis=1))
+    return np.array(labels), np.array(best)
 
 
 def patch_assign(monkeypatch):
@@ -121,10 +157,11 @@ def points_and_centroids(draw):
     n = draw(st.integers(1, 30))
     k = draw(st.integers(1, 8))
     d = draw(st.integers(1, 6))
+    restarts = draw(st.integers(1, 4))
     unit = st.floats(-1.0, 1.0, allow_nan=False)
     order = draw(st.sampled_from("CF"))
     points = _layout(draw(arrays(np.float64, (n, d), elements=unit)), order)
-    centroids = draw(arrays(np.float64, (k, d), elements=unit))
+    centroids = draw(arrays(np.float64, (restarts, k, d), elements=unit))
     return points, centroids
 
 
@@ -132,21 +169,73 @@ class TestGemmAssign:
     @settings(max_examples=300, deadline=None)
     @given(points_and_centroids())
     def test_matches_brute_force_off_ties(self, case):
-        points, centroids = case
-        labels, best = _assign(points, centroids)
+        points, stack = case
+        all_labels, all_best = _assign(points, stack)
+        for centroids, labels, best in zip(stack, all_labels, all_best):
+            d2 = broadcast_distances(points, centroids)
+            best_two = np.sort(d2, axis=1)[:, :2]
+            clear = (
+                np.ones(len(points), dtype=bool)
+                if d2.shape[1] == 1
+                else best_two[:, 1] - best_two[:, 0] > 1e-12
+            )
+            assert np.array_equal(labels[clear], np.argmin(d2, axis=1)[clear])
+            chosen = d2[np.arange(len(points)), labels]
+            # the score plus ||x||^2 is the chosen distance up to rounding ...
+            assert np.allclose(best + (points**2).sum(axis=1), chosen, rtol=0.0, atol=1e-12)
+            # ... and _sq_dist is the broadcast one, bit for bit, near-ties included
+            assert np.array_equal(_sq_dist(points, centroids, labels), chosen)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "n,k,d",
+        [
+            (1, 1, 40),
+            (2, 1, 40),
+            (700, 9, 33),
+            (4099, 32, 32),
+            (300, 17, 64),
+            (600, 41, 16),
+            (2049, 32, 32),
+            (2049, 1, 3),
+        ],
+    )
+    def test_scores_do_not_depend_on_the_batch(self, order, n, k, d):
+        # a restart's labels and scores are the same alone, in a batch of
+        # any width, and in any row block: 41 x 5 centroids leave a
+        # partial column tile, and 2049 rows a one-row remainder for
+        # several widths
+        rng = np.random.default_rng(n + k + d)
+        points = _layout(rng.normal(size=(n, d)), order)
+        stack = rng.normal(size=(5, k, d))
+        labels, best = _assign(points, stack)
+        for r in range(5):
+            for lo, hi in ((r, r + 1), (r, 5), (0, r + 1)):
+                alone = _assign(points, stack[lo:hi])
+                assert np.array_equal(alone[0][r - lo], labels[r])
+                assert np.array_equal(alone[1][r - lo], best[r])
+
+    def test_scores_equal_one_product_over_all_points(self, rng):
+        # row blocks cut 4100 points; a 32-column product over all of
+        # them gives the same scores, bit for bit
+        points = np.asfortranarray(rng.normal(size=(4100, 32)))
+        centroids = rng.normal(size=(1, 32, 32))
+        _, best = _assign(points, centroids)
+        scores = points @ centroids[0].T
+        scores = (centroids[0] ** 2).sum(axis=1) - 2.0 * scores
+        assert np.array_equal(best[0], scores.min(axis=1))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocked_distances_equal_broadcast(self, rng, order):
+        # more rows than one block of _sq_dist holds, and a remainder
+        # of one row folded into the last block
+        points = _layout(rng.normal(size=(4097, 32)), order)
+        centroids = rng.normal(size=(6, 32))
+        labels = rng.integers(6, size=len(points))
         d2 = broadcast_distances(points, centroids)
-        best_two = np.sort(d2, axis=1)[:, :2]
-        clear = (
-            np.ones(len(points), dtype=bool)
-            if d2.shape[1] == 1
-            else best_two[:, 1] - best_two[:, 0] > 1e-12
+        assert np.array_equal(
+            _sq_dist(points, centroids, labels), d2[np.arange(len(points)), labels]
         )
-        assert np.array_equal(labels[clear], np.argmin(d2, axis=1)[clear])
-        chosen = d2[np.arange(len(points)), labels]
-        # the score plus ||x||^2 is the chosen distance up to rounding ...
-        assert np.allclose(best + (points**2).sum(axis=1), chosen, rtol=0.0, atol=1e-12)
-        # ... and _sq_dist is the broadcast one, bit for bit, near-ties included
-        assert np.array_equal(_sq_dist(points, centroids, labels), chosen)
 
     @pytest.mark.parametrize("order", ["C", "F", "F-slice", "rows"])
     def test_distances_bitwise_in_every_layout(self, rng, order):
@@ -160,7 +249,7 @@ class TestGemmAssign:
             "rows": base[::2, :32],
         }[order]
         centroids = rng.normal(size=(32, 32))
-        labels, _ = _assign(points, centroids)
+        labels = _assign(points, centroids[None])[0][0]
         d2 = broadcast_distances(points, centroids)
         assert np.array_equal(labels, np.argmin(d2, axis=1))
         assert np.array_equal(
@@ -197,17 +286,18 @@ class TestGemmAssign:
         assert gemm.inertia == brute.inertia
 
 
-def mask_loop_lloyd(points, k, rng, max_iter, tol):
-    """Reference Lloyd restart: reseed by the broadcast-equal distances,
-    centroid update by one boolean mask per cluster, history from the
+def mask_loop_lloyd(points, centroids, max_iter, tol):
+    """Reference Lloyd restart from the start ``centroids``: reseed by the
+    broadcast-equal distances, centroid update by one boolean mask per
+    cluster with the members summed in row order, history from the
     scores."""
-    centroids = clustering._kmeanspp_init(points, k, rng)
+    centroids = centroids.copy()
     sq = (points**2).sum(axis=1)
     history = []
-    labels, best = clustering._assign(points, centroids)
+    labels, best = (a[0] for a in clustering._assign(points, centroids[None]))
     for _ in range(max_iter):
         dist2 = _sq_dist(points, centroids, labels)
-        for j in range(k):
+        for j in range(len(centroids)):
             if not (labels == j).any():
                 far = int(np.argmax(dist2))
                 centroids[j] = points[far]
@@ -216,13 +306,13 @@ def mask_loop_lloyd(points, k, rng, max_iter, tol):
                 best[far] = -sq[far]
         history.append(float(best.sum() + sq.sum()))
         new_centroids = centroids.copy()
-        for j in range(k):
+        for j in range(len(centroids)):
             members = labels == j
             if members.any():
-                new_centroids[j] = points[members].mean(axis=0)
+                new_centroids[j] = np.cumsum(points[members], axis=0)[-1] / members.sum()
         shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
-        labels, best = clustering._assign(points, centroids)
+        labels, best = (a[0] for a in clustering._assign(points, centroids[None]))
         if shift <= tol:
             break
     history.append(float(best.sum() + sq.sum()))
@@ -233,6 +323,62 @@ def assert_same_restart(a, b):
     assert np.array_equal(a[0], b[0])
     assert a[1] == b[1]
     assert a[2] == b[2]
+
+
+def best_restart(runs):
+    """The restart kmeans keeps: the lowest inertia, ties within 1e-12 to
+    the lower index."""
+    best = runs[0]
+    for run in runs[1:]:
+        if run[1] < best[1] - 1e-12:
+            best = run
+    return best
+
+
+@st.composite
+def kmeans_cases(draw):
+    """Points with duplicate rows and ties (from a small grid) or without
+    (any floats), in either layout, with a k from 1 to the number of
+    distinct rows."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 4))
+    grid = st.integers(-2, 2).map(float)
+    elements = draw(st.sampled_from([grid, st.floats(-1e3, 1e3, allow_nan=False)]))
+    points = draw(arrays(np.float64, (n, d), elements=elements))
+    points = _layout(points, draw(st.sampled_from("CF")))
+    k = draw(st.integers(1, len(np.unique(points, axis=0))))
+    return points, k
+
+
+class TestBatchedRestarts:
+    @settings(max_examples=200, deadline=None)
+    @given(kmeans_cases(), st.integers(1, 4), st.integers(0, 2**16))
+    def test_kmeans_is_the_best_reference_restart(self, case, restarts, seed):
+        points, k = case
+        cfg = tosca.KMeansConfig(restarts=restarts, seed=seed)
+        init = _kmeanspp_init(points, k, seed, restarts)
+        refs = [mask_loop_lloyd(points, start, cfg.max_iter, cfg.tol) for start in init]
+        for run, ref in zip(_lloyd(points, init, cfg.max_iter, cfg.tol), refs):
+            assert_same_restart(run, ref)
+        result = tosca.kmeans(points, k, cfg)
+        labels, inertia, _ = best_restart(refs)
+        assert np.array_equal(result.labels, labels)
+        assert result.inertia == inertia
+
+    @settings(max_examples=200, deadline=None)
+    @given(kmeans_cases(), st.data())
+    def test_any_starts_match_the_reference(self, case, data):
+        # starts drawn from the points with repeats leave clusters empty,
+        # so the batch reseeds in some restarts and not in others
+        points, k = case
+        restarts = data.draw(st.integers(1, 4))
+        rows = data.draw(arrays(np.int64, (restarts, k), elements=st.integers(0, len(points) - 1)))
+        max_iter = data.draw(st.sampled_from([0, 1, 2, 300]))
+        init = np.asarray(points)[rows]
+        runs = _lloyd(points, init, max_iter, 1e-9)
+        assert len(runs) == restarts
+        for run, start in zip(runs, init):
+            assert_same_restart(run, mask_loop_lloyd(points, start, max_iter, 1e-9))
 
 
 class TestCentroidUpdate:
@@ -247,24 +393,24 @@ class TestCentroidUpdate:
             if trial % 2:
                 points = np.round(points, 0)  # duplicates and ties
             points = _layout(points, order)
-            assert_same_restart(
-                _lloyd(points, k, np.random.default_rng([1, trial]), 300, 1e-9),
-                mask_loop_lloyd(points, k, np.random.default_rng([1, trial]), 300, 1e-9),
-            )
+            init = _kmeanspp_init(points, k, trial, 3)
+            for run, start in zip(_lloyd(points, init, 300, 1e-9), init):
+                assert_same_restart(run, mask_loop_lloyd(points, start, 300, 1e-9))
 
-    def test_reseed_that_empties_a_later_cluster(self, monkeypatch):
+    def test_reseed_that_empties_a_later_cluster(self):
         # Centroid 1 duplicates centroid 0, so cluster 1 starts empty and
         # is reseeded at the farthest point, (100, 0). That point was the
         # only member of cluster 2, which must be reseeded in the same pass.
+        # A restart beside it in the batch needs no reseed.
         points = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [100.0, 0.0]])
         init = np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]])
-        monkeypatch.setattr(clustering, "_kmeanspp_init", lambda p, k, rng: init.copy())
-        rng = np.random.default_rng(0)
+        other = np.array([[0.0, 0.0], [5.0, 0.0], [100.0, 0.0]])
         for max_iter in (1, 300):
-            restart = _lloyd(points, 3, rng, max_iter, 1e-9)
-            assert_same_restart(restart, mask_loop_lloyd(points, 3, rng, max_iter, 1e-9))
-        assert restart[0].tolist() == [0, 0, 2, 1]
-        assert restart[2][0] == 1.0
+            runs = _lloyd(points, np.stack([other, init]), max_iter, 1e-9)
+            for run, start in zip(runs, (other, init)):
+                assert_same_restart(run, mask_loop_lloyd(points, start, max_iter, 1e-9))
+        assert runs[1][0].tolist() == [0, 0, 2, 1]
+        assert runs[1][2][0] == 1.0
 
 
 class TestClusterGraph:
