@@ -257,6 +257,23 @@ def _lloyd(
         done = (shift <= tol) | (rounds == max_iter)
 
 
+def _has_k_distinct_rows(points: np.ndarray, k: int) -> bool:
+    """Whether ``points`` has k distinct rows, as ``np.unique(points, axis=0)`` counts them.
+
+    Rows equal there (-0.0 equals 0.0) have equal projections onto a fixed
+    w, which is formed column by column with the same operations on every
+    row, so k distinct projections prove k distinct rows. NaN projections
+    count once, which only lowers the count. Below k, the exact count
+    decides. The projection holds one float per row, where the exact count
+    sorts copies of the whole array.
+    """
+    w = np.random.default_rng(0).uniform(0.5, 1.5, points.shape[1])
+    projection = np.zeros(len(points))
+    for column, weight in zip(points.T, w):
+        projection += column * weight
+    return len(np.unique(projection)) >= k or len(np.unique(points, axis=0)) >= k
+
+
 def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clustering:
     """Best-of-restarts Lloyd clustering with k-means++ initialization.
 
@@ -269,7 +286,7 @@ def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clust
     if points.ndim == 1:
         points = points[:, None]
     check_k(k, len(points))
-    if len(np.unique(points, axis=0)) < k:
+    if not _has_k_distinct_rows(points, k):
         raise DegeneratePointsError(
             f"fewer than k={k} distinct rows; clusters would be empty"
         )

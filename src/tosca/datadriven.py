@@ -17,8 +17,13 @@ the Galerkin projection of F; finite-sample estimates are biased upward.
 Sampling draws uniforms from numpy's PCG64 generator, so all draws are
 reproducible from the seed alone. Each step is an inverse-CDF lookup
 inside the walker's row of S, over cumulative row sums kept in the CSR
-layout of S: O(nnz) memory whatever the degrees. The Grams are built
-from visit counts and the sparse pair-count matrix C,
+layout of S: O(nnz) memory whatever the degrees. Every draw is
+``searchsorted(cum, u, side="right")`` with a fallback to the last entry,
+found three ways with the same result: start vertices through a guide
+table over the density's cumsum, independent pairs by a branchless
+fixed-step search inside every walker's row at once, and a trajectory by
+``bisect_right`` on per-vertex Python lists. The Grams are built from
+visit counts and the sparse pair-count matrix C,
 
     Gxx = Phi diag(visits of x) Phi^T / m,  Gxy = Phi C Phi^T / m,
 
@@ -49,7 +54,7 @@ from .graph import (
     _vertex_fault,
     _write_rows,
 )
-from .operators import Density
+from .operators import Density, _check_density_length
 
 __all__ = [
     "WalkSample",
@@ -62,6 +67,8 @@ __all__ = [
     "write_walks",
     "read_walks",
 ]
+
+_WALK_CHUNK = 1 << 16  # trajectory steps per block of uniforms
 
 SampleMode = Literal["independent_pairs", "single_trajectory"]
 _SAMPLE_MODES = get_args(SampleMode)
@@ -139,41 +146,87 @@ def _cumulative_rows(s: TransitionMatrix) -> _CumulativeRows:
     return _CumulativeRows(indptr=indptr, indices=csr.indices, cum=cum)
 
 
+def _first_above(
+    cum: np.ndarray, lo: np.ndarray, last: np.ndarray, u: np.ndarray, width: int
+) -> np.ndarray:
+    """Per draw i, the index of the first entry of the run ``cum[lo[i]:last[i] + 1]``
+    above u[i], or last[i] when there is none.
+
+    Every run is sorted and at most ``width >= 1`` long. A branchless
+    fixed-step search over all draws at once: ``pos - lo`` counts the run's
+    entries <= u and grows by 2^t when the entry 2^t past the count is still
+    <= u, for t from the largest with 2^t < width down to 0. A probe past
+    ``last`` reads ``cum[last]``, so the extended run stays sorted and the
+    count is exact up to width - 1. A step is the same six whole-array
+    operations on every draw (probe, clamp, gather, compare, scale, add),
+    in buffers reused from step to step. ``lo`` is overwritten.
+    """
+    pos = lo
+    probe = np.empty_like(pos)
+    above = np.empty(len(u))
+    below = np.empty(len(u), dtype=bool)
+    for t in reversed(range((width - 1).bit_length())):
+        np.add(pos, (1 << t) - 1, out=probe)
+        np.minimum(probe, last, out=probe)
+        cum.take(probe, out=above, mode="clip")  # probes lie in [lo, last]
+        np.less_equal(above, u, out=below)
+        np.multiply(below, 1 << t, out=probe)
+        pos += probe
+    return np.minimum(pos, last, out=pos)
+
+
+def _bucket(x: np.ndarray, size: int) -> np.ndarray:
+    """min(floor(x * size), size - 1) for x >= 0: nondecreasing in x."""
+    b = (x * size).astype(np.int64)
+    return np.minimum(b, size - 1, out=b)
+
+
 def _draw_density(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws from a probability vector, onto its support only.
 
-    A draw at or above the floating total takes the last support vertex.
+    Draw i is ``support[searchsorted(cum, u[i], side="right")]``, with cum
+    the cumsum of the support's masses; a draw at or above the floating
+    total takes the last support vertex. A guide table (Chen & Asau, 1974)
+    of L = len(cum) buckets narrows each search: ``_bucket`` is monotone,
+    so every cum in a lower bucket than u[i] is below u[i] and every cum in
+    a higher one is above it. The answer is then within u[i]'s bucket's run
+    of cums or the first cum after it, and only that run is searched, by
+    ``_first_above``. A skewed density may put many cums into one bucket;
+    the search stays logarithmic in the largest run.
     """
     support = np.flatnonzero(p)
-    k = np.searchsorted(np.cumsum(p[support]), u, side="right")
-    return support[np.minimum(k, len(support) - 1)]
+    cum = np.cumsum(p[support])
+    size = len(cum)
+    # first[b] counts the cums in buckets below b; bucket b's run ends at
+    # the first cum past it, or at the last cum.
+    first = np.searchsorted(_bucket(cum, size), np.arange(size + 1))
+    last = np.minimum(first[1:], size - 1)
+    width = int((last - first[:-1]).max()) + 1
+    b = _bucket(u, size)
+    k = _first_above(cum, first.take(b), last.take(b), u, width)
+    return support.take(k)
 
 
 def _draw_in_rows(rows: _CumulativeRows, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One walk step for every walker: ys[i] is drawn from row v[i] with u[i].
 
-    A bisection run on all walkers at once; each walker's search is
-    ``searchsorted(cum[lo:hi], u[i], side="right")`` inside its own row,
-    falling back to the row's last stored neighbour at or above its total.
+    ys[i] is the column of ``searchsorted(cum[lo:hi], u[i], side="right")``
+    inside row v[i]'s stored entries ``lo:hi``, falling back to the row's
+    last stored neighbour at or above its total: ``_first_above`` on every
+    walker's row at once, in as many fixed steps as the largest degree needs.
     """
-    lo = rows.indptr[v]
-    hi = rows.indptr[v + 1]
-    last = hi - 1  # hi moves during the bisection
-    top = len(rows.cum) - 1
-    max_degree = int(np.diff(rows.indptr).max()) if len(rows.cum) else 0
-    for _ in range(max_degree.bit_length()):
-        mid = (lo + hi) // 2
-        active = lo < hi
-        right = active & (rows.cum[np.minimum(mid, top)] <= u)
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(active & ~right, mid, hi)
-    return rows.indices[np.minimum(lo, last)].astype(np.int64)
+    width = int(np.diff(rows.indptr).max())
+    last = rows.indptr[1:].take(v)
+    last -= 1
+    k = _first_above(rows.cum, rows.indptr.take(v), last, u, width)
+    return rows.indices.take(k).astype(np.int64)
 
 
 def sample_pairs(
     s: TransitionMatrix, mu: Density, m: int, seed: int = 0
 ) -> WalkSample:
     """m independent walkers: start from mu, take one step of S."""
+    _check_density_length(mu, s.n)
     rng = np.random.default_rng(seed)
     xs = _draw_density(mu.p, rng.random(m))
     ys = _draw_in_rows(_cumulative_rows(s), xs, rng.random(m))
@@ -183,22 +236,37 @@ def sample_pairs(
 def sample_trajectory(
     s: TransitionMatrix, start_density: Density, m: int, seed: int = 0
 ) -> WalkSample:
-    """One walk of m steps; consecutive positions form the (x, y) pairs."""
+    """One walk of m steps; consecutive positions form the (x, y) pairs.
+
+    Each vertex keeps its row's cums and its neighbours as Python lists,
+    the last neighbour repeated at the end, so a step is one
+    ``bisect_right`` (searchsorted's side="right") and one index, the
+    fallback at or above the row total included.
+    """
+    _check_density_length(start_density, s.n)
     rng = np.random.default_rng(seed)
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return WalkSample(xs=empty, ys=empty, mode="single_trajectory", seed=seed, n=s.n)
     rows = _cumulative_rows(s)
     v = int(_draw_density(start_density.p, rng.random(1))[0])
-    # bisect_right on Python floats has searchsorted's side="right" semantics.
-    indptr, indices, cum = rows.indptr.tolist(), rows.indices.tolist(), rows.cum.tolist()
-    path = [v]
-    for u in rng.random(m).tolist():
-        lo, hi = indptr[v], indptr[v + 1]
-        k = bisect_right(cum, u, lo, hi)
-        v = indices[k if k < hi else hi - 1]
-        path.append(v)
-    walk = np.asarray(path, dtype=np.int64)
+    bounds = list(zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist()))
+    cums = [rows.cum[a:b].tolist() for a, b in bounds]
+    # One int object per vertex, shared by every list that holds it.
+    columns = np.arange(s.n).astype(object)[rows.indices]
+    neighbours = [columns[a:b].tolist() for a, b in bounds]
+    for row in neighbours:
+        row.append(row[-1])
+    del rows, columns
+    walk = np.empty(m + 1, dtype=np.int64)
+    walk[0] = v
+    # The uniforms come in chunks, one stream as from rng.random(m), so no
+    # list of all m draws or positions is ever held.
+    for start in range(1, m + 1, _WALK_CHUNK):
+        us = rng.random(min(_WALK_CHUNK, m + 1 - start)).tolist()
+        walk[start : start + len(us)] = [
+            v := neighbours[v][bisect_right(cums[v], u)] for u in us
+        ]
     return WalkSample(
         xs=walk[:-1], ys=walk[1:], mode="single_trajectory", seed=seed, n=s.n
     )

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     EmptyMatrixError,
+    LengthMismatchError,
     NonPositiveDensityError,
     NotUndirectedError,
     ToscaError,
@@ -85,6 +86,12 @@ class Density:
         return bool((self.p > _STRICT_POSITIVE_FLOOR).all())
 
 
+def _check_density_length(mu: Density, n: int) -> None:
+    """Raise LengthMismatchError unless mu has one mass per vertex of an n-vertex graph."""
+    if mu.n != n:
+        raise LengthMismatchError(f"density has {mu.n} entries for a graph of {n} vertices")
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Operator ``linear`` with its kind and reference densities; ``m`` is dense, on first read."""
@@ -122,6 +129,7 @@ def uniform_density(n: int) -> Density:
 
 def image_density(s: TransitionMatrix, mu: Density) -> Density:
     """One-step image nu with nu_i = sum_j s_ji mu_j."""
+    _check_density_length(mu, s.n)
     return Density(s.s.T @ mu.p)
 
 

@@ -102,6 +102,51 @@ class TestKMeans:
         with pytest.raises(ValueError, match=message):
             tosca.KMeansConfig(**kwargs)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 12), st.integers(1, 3)),
+            elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, np.nan]),
+        ),
+        st.integers(1, 12),
+    )
+    def test_distinct_rows_verdict_matches_unique(self, points, k):
+        # grid points repeat rows; -0.0 equals 0.0 there and NaN rows differ
+        assert clustering._has_k_distinct_rows(points, k) == (
+            len(np.unique(points, axis=0)) >= k
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 10), st.integers(1, 3)),
+            elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+        ),
+        st.data(),
+    )
+    def test_kmeans_rejects_exactly_the_degenerate_inputs(self, points, data):
+        k = data.draw(st.integers(1, len(points)))
+        cfg = tosca.KMeansConfig(restarts=1, max_iter=2)
+        if len(np.unique(points, axis=0)) < k:
+            with pytest.raises(DegeneratePointsError):
+                tosca.kmeans(points, k, cfg)
+        else:
+            assert len(set(tosca.kmeans(points, k, cfg).labels.tolist())) == k
+
+    def test_distinct_rows_check_holds_no_copy_of_the_points(self):
+        # np.unique(points, axis=0) peaked at about 15 MB here
+        points = np.asfortranarray(np.random.default_rng(0).normal(size=(20000, 32)))
+        clustering._has_k_distinct_rows(points[:8], 2)  # first-use imports
+        tracemalloc.start()
+        try:
+            assert clustering._has_k_distinct_rows(points, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < points.nbytes / 4
+
     def test_peak_memory_does_not_grow_with_restarts_times_k(self):
         # one (n, restarts * k) score array would take 51 MB here; the
         # row blocks keep the scores near 64k floats

@@ -1,7 +1,9 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tosca
 from tosca import datadriven
@@ -66,6 +68,13 @@ def dense_reference_walk(s, start, m, seed, trajectory):
     return xs, ys
 
 
+def weighted_density(n):
+    """Masses 1..7 in turn, and none on every fifth vertex from vertex 1 on."""
+    w = 1.0 + np.arange(n) % 7
+    w[1::5] = 0.0
+    return tosca.Density(w / w.sum())
+
+
 def fallback_graph():
     """Vertex 0 has 10 equal out-edges, whose cumulative sum ends below 1."""
     triples = [(0, j, 1.0) for j in range(1, 11)] + [(j, 0, 1.0) for j in range(1, 12)]
@@ -98,9 +107,17 @@ class TestDrawsPinned:
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     @pytest.mark.parametrize("trajectory", [False, True])
     def test_bitwise_equal_to_dense_inverse_cdf(self, graph, trajectory):
-        g = self.GRAPHS[graph]()
+        self.check(self.GRAPHS[graph](), trajectory, tosca.uniform_density)
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("trajectory", [False, True])
+    def test_weighted_start_bitwise_equal_to_dense_inverse_cdf(self, graph, trajectory):
+        self.check(self.GRAPHS[graph](), trajectory, weighted_density)
+
+    @staticmethod
+    def check(g, trajectory, density):
         s = tosca.transition_matrix(g)
-        mu = tosca.uniform_density(g.n)
+        mu = density(g.n)
         sampler = tosca.sample_trajectory if trajectory else tosca.sample_pairs
         for seed in (0, 1, 7, 123):
             sample = sampler(s, mu, 1500, seed=seed)
@@ -138,6 +155,89 @@ class TestDrawFallback:
         assert walk.ys.tolist() == [0, 10, 0, 10]
 
 
+# Weights spanning 20 orders of magnitude: a 1e-18 next to masses near 1
+# leaves two equal consecutive cums; equal weights sum below 1 in floating point.
+weights = st.one_of(
+    st.floats(0.1, 10.0),
+    st.sampled_from([1e-18, 1e-9, 1.0, 1.0, 3.0]),
+)
+
+
+@st.composite
+def weighted_rows(draw):
+    """A graph as rows of (column, weight) entries, possibly with a hub row."""
+    n = draw(st.integers(1, 12))
+    rows = [
+        draw(st.lists(st.tuples(st.integers(0, n - 1), weights), min_size=1, max_size=2 * n))
+        for _ in range(n)
+    ]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [(j, draw(weights)) for j in range(n)]
+    triples = [(i, j, w) for i, row in enumerate(rows) for j, w in row]
+    return tosca.transition_matrix(tosca.from_edge_list(n, triples))
+
+
+@st.composite
+def densities(draw):
+    """Masses with zeros, with tiny ones, and with heavy ones that crowd the
+    remaining cums into few guide-table buckets."""
+    masses = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-12, 1e-9), st.floats(0.01, 1.0), st.just(1e3)),
+        min_size=1, max_size=60,
+    ))
+    p = np.asarray(masses)
+    if p.sum() == 0.0:
+        p[draw(st.integers(0, len(p) - 1))] = 1.0
+    return p / p.sum()
+
+
+def kernel_uniforms(data, stored):
+    """Random uniforms, every stored cum below 1 exactly, 0 and the largest double below 1."""
+    stored = stored[stored < 1.0]
+    random = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30))
+    return np.r_[random, stored, 0.0, np.nextafter(1.0, 0.0)]
+
+
+class TestDrawKernels:
+    """Each kernel equals a per-walker searchsorted(..., side="right") with
+    the last-neighbour (last-support) fallback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_rows(), st.data())
+    def test_in_rows_matches_searchsorted(self, s, data):
+        rows = datadriven._cumulative_rows(s)
+        u = kernel_uniforms(data, rows.cum)
+        v = np.asarray(data.draw(st.lists(st.integers(0, s.n - 1), min_size=len(u), max_size=len(u))))
+        expected = []
+        for x, ux in zip(v, u):
+            lo, hi = rows.indptr[x], rows.indptr[x + 1]
+            k = np.searchsorted(rows.cum[lo:hi], ux, side="right")
+            expected.append(rows.indices[lo + min(k, hi - lo - 1)])
+        assert datadriven._draw_in_rows(rows, v, u).tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(densities(), st.data())
+    def test_density_matches_searchsorted(self, p, data):
+        support = np.flatnonzero(p)
+        cum = np.cumsum(p[support])
+        u = kernel_uniforms(data, cum)
+        expected = [
+            support[min(np.searchsorted(cum, ux, side="right"), len(support) - 1)]
+            for ux in u
+        ]
+        assert datadriven._draw_density(p, u).tolist() == expected
+
+    def test_many_masses_in_one_bucket(self):
+        # 199 masses share the first of 200 buckets; the heavy last one
+        # takes nearly all the rest
+        p = np.r_[np.full(199, 1e-9), 1.0]
+        p /= p.sum()
+        cum = np.cumsum(p)
+        u = np.r_[cum[:-1], np.nextafter(cum[:-1], 0.0), np.linspace(0.0, 1.0, 50, endpoint=False)]
+        expected = np.minimum(np.searchsorted(cum, u, side="right"), 199)
+        assert np.array_equal(datadriven._draw_density(p, u), expected)
+
+
 class TestMemory:
     BOUND_MIB = 32.0
 
@@ -149,6 +249,17 @@ class TestMemory:
         mu = tosca.uniform_density(s.n)
         for sampler in (tosca.sample_pairs, tosca.sample_trajectory):
             assert peak_mib(sampler, s, mu, 100_000, 3) < self.BOUND_MIB
+
+    @pytest.mark.parametrize("sampler, m, bound_mib", [
+        (tosca.sample_pairs, 500_000, 32.0),
+        (tosca.sample_trajectory, 200_000, 20.0),
+    ], ids=["pairs", "trajectory"])
+    def test_sampling_peak_at_benchmark_size(self, sampler, m, bound_mib):
+        # Bounds just below the peaks of a plain bisection sampler here (32.8
+        # and 20.7 MiB); the guide table and per-vertex lists reach about 28.5
+        # and 15 MiB.
+        s = tosca.transition_matrix(sparse_graph(8000, 20))
+        assert peak_mib(sampler, s, tosca.uniform_density(8000), m, 3) < bound_mib
 
     def test_grams_peak(self):
         s = tosca.transition_matrix(sparse_graph(5000, 6))
@@ -401,6 +512,18 @@ class TestWalkIO:
         with pytest.raises(ParseError) as info:
             tosca.read_walks(path)
         assert info.value.line == 3
+
+    @pytest.mark.parametrize("sampler, digest", [
+        (tosca.sample_pairs, "216a762a19799b71183f70b20a9628bf93061a3c0fc37157f720560257b32722"),
+        (tosca.sample_trajectory, "b007ed03ab9556a4b35fc1dfbeb344d257ea5e190e823c079f4940f3ddd53cd1"),
+    ], ids=["pairs", "trajectory"])
+    def test_written_walks_pinned(self, tmp_path, sampler, digest):
+        # A seed names one walk file: these digests were taken from a plain
+        # per-walker bisection, so a faster draw must keep every byte.
+        s = tosca.transition_matrix(dsbm_self_loop_graph())
+        path = tmp_path / "walks.csv"
+        tosca.write_walks(sampler(s, weighted_density(s.n), 2000, seed=11), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_samplers_record_vertex_count(self):
         _, s, mu = five_vertex_setup()

@@ -7,7 +7,7 @@ import pytest
 
 import tosca
 from tosca.cli import main
-from tosca.errors import KOutOfRangeError, KTooLargeError
+from tosca.errors import KOutOfRangeError, KTooLargeError, LengthMismatchError
 
 from conftest import random_undirected_graph, three_cycles_graph
 
@@ -203,3 +203,22 @@ def test_k_outside_range_is_one_error(entry, past):
     assert type(info.value) is KOutOfRangeError
     assert str(info.value) == f"k={k} outside [1, {n}]"
     assert info.value.exit_code == 2
+
+
+_DENSITY_ENTRY_POINTS = {
+    "image_density": lambda s, mu: tosca.image_density(s, mu),
+    "fb_spectrum": lambda s, mu: tosca.fb_spectrum(s, mu, 2),
+    "sample_pairs": lambda s, mu: tosca.sample_pairs(s, mu, 10),
+    "sample_trajectory": lambda s, mu: tosca.sample_trajectory(s, mu, 10),
+}
+
+
+@pytest.mark.parametrize("entry", list(_DENSITY_ENTRY_POINTS))
+@pytest.mark.parametrize("length", [3, 6])
+def test_density_of_wrong_length_is_one_error(entry, length):
+    cycle = tosca.from_edge_list(4, [(i, (i + 1) % 4, 1.0) for i in range(4)])
+    s = tosca.transition_matrix(tosca.add_self_loops(cycle, 1.0))
+    with pytest.raises(LengthMismatchError) as info:
+        _DENSITY_ENTRY_POINTS[entry](s, tosca.Density(np.full(length, 1.0 / length)))
+    assert str(info.value) == f"density has {length} entries for a graph of 4 vertices"
+    assert info.value.exit_code == 3
