@@ -134,7 +134,9 @@ def _cmd_generate(args) -> int:
 def _cmd_cluster(args) -> int:
     start = time.perf_counter()
     g = _prepare(args)
-    cfg = KMeansConfig(restarts=args.restarts, seed=args.seed)
+    cfg = KMeansConfig(seed=args.seed)
+    if args.restarts is not None:
+        cfg = KMeansConfig(restarts=args.restarts, seed=args.seed)
     summary: dict = {"method": args.method, "k": args.k, "seed": args.seed}
     if args.method == "fb":
         clustering = cluster_graph(
@@ -311,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="eigenfunctions to cluster (default phi); --method fb only")
     cluster.add_argument("--drop-first", action="store_true",
                          help="drop the constant eigenfunction before k-means; --method fb only")
-    cluster.add_argument("--restarts", type=_int_at_least(1), default=10)
+    cluster.add_argument("--restarts", type=_int_at_least(1), default=None,
+                         help="k-means++ restarts (default 10); --method ddbs and herm only, "
+                              "fb starts one run from a pivoted QR")
     cluster.add_argument("-o", "--output", required=True)
     _add_common(cluster)
     cluster.set_defaults(func=_cmd_cluster, usage_error=cluster.error)
@@ -381,7 +385,10 @@ def _check_branch(args) -> None:
         if given:
             args.usage_error(f"--walks does not take {', '.join(given)}; "
                              "they apply to sampling from a graph")
-    elif args.command == "cluster" and args.method != "fb":
+    elif args.command == "cluster" and args.method == "fb":
+        if args.restarts is not None:
+            args.usage_error("--method fb does not take --restarts; only ddbs and herm do")
+    elif args.command == "cluster":
         flags = {"--mu": args.mu is not None, "--use": args.use is not None,
                  "--drop-first": args.drop_first}
         given = [flag for flag, on in flags.items() if on]

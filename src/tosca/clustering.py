@@ -3,13 +3,15 @@
 The graph clusterer computes the top-k paired eigenfunctions of the
 forward-backward dynamics and runs k-means on the rows of the
 eigenvector matrix, exactly the indicator heuristic behind spectral
-clustering. k-means itself is seeded, restarted, and fully
-deterministic: same (points, k, seed) gives the same labels.
+clustering. It starts one Lloyd run from the rows a column-pivoted QR
+picks, so its labels depend on no seed. ``kmeans`` itself is seeded,
+restarted, and fully deterministic: same (points, k, seed) gives the
+same labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Literal
 
 import numpy as np
@@ -48,8 +50,9 @@ class KMeansConfig:
 
 @dataclass(frozen=True)
 class Clustering:
-    """Per-vertex labels with the inertia and seed that produced them.
+    """Per-vertex labels with their inertia and the configured seed.
 
+    ``cluster_graph`` records ``cfg.seed`` without drawing from it.
     ``spectrum`` holds the eigenfunctions the labels were computed from
     when the clustering came from ``cluster_graph``.
     """
@@ -274,6 +277,32 @@ def _has_k_distinct_rows(points: np.ndarray, k: int) -> bool:
     return len(np.unique(projection)) >= k or len(np.unique(points, axis=0)) >= k
 
 
+def _check_points(points: np.ndarray, k: int) -> None:
+    """k in [1, n], and at least k distinct rows to put the k clusters on."""
+    check_k(k, len(points))
+    if not _has_k_distinct_rows(points, k):
+        raise DegeneratePointsError(
+            f"fewer than k={k} distinct rows; clusters would be empty"
+        )
+
+
+def _cpqr_start(points: np.ndarray, k: int) -> np.ndarray:
+    """The rows at the first k pivots of a column-pivoted QR of points.T,
+    shape (1, k, d).
+
+    Damle, Minden & Ying (*Simple, direct and efficient multi-way
+    spectral clustering*, Inf. Inference 8, 2019): each pivot is the row
+    farthest from the span of the rows picked before it, so on spectral
+    features the pivots fall in k different clusters. The pivot order
+    depends on the rows' values, and on their indices only where two
+    candidates tie exactly. Only R is formed.
+    """
+    import scipy.linalg
+
+    _, pivots = scipy.linalg.qr(points.T, mode="r", pivoting=True)
+    return points[pivots[:k]][None]
+
+
 def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clustering:
     """Best-of-restarts Lloyd clustering with k-means++ initialization.
 
@@ -285,11 +314,7 @@ def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clust
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
-    check_k(k, len(points))
-    if not _has_k_distinct_rows(points, k):
-        raise DegeneratePointsError(
-            f"fewer than k={k} distinct rows; clusters would be empty"
-        )
+    _check_points(points, k)
     init = _kmeanspp_init(points, k, cfg.seed, cfg.restarts)
     best: tuple[float, np.ndarray] | None = None
     for labels, inertia, _ in _lloyd(points, init, cfg.max_iter, cfg.tol):
@@ -309,11 +334,17 @@ def cluster_graph(
 ) -> Clustering:
     """Spectral clustering of a (directed) graph into k coherent sets.
 
-    Runs k-means on the rows of [phi_1 .. phi_k] (or psi, or both
-    concatenated). ``drop_first`` removes the constant phi_1 column
-    before clustering; the default keeps it. The spectrum comes back as
-    ``.spectrum``.
+    Runs one Lloyd k-means on the rows of [phi_1 .. phi_k] (or psi, or
+    both concatenated), started at the rows ``_cpqr_start`` picks. Only
+    ``cfg.max_iter`` and ``cfg.tol`` are read: the labels depend on
+    neither ``cfg.seed`` nor ``cfg.restarts``, nor, but for exact ties
+    between pivot candidates, on how the vertices are numbered.
+    ``drop_first`` removes the constant phi_1 column
+    before clustering; the default keeps it. The pivots are taken before
+    the column is dropped, since k - 1 columns leave the k-th pivot to
+    rounding. The spectrum comes back as ``.spectrum``.
     """
+    cfg = cfg or KMeansConfig()
     mu = mu or uniform_density(g.n)
     s = transition_matrix(g)
     spec = fb_spectrum(s, mu, k)
@@ -325,9 +356,12 @@ def cluster_graph(
         feats = np.hstack([spec.phi, spec.psi])
     else:
         raise ValueError(f"unknown feature choice {use!r}")
+    start = _cpqr_start(feats, k)
     if drop_first:
-        feats = feats[:, 1:]
-    return replace(kmeans(feats, k, cfg), spectrum=spec)
+        feats, start = feats[:, 1:], start[:, :, 1:]
+    _check_points(feats, k)
+    [(labels, inertia, _)] = _lloyd(feats, start, cfg.max_iter, cfg.tol)
+    return Clustering(labels=labels, k=k, inertia=inertia, seed=cfg.seed, spectrum=spec)
 
 
 def coherence_score(g: Graph, mu: Density | None, subset: Iterable[int]) -> float:

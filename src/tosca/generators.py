@@ -120,8 +120,9 @@ def two_block_sweep(
     """Sweep the two-block model [[p, q], [q, p]] over a (p, q) grid.
 
     For every cell and seed the graph is sampled, regularized with unit
-    self-loops, and clustered with k=2; the second singular value and
-    the agreement with the planted blocks are recorded.
+    self-loops, and clustered with k=2 by ``cluster_graph`` under
+    ``cfg``; the second singular value and the agreement with the
+    planted blocks are recorded.
     """
     if not p_grid or not q_grid or not seeds:
         raise ToscaError("p_grid, q_grid, and seeds must be nonempty")
@@ -133,8 +134,7 @@ def two_block_sweep(
             for seed in seeds:
                 params = DSBMParams(r_b=2, n_b=n_b, e=e, seed=seed)
                 g = add_self_loops(dsbm_sample(params), 1.0)
-                cell_cfg = cfg or KMeansConfig(seed=seed)
-                clustering = cluster_graph(g, 2, cfg=cell_cfg)
+                clustering = cluster_graph(g, 2, cfg=cfg)
                 rows.append(
                     SweepRow(
                         p=float(p),

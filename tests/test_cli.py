@@ -205,6 +205,31 @@ class TestCluster:
         assert exc.value.code == 2
         assert "does not take --mu, --use, --drop-first" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", [[], ["--method", "fb"]])
+    def test_restarts_is_a_usage_error_for_fb(self, tmp_path, cycles_tsv, capsys, method):
+        # fb starts one Lloyd run from a pivoted QR and draws no restarts
+        out = tmp_path / "l.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", cycles_tsv, "-k", "3", *method, "--restarts", "3", "-o", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tosca cluster ")
+        assert "tosca cluster: error: --method fb does not take --restarts; only ddbs and herm do" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["ddbs", "herm"])
+    def test_restarts_default_to_ten_for_the_baselines(self, tmp_path, cycles_tsv, method):
+        outs = [tmp_path / "default.csv", tmp_path / "ten.csv", tmp_path / "one.csv"]
+        base = ["cluster", cycles_tsv, "-k", "3", "--method", method, "--self-loops", "1.0"]
+        assert main([*base, "-o", str(outs[0])]) == 0
+        assert main([*base, "--restarts", "10", "-o", str(outs[1])]) == 0
+        assert main([*base, "--restarts", "1", "-o", str(outs[2])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        g = tosca.add_self_loops(tosca.read_edge_list(cycles_tsv), 1.0)
+        cluster = {"ddbs": tosca.ddbs_cluster, "herm": tosca.herm_cluster}[method]
+        expected = cluster(g, 3, tosca.KMeansConfig(restarts=1))
+        assert np.array_equal(tosca.galerkin.read_labels(outs[2]), expected.labels)
+
     @pytest.mark.parametrize("restarts", ["0", "-1", "x"])
     def test_bad_restarts_usage_error(self, tmp_path, cycles_tsv, capsys, restarts):
         with pytest.raises(SystemExit) as exc:

@@ -81,6 +81,15 @@ class TestAdjustedRandIndex:
         with pytest.raises(LengthMismatchError):
             tosca.adjusted_rand_index([0, 1], [0, 1, 2])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_invariant_under_vertex_relabelling(self, data):
+        n = data.draw(st.integers(2, 40))
+        labels = arrays(np.int64, n, elements=st.integers(0, 4))
+        a, b = data.draw(labels), data.draw(labels)
+        perm = np.array(data.draw(st.permutations(range(n))))
+        assert tosca.adjusted_rand_index(a[perm], b[perm]) == tosca.adjusted_rand_index(a, b)
+
 
 class TestMisclassifiedFraction:
     def test_identical(self):
