@@ -35,7 +35,7 @@ from .errors import LengthMismatchError, ToscaError
 from .graph import Graph, add_self_loops, read_edge_list, read_matrix_market, transition_matrix
 from .metrics import adjusted_rand_index, contingency_table, misclassified_fraction
 from .operators import Density, stationary_density, uniform_density
-from .spectral import embed_coordinates, fb_spectrum, spectral_gap
+from .spectral import _check_dims, embed_coordinates, fb_spectrum, spectral_gap
 
 __all__ = ["main"]
 
@@ -184,6 +184,7 @@ def _cmd_embed(args) -> int:
     dims = [int(d) for d in args.coords.split(",") if d]
     if not dims:
         raise ValueError("--coords needs at least one eigenfunction index")
+    _check_dims(dims, g.n)
     spec = fb_spectrum(transition_matrix(g), mu, max(dims))
     coords = embed_coordinates(spec, dims)
     head = [f"# seed={args.seed}", ",".join(["vertex_index", *(f"phi_{d}" for d in dims)])]

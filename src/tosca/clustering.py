@@ -11,6 +11,7 @@ same labels.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -40,6 +41,13 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iter"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iter < 0:
@@ -67,73 +75,46 @@ class Clustering:
 # Scores are computed in row blocks of about this many floats, whatever
 # n, k and the number of live restarts.
 _BLOCK = 1 << 16
-# The centroid stack is padded to whole tiles of this many columns.
-_TILE = 8
-
-
-def _row_blocks(n: int, width: int) -> list[slice]:
-    """Slices of about ``_BLOCK / width`` rows covering n rows, none of
-    them a single row unless n is 1."""
-    edges = [*range(0, n, max(2, _BLOCK // width)), n]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def _score_blocks(points: np.ndarray, centroids: np.ndarray):
-    """Scores ||c||^2 - 2 x.c of every point against every centroid.
-
-    Yields (rows, scores) per row block; ``scores`` has one column per
-    centroid. One matrix product scores a block, and the scores are
-    formed in its buffer by the same operations as
-    ``||c||^2 - 2.0 * (X @ C.T)``. Each score is the one a product over
-    all n points gives, whatever the number of centroids: points are
-    taken column-major, the stack is padded with zero centroids to whole
-    tiles, and no block holds a single row. The BLAS computes edge
-    columns and single rows of a product by other kernels, whose sums
-    can differ in the last bit.
-    """
-    points = np.asfortranarray(points)
-    m, d = centroids.shape
-    width = -(-m // _TILE) * _TILE
-    stack = np.zeros((width, d))
-    stack[:m] = centroids
-    norms = (stack**2).sum(axis=1)
-    for rows in _row_blocks(len(points), width):
-        scores = points[rows] @ stack.T
+    """(rows, scores) per block of rows: ``scores`` holds ||c||^2 - 2 x.c
+    of each point against each centroid, from one matrix product."""
+    norms = (centroids**2).sum(axis=1)
+    step = max(1, _BLOCK // len(centroids))
+    for lo in range(0, len(points), step):
+        scores = points[lo : lo + step] @ centroids.T
         np.multiply(scores, 2.0, out=scores)
-        np.subtract(norms, scores, out=scores)
-        yield rows, scores[:, :m]
+        yield slice(lo, lo + step), np.subtract(norms, scores, out=scores)
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per point for a stack of restarts, and its score.
+    """Nearest centroid per point for a stack of restarts, and its squared distance.
 
-    ``centroids`` has shape (restarts, k, d). Returns labels and scores
-    of shape (restarts, n): each restart's argmin over its own k scores
-    ||c||^2 - 2 x.c (the lowest index wins a tie), and the chosen score.
-    Adding ||x||^2 to it gives the squared distance up to rounding.
+    ``centroids`` has shape (restarts, k, d). Returns labels and squared
+    distances of shape (restarts, n): each restart's argmin over its own
+    k scores (the lowest index wins a tie), and ||x||^2 plus the chosen
+    score, floored at 0.
     """
     r, k, d = centroids.shape
     labels = np.empty((r, len(points)), dtype=np.intp)
-    best = np.empty((r, len(points)))
+    dist2 = np.empty((r, len(points)))
     for rows, scores in _score_blocks(points, centroids.reshape(r * k, d)):
         scores = scores.reshape(len(scores), r, k)
         chosen = scores.argmin(axis=2)
         labels[:, rows] = chosen.T
-        best[:, rows] = np.take_along_axis(scores, chosen[:, :, None], axis=2)[:, :, 0].T
-    return labels, best
+        dist2[:, rows] = np.take_along_axis(scores, chosen[:, :, None], axis=2)[:, :, 0].T
+    dist2 += (points**2).sum(axis=1)
+    return labels, np.maximum(dist2, 0.0, out=dist2)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray:
     """k-means++ centroids for every restart, shape (restarts, k, d).
 
     Restart r draws from ``default_rng([seed, r])``, in the order it
-    would alone. All restarts take each step together: one product
-    gives the squared distance of every point to each restart's new
-    centroid as ||x||^2 + ||c||^2 - 2 x.c, floored at 0.
+    would alone. All restarts take each step together, with the squared
+    distances ||x||^2 + ||c||^2 - 2 x.c to their new centroids floored at 0.
     """
-    points = np.asfortranarray(points)
     n = len(points)
     sq = (points**2).sum(axis=1)
     rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
@@ -156,32 +137,9 @@ def _kmeanspp_init(points: np.ndarray, k: int, seed: int, restarts: int) -> np.n
     return centroids
 
 
-def _sq_dist(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Squared distance of each point to its labelled centroid, bitwise.
-
-    Computed as sum((x - c_label)^2) from a centroid array laid out like
-    ``points``, so numpy reduces it in the order it reduces the (n, k, d)
-    broadcast ((points[:, None] - centroids[None]) ** 2).sum(axis=2):
-    pairwise for row-major points, column by column for column-major
-    ones. The distances, and so the inertia, are bitwise those of the
-    broadcast. Row blocks of at least two rows bound the temporaries and
-    keep that order; a single row would be reduced pairwise.
-    """
-    dist2 = np.empty(len(points))
-    for rows in _row_blocks(len(points), points.shape[1]):
-        chosen = np.empty_like(points[rows])
-        chosen[...] = centroids[labels[rows]]
-        np.subtract(points[rows], chosen, out=chosen)
-        dist2[rows] = np.square(chosen, out=chosen).sum(axis=1)
-    return dist2
-
-
 def _member_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Member sums of every cluster of every restart, shape (restarts, k, d).
-
-    One sparse one-hot product adds each cluster's members in row order,
-    as a weighted bincount does, so each sum is bitwise the bincount's.
-    """
+    """Member sums of every cluster of every restart, shape (restarts, k, d),
+    from one sparse one-hot product."""
     import scipy.sparse as sp
 
     restarts, n = labels.shape
@@ -202,60 +160,50 @@ def _lloyd(
     Returns (labels, inertia, per-iteration objective history) per
     restart. A restart leaves the batch once its centroids move by at
     most ``tol`` or after ``max_iter`` rounds, with the labels of its
-    last assignment. Labels come from ``_assign``'s scores, and each
-    history entry is the sum of the chosen scores plus sum ||x||^2, the
-    inertia up to rounding. The bitwise distances of ``_sq_dist`` are
-    computed only where they are read: for the inertia, and in a
-    restart that finds an empty cluster. Empty clusters are reseeded at
-    the point farthest from its centroid, in cluster order, so a reseed
-    that empties a later cluster reseeds that one too. Each centroid is
-    its members' sum over their count. One sparse one-hot product forms
-    the sums of every restart, adding each cluster's members in row
-    order; for d >= 2 that is bitwise points[labels == j].mean(axis=0).
+    last assignment. ``_assign``'s squared distances give each history
+    entry as their sum, the inertia as the last entry, and the reseed
+    of an empty cluster: it takes the point farthest from its centroid,
+    in cluster order, so a reseed that empties a later cluster reseeds
+    that one too. Each centroid is its members' sum over their count.
     """
+    points = np.ascontiguousarray(points)
     centroids = np.array(centroids, dtype=np.float64)
     k = centroids.shape[1]
-    by_column = np.asfortranarray(points)
-    by_row = np.ascontiguousarray(points)
-    sq = (points**2).sum(axis=1)
-    sq_total = sq.sum()
     live = np.arange(len(centroids))
     histories: list[list[float]] = [[] for _ in live]
     runs: list = [None] * len(live)
-    labels, best = _assign(by_column, centroids)
+    labels, dist2 = _assign(points, centroids)
     done = np.full(len(live), max_iter == 0)
     rounds = 0
     while True:
         for i in np.flatnonzero(done):
-            histories[live[i]].append(float(best[i].sum() + sq_total))
-            inertia = float(_sq_dist(points, centroids[i], labels[i]).sum())
-            runs[live[i]] = (labels[i].copy(), inertia, histories[live[i]])
+            history = histories[live[i]]
+            history.append(float(dist2[i].sum()))
+            runs[live[i]] = (labels[i].copy(), history[-1], history)
         if done.all():
             return runs
-        live, centroids, labels, best = live[~done], centroids[~done], labels[~done], best[~done]
+        live, centroids, labels, dist2 = live[~done], centroids[~done], labels[~done], dist2[~done]
         offset = labels + k * np.arange(len(live))[:, None]
         counts = np.bincount(offset.ravel(), minlength=k * len(live)).reshape(-1, k)
         for i in np.flatnonzero(~counts.all(axis=1)):
-            dist2 = _sq_dist(points, centroids[i], labels[i])
             for j in range(k):
                 if counts[i, j]:
                     continue
-                far = int(np.argmax(dist2))
+                far = int(np.argmax(dist2[i]))
                 centroids[i, j] = points[far]
                 counts[i, labels[i, far]] -= 1
                 counts[i, j] = 1
                 labels[i, far] = j
-                dist2[far] = 0.0
-                best[i, far] = -sq[far]
+                dist2[i, far] = 0.0
         for i, r in enumerate(live):
-            histories[r].append(float(best[i].sum() + sq_total))
-        sums = _member_sums(by_row, labels, k)
+            histories[r].append(float(dist2[i].sum()))
+        sums = _member_sums(points, labels, k)
         moved = centroids.copy()
         filled = counts > 0
         moved[filled] = sums[filled] / counts[filled][:, None]
         shift = np.abs(moved - centroids).max(axis=(1, 2))
         centroids = moved
-        labels, best = _assign(by_column, centroids)
+        labels, dist2 = _assign(points, centroids)
         rounds += 1
         done = (shift <= tol) | (rounds == max_iter)
 
@@ -278,12 +226,13 @@ def _has_k_distinct_rows(points: np.ndarray, k: int) -> bool:
 
 
 def _check_points(points: np.ndarray, k: int) -> None:
-    """k in [1, n], and at least k distinct rows to put the k clusters on."""
+    """k in [1, n], and at least k distinct, finite rows to put the k clusters on."""
     check_k(k, len(points))
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise DegeneratePointsError(f"row {int(np.argmin(finite))} is not finite")
     if not _has_k_distinct_rows(points, k):
-        raise DegeneratePointsError(
-            f"fewer than k={k} distinct rows; clusters would be empty"
-        )
+        raise DegeneratePointsError(f"fewer than k={k} distinct rows; clusters would be empty")
 
 
 def _cpqr_start(points: np.ndarray, k: int) -> np.ndarray:
@@ -306,12 +255,12 @@ def _cpqr_start(points: np.ndarray, k: int) -> np.ndarray:
 def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clustering:
     """Best-of-restarts Lloyd clustering with k-means++ initialization.
 
-    All restarts run as one batch. Restarts tie-break on inertia (within
-    1e-12) toward the lower restart index, so results are reproducible
-    bit for bit.
+    All restarts run as one batch on row-major points. Restarts tie-break
+    on inertia (within 1e-12) toward the lower restart index, so the same
+    points, k and config give the same labels.
     """
     cfg = cfg or KMeansConfig()
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
     _check_points(points, k)

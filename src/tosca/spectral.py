@@ -213,11 +213,12 @@ def embed_coordinates(spec: SpectrumResult, dims: Sequence[int]) -> np.ndarray:
     Row i is (phi_d(v_i)) for d in dims; dims=[2, 3] reproduces the
     planar graph drawing from the two subdominant eigenfunctions.
     """
-    cols = []
+    _check_dims(dims, spec.k)
+    return np.column_stack([spec.phi[:, d - 1] for d in dims])
+
+
+def _check_dims(dims: Sequence[int], k: int) -> None:
+    """Raise IndexOutOfRangeError at the first index outside [1, k]."""
     for d in dims:
-        if not 1 <= d <= spec.k:
-            raise IndexOutOfRangeError(
-                f"eigenfunction index {d} outside [1, {spec.k}]"
-            )
-        cols.append(spec.phi[:, d - 1])
-    return np.column_stack(cols)
+        if not 1 <= d <= k:
+            raise IndexOutOfRangeError(f"eigenfunction index {d} outside [1, {k}]")

@@ -416,11 +416,24 @@ class TestEmbed:
             f"{i},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(coords)
         )
 
-    def test_bad_dim_usage_error(self, tmp_path, cycles_tsv):
+    @pytest.mark.parametrize(
+        "n, coords, bad", [(3, "0", 0), (12, "99", 99), (12, "2,0", 0), (12, "13,99", 13)]
+    )
+    def test_bad_dim_usage_error(self, tmp_path, capsys, n, coords, bad):
+        # the index the user gave is named, against the n eigenfunctions
+        # the graph has, before any spectrum is solved
+        graph = tmp_path / "g.tsv"
+        edges = [(i, (i + 1) % 3, 1.0) for i in range(3)]
+        tosca.write_edge_list(
+            three_cycles_graph(self_loops=0.0) if n == 12 else tosca.from_edge_list(3, edges),
+            graph,
+        )
         assert main([
-            "embed", cycles_tsv, "--coords", "99", "--self-loops", "1.0",
+            "embed", str(graph), "--coords", coords, "--self-loops", "1.0",
             "-o", str(tmp_path / "c.csv"),
         ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"tosca embed: error: eigenfunction index {bad} outside [1, {n}]\n"
 
 
 class TestEstimate:
