@@ -241,6 +241,81 @@ class TestGemmAssign:
             chosen = d2[np.arange(len(points)), labels]
             assert np.allclose(dist2, chosen, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "n,k,d",
+        [
+            (1, 1, 40),
+            (2, 1, 40),
+            (700, 9, 33),
+            (4099, 32, 32),
+            (300, 17, 64),
+            (600, 41, 16),
+            (2049, 32, 32),
+            (2049, 1, 3),
+        ],
+    )
+    def test_scores_do_not_depend_on_the_batch(self, order, n, k, d):
+        # a restart's labels are the same alone, in a batch of any width
+        # and so in any row blocking (4099 and 2049 rows leave short last
+        # blocks), and its distances the same up to rounding
+        rng = np.random.default_rng(n + k + d)
+        points = _layout(rng.normal(size=(n, d)), order)
+        stack = rng.normal(size=(5, k, d))
+        labels, dist2 = _assign(points, stack)
+        for r in range(5):
+            for lo, hi in ((r, r + 1), (r, 5), (0, r + 1)):
+                alone = _assign(points, stack[lo:hi])
+                assert np.array_equal(alone[0][r - lo], labels[r])
+                assert_close_distances(alone[1][r - lo], dist2[r], points, stack[r])
+
+    def test_scores_equal_one_product_over_all_points(self, rng):
+        # row blocks of 2048 cut 4100 points; a 32-column product over
+        # all of them gives the same labels and, up to rounding, distances
+        points = rng.normal(size=(4100, 32))
+        centroids = rng.normal(size=(1, 32, 32))
+        labels, dist2 = _assign(points, centroids)
+        scores = (centroids[0] ** 2).sum(axis=1) - 2.0 * (points @ centroids[0].T)
+        assert np.array_equal(labels[0], scores.argmin(axis=1))
+        whole = scores.min(axis=1) + (points**2).sum(axis=1)
+        assert_close_distances(dist2[0], whole, points, centroids[0])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocked_distances_equal_broadcast(self, rng, order):
+        # more rows than one block holds at k = 32, and a remainder of one row
+        points = _layout(rng.normal(size=(4097, 32)), order)
+        centroids = rng.normal(size=(32, 32))
+        labels, dist2 = _assign(points, centroids[None])
+        d2 = broadcast_distances(points, centroids)
+        assert np.array_equal(labels[0], np.argmin(d2, axis=1))
+        chosen = d2[np.arange(len(points)), labels[0]]
+        assert_close_distances(dist2[0], chosen, points, centroids)
+
+    @pytest.mark.parametrize("order", ["C", "F", "F-slice", "rows"])
+    def test_distances_bitwise_in_every_layout(self, rng, order):
+        # _lloyd and kmeans take the points row-major once, so labels,
+        # distances, histories and inertia are the same bits in any layout
+        base = rng.normal(size=(400, 33))
+        points = {
+            "C": np.ascontiguousarray(base[:, :32]),
+            "F": np.asfortranarray(base[:, :32]),
+            "F-slice": np.asfortranarray(base)[:, 1:],
+            "rows": base[::2, :32],
+        }[order]
+        reference = np.ascontiguousarray(points)
+        start = rng.normal(size=(3, 8, 32))
+        for run, ref in zip(_lloyd(points, start, 300, 1e-9), _lloyd(reference, start, 300, 1e-9)):
+            assert np.array_equal(run[0], ref[0])
+            assert run[1] == ref[1]
+            assert run[2] == ref[2]
+        d2 = broadcast_distances(reference, start[0])
+        first = _lloyd(points, start[:1], 0, 1e-9)[0]
+        assert np.array_equal(first[0], np.argmin(d2, axis=1))
+        cfg = tosca.KMeansConfig(restarts=3, seed=4)
+        got, want = tosca.kmeans(points, 8, cfg), tosca.kmeans(reference, 8, cfg)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.inertia == want.inertia
+
     @pytest.mark.parametrize(
         "n,k,d,order",
         [(200, 4, 1, "C"), (12, 12, 3, "C"), (600, 16, 32, "C"), (600, 16, 32, "F")],
@@ -311,6 +386,13 @@ def assert_close_objective(a, b, points):
     """
     scale = float((np.asarray(points) ** 2).sum())
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
+
+
+def assert_close_distances(a, b, points, centroids):
+    """Per-point squared distances equal to 1e-12 of ||x||^2 + max ||c||^2,
+    the scale at which ``_assign`` rounds them."""
+    scale = (np.asarray(points) ** 2).sum(axis=1) + (centroids**2).sum(axis=-1).max()
+    assert (np.abs(a - b) <= 1e-12 * scale).all()
 
 
 def assert_same_restart(a, b, points):
