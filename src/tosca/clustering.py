@@ -41,13 +41,11 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iter"):
+        for name, value in (("restarts", self.restarts), ("max_iter", self.max_iter)):
             try:
-                operator.index(getattr(self, name))
+                operator.index(value)
             except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                ) from None
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iter < 0:
@@ -72,16 +70,15 @@ class Clustering:
     spectrum: SpectrumResult | None = None
 
 
-# Scores are computed in row blocks of about this many floats, whatever
-# n, k and the number of live restarts.
+# Scores and differences are computed in row blocks of about this many
+# floats, whatever n, k, d and the number of live restarts.
 _BLOCK = 1 << 16
 
 
-def _score_blocks(points: np.ndarray, centroids: np.ndarray):
-    """(rows, scores) per block of rows: ``scores`` holds ||c||^2 - 2 x.c
-    of each point against each centroid, from one matrix product."""
+def _score_blocks(points: np.ndarray, centroids: np.ndarray, width: int):
+    """(rows, ||c||^2 - 2 x.c per point and centroid) per block of ~_BLOCK / width rows."""
     norms = (centroids**2).sum(axis=1)
-    step = max(1, _BLOCK // len(centroids))
+    step = max(1, _BLOCK // width)
     for lo in range(0, len(points), step):
         scores = points[lo : lo + step] @ centroids.T
         np.multiply(scores, 2.0, out=scores)
@@ -93,19 +90,22 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
 
     ``centroids`` has shape (restarts, k, d). Returns labels and squared
     distances of shape (restarts, n): each restart's argmin over its own
-    k scores (the lowest index wins a tie), and ||x||^2 plus the chosen
-    score, floored at 0.
+    k scores (the lowest index wins a tie), and sum((x - c)^2) to the
+    chosen centroid, added coordinate by coordinate: in one order whatever
+    the batch and blocks, and faster than a reduction over a short axis.
     """
     r, k, d = centroids.shape
     labels = np.empty((r, len(points)), dtype=np.intp)
     dist2 = np.empty((r, len(points)))
-    for rows, scores in _score_blocks(points, centroids.reshape(r * k, d)):
-        scores = scores.reshape(len(scores), r, k)
-        chosen = scores.argmin(axis=2)
-        labels[:, rows] = chosen.T
-        dist2[:, rows] = np.take_along_axis(scores, chosen[:, :, None], axis=2)[:, :, 0].T
-    dist2 += (points**2).sum(axis=1)
-    return labels, np.maximum(dist2, 0.0, out=dist2)
+    stack = centroids.reshape(r * k, d)
+    for rows, scores in _score_blocks(points, stack, r * max(k, d)):
+        chosen = scores.reshape(len(scores), r, k).argmin(axis=2).T
+        labels[:, rows] = chosen
+        diff = np.take(stack, chosen + k * np.arange(r)[:, None], axis=0)
+        np.subtract(points[rows], diff, out=diff)
+        np.square(diff, out=diff)
+        dist2[:, rows] = sum(diff[..., j] for j in range(d))
+    return labels, dist2
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray:
@@ -130,7 +130,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, seed: int, restarts: int) -> np.n
         if j == k - 1:
             break
         step = np.empty_like(d2)
-        for rows, scores in _score_blocks(points, centroids[:, j]):
+        for rows, scores in _score_blocks(points, centroids[:, j], restarts):
             step[:, rows] = (scores + sq[rows, None]).T
         np.maximum(step, 0.0, out=step)
         d2 = np.minimum(d2, step, out=d2) if j else step
@@ -161,10 +161,11 @@ def _lloyd(
     restart. A restart leaves the batch once its centroids move by at
     most ``tol`` or after ``max_iter`` rounds, with the labels of its
     last assignment. ``_assign``'s squared distances give each history
-    entry as their sum, the inertia as the last entry, and the reseed
-    of an empty cluster: it takes the point farthest from its centroid,
-    in cluster order, so a reseed that empties a later cluster reseeds
-    that one too. Each centroid is its members' sum over their count.
+    entry as their sum, the inertia as the last entry, and the reseed of
+    an empty cluster: the point farthest from its centroid, in cluster
+    order, so a reseed that empties a later cluster reseeds that one too.
+    Each centroid is its members' sum in row order over their count, so
+    history and inertia follow from the labels alone, in a batch or not.
     """
     points = np.ascontiguousarray(points)
     centroids = np.array(centroids, dtype=np.float64)
@@ -257,7 +258,8 @@ def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clust
 
     All restarts run as one batch on row-major points. Restarts tie-break
     on inertia (within 1e-12) toward the lower restart index, so the same
-    points, k and config give the same labels.
+    points, k and config give the same labels; restarts that reach the
+    same partition tie exactly.
     """
     cfg = cfg or KMeansConfig()
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -265,12 +267,11 @@ def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clust
         points = points[:, None]
     _check_points(points, k)
     init = _kmeanspp_init(points, k, cfg.seed, cfg.restarts)
-    best: tuple[float, np.ndarray] | None = None
-    for labels, inertia, _ in _lloyd(points, init, cfg.max_iter, cfg.tol):
-        if best is None or inertia < best[0] - _TIE_TOL:
-            best = (inertia, labels)
-    inertia, labels = best
-    return Clustering(labels=labels, k=k, inertia=inertia, seed=cfg.seed)
+    best, *rest = _lloyd(points, init, cfg.max_iter, cfg.tol)
+    for run in rest:
+        if run[1] < best[1] - _TIE_TOL:
+            best = run
+    return Clustering(labels=best[0], k=k, inertia=best[1], seed=cfg.seed)
 
 
 def cluster_graph(
