@@ -4,8 +4,9 @@ The graph clusterer computes the top-k paired eigenfunctions of the
 forward-backward dynamics and runs k-means on the rows of the
 eigenvector matrix, exactly the indicator heuristic behind spectral
 clustering. It starts one Lloyd run from the rows a column-pivoted QR
-picks, so its labels depend on no seed. ``kmeans`` itself is seeded,
-restarted, and fully deterministic: same (points, k, seed) gives the
+picks, so its labels depend on no seed. ``kmeans`` itself is seeded and
+fully deterministic: it runs its restarts one after another, each a
+k-means++ start and one Lloyd run, and same (points, k, seed) gives the
 same labels.
 """
 
@@ -29,9 +30,6 @@ __all__ = [
     "cluster_graph",
     "coherence_score",
 ]
-
-_TIE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class KMeansConfig:
@@ -71,7 +69,7 @@ class Clustering:
 
 
 # Scores and differences are computed in row blocks of about this many
-# floats, whatever n, k, d and the number of live restarts.
+# floats, whatever n, k and d.
 _BLOCK = 1 << 16
 
 
@@ -86,127 +84,96 @@ def _score_blocks(points: np.ndarray, centroids: np.ndarray, width: int):
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per point for a stack of restarts, and its squared distance.
+    """Nearest centroid per point, and its squared distance.
 
-    ``centroids`` has shape (restarts, k, d). Returns labels and squared
-    distances of shape (restarts, n): each restart's argmin over its own
-    k scores (the lowest index wins a tie), and sum((x - c)^2) to the
-    chosen centroid, added coordinate by coordinate: in one order whatever
-    the batch and blocks, and faster than a reduction over a short axis.
+    ``centroids`` has shape (k, d). Returns labels and squared distances
+    of shape (n,): the argmin over the k scores (the lowest index wins a
+    tie), and sum((x - c)^2) to the chosen centroid, added coordinate by
+    coordinate: in one order whatever the blocks, and faster than a
+    reduction over a short axis.
     """
-    r, k, d = centroids.shape
-    labels = np.empty((r, len(points)), dtype=np.intp)
-    dist2 = np.empty((r, len(points)))
-    stack = centroids.reshape(r * k, d)
-    for rows, scores in _score_blocks(points, stack, r * max(k, d)):
-        chosen = scores.reshape(len(scores), r, k).argmin(axis=2).T
-        labels[:, rows] = chosen
-        diff = np.take(stack, chosen + k * np.arange(r)[:, None], axis=0)
-        np.subtract(points[rows], diff, out=diff)
+    k, d = centroids.shape
+    labels = np.empty(len(points), dtype=np.intp)
+    dist2 = np.empty(len(points))
+    for rows, scores in _score_blocks(points, centroids, max(k, d)):
+        labels[rows] = scores.argmin(axis=1)
+        diff = points[rows] - centroids[labels[rows]]
         np.square(diff, out=diff)
-        dist2[:, rows] = sum(diff[..., j] for j in range(d))
+        dist2[rows] = sum(diff[:, j] for j in range(d))
     return labels, dist2
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray:
-    """k-means++ centroids for every restart, shape (restarts, k, d).
+def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ centroids drawn from ``rng``, shape (k, d).
 
-    Restart r draws from ``default_rng([seed, r])``, in the order it
-    would alone. All restarts take each step together, with the squared
-    distances ||x||^2 + ||c||^2 - 2 x.c to their new centroids floored at 0.
+    The squared distances ||x||^2 + ||c||^2 - 2 x.c to each new centroid
+    are floored at 0.
     """
     n = len(points)
     sq = (points**2).sum(axis=1)
-    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
-    centroids = np.empty((restarts, k, points.shape[1]))
-    chosen = np.empty(restarts, dtype=np.intp)
-    d2 = np.empty((restarts, n))
+    centroids = np.empty((k, points.shape[1]))
+    d2 = np.full(n, np.inf)
     for j in range(k):
-        for r, rng in enumerate(rngs):
-            total = d2[r].sum() if j else 0.0
-            # the first centroid, or every point coincides with a chosen one
-            chosen[r] = rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2[r] / total)
-        centroids[:, j] = points[chosen]
+        total = d2.sum() if j else 0.0
+        # the first centroid, or every point coincides with a chosen one
+        chosen = rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2 / total)
+        centroids[j] = points[chosen]
         if j == k - 1:
             break
-        step = np.empty_like(d2)
-        for rows, scores in _score_blocks(points, centroids[:, j], restarts):
-            step[:, rows] = (scores + sq[rows, None]).T
-        np.maximum(step, 0.0, out=step)
-        d2 = np.minimum(d2, step, out=d2) if j else step
+        for rows, scores in _score_blocks(points, centroids[j : j + 1], 1):
+            np.minimum(d2[rows], np.maximum(scores[:, 0] + sq[rows], 0.0), out=d2[rows])
     return centroids
 
 
 def _member_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Member sums of every cluster of every restart, shape (restarts, k, d),
-    from one sparse one-hot product."""
+    """Member sums of every cluster, shape (k, d), from one sparse one-hot product."""
     import scipy.sparse as sp
 
-    restarts, n = labels.shape
-    rows = labels.T + k * np.arange(restarts)
-    onehot = sp.csc_array(
-        (np.ones(rows.size), rows.ravel(), np.arange(0, rows.size + 1, restarts)),
-        shape=(k * restarts, n),
-    )
-    return (onehot @ points).reshape(restarts, k, -1)
+    n = len(labels)
+    onehot = sp.csc_array((np.ones(n), labels, np.arange(n + 1)), shape=(k, n))
+    return onehot @ points
 
 
 def _lloyd(
-    points: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float
-) -> list[tuple[np.ndarray, float, list[float]]]:
-    """Lloyd iterations for a stack of restarts, all live ones together.
+    points: np.ndarray, start: np.ndarray, max_iter: int, tol: float
+) -> tuple[np.ndarray, float, list[float]]:
+    """Lloyd iterations from the (k, d) centroids ``start``.
 
-    ``centroids`` holds each restart's start, shape (restarts, k, d).
-    Returns (labels, inertia, per-iteration objective history) per
-    restart. A restart leaves the batch once its centroids move by at
-    most ``tol`` or after ``max_iter`` rounds, with the labels of its
-    last assignment. ``_assign``'s squared distances give each history
-    entry as their sum, the inertia as the last entry, and the reseed of
-    an empty cluster: the point farthest from its centroid, in cluster
-    order, so a reseed that empties a later cluster reseeds that one too.
-    Each centroid is its members' sum in row order over their count, so
-    history and inertia follow from the labels alone, in a batch or not.
+    Returns labels, inertia and the per-iteration objective history. The
+    run stops once its centroids move by at most ``tol`` or after
+    ``max_iter`` rounds, with the labels of its last assignment.
+    ``_assign``'s squared distances give each history entry as their
+    sum, the inertia as the last entry, and the reseed of an empty
+    cluster: the point farthest from its centroid, in cluster order, so
+    a reseed that empties a later cluster reseeds that one too. Each
+    centroid is its members' sum in row order over their count, so
+    history and inertia follow from the labels alone.
     """
     points = np.ascontiguousarray(points)
-    centroids = np.array(centroids, dtype=np.float64)
-    k = centroids.shape[1]
-    live = np.arange(len(centroids))
-    histories: list[list[float]] = [[] for _ in live]
-    runs: list = [None] * len(live)
+    centroids = np.array(start, dtype=np.float64)
+    k = len(centroids)
+    history: list[float] = []
     labels, dist2 = _assign(points, centroids)
-    done = np.full(len(live), max_iter == 0)
-    rounds = 0
-    while True:
-        for i in np.flatnonzero(done):
-            history = histories[live[i]]
-            history.append(float(dist2[i].sum()))
-            runs[live[i]] = (labels[i].copy(), history[-1], history)
-        if done.all():
-            return runs
-        live, centroids, labels, dist2 = live[~done], centroids[~done], labels[~done], dist2[~done]
-        offset = labels + k * np.arange(len(live))[:, None]
-        counts = np.bincount(offset.ravel(), minlength=k * len(live)).reshape(-1, k)
-        for i in np.flatnonzero(~counts.all(axis=1)):
-            for j in range(k):
-                if counts[i, j]:
-                    continue
-                far = int(np.argmax(dist2[i]))
-                centroids[i, j] = points[far]
-                counts[i, labels[i, far]] -= 1
-                counts[i, j] = 1
-                labels[i, far] = j
-                dist2[i, far] = 0.0
-        for i, r in enumerate(live):
-            histories[r].append(float(dist2[i].sum()))
+    for _ in range(max_iter):
+        counts = np.bincount(labels, minlength=k)
+        for j in range(k):
+            if counts[j] == 0:
+                far = int(np.argmax(dist2))
+                centroids[j] = points[far]
+                counts[labels[far]] -= 1
+                counts[j] = 1
+                labels[far] = j
+                dist2[far] = 0.0
+        history.append(float(dist2.sum()))
         sums = _member_sums(points, labels, k)
-        moved = centroids.copy()
-        filled = counts > 0
-        moved[filled] = sums[filled] / counts[filled][:, None]
-        shift = np.abs(moved - centroids).max(axis=(1, 2))
+        moved = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centroids)
+        shift = np.abs(moved - centroids).max()
         centroids = moved
         labels, dist2 = _assign(points, centroids)
-        rounds += 1
-        done = (shift <= tol) | (rounds == max_iter)
+        if shift <= tol:
+            break
+    history.append(float(dist2.sum()))
+    return labels, history[-1], history
 
 
 def _has_k_distinct_rows(points: np.ndarray, k: int) -> bool:
@@ -238,7 +205,7 @@ def _check_points(points: np.ndarray, k: int) -> None:
 
 def _cpqr_start(points: np.ndarray, k: int) -> np.ndarray:
     """The rows at the first k pivots of a column-pivoted QR of points.T,
-    shape (1, k, d).
+    shape (k, d).
 
     Damle, Minden & Ying (*Simple, direct and efficient multi-way
     spectral clustering*, Inf. Inference 8, 2019): each pivot is the row
@@ -250,28 +217,31 @@ def _cpqr_start(points: np.ndarray, k: int) -> np.ndarray:
     import scipy.linalg
 
     _, pivots = scipy.linalg.qr(points.T, mode="r", pivoting=True)
-    return points[pivots[:k]][None]
+    return points[pivots[:k]]
 
 
 def kmeans(points: np.ndarray, k: int, cfg: KMeansConfig | None = None) -> Clustering:
     """Best-of-restarts Lloyd clustering with k-means++ initialization.
 
-    All restarts run as one batch on row-major points. Restarts tie-break
-    on inertia (within 1e-12) toward the lower restart index, so the same
-    points, k and config give the same labels; restarts that reach the
-    same partition tie exactly.
+    ``points`` are real, of shape (n,) or (n, d) with d >= 1; anything
+    else is a ValueError. The restarts run one after another, restart r
+    drawing its k-means++ start from ``default_rng([seed, r])``. The
+    first restart with the lowest inertia wins, so the same points, k
+    and config give the same labels; restarts that reach the same
+    partition tie exactly.
     """
     cfg = cfg or KMeansConfig()
+    points = np.asarray(points)
+    if points.dtype.kind == "c" or points.ndim not in (1, 2) or 0 in points.shape[1:]:
+        raise ValueError(f"cannot cluster {points.dtype} points of shape {points.shape}")
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
     _check_points(points, k)
-    init = _kmeanspp_init(points, k, cfg.seed, cfg.restarts)
-    best, *rest = _lloyd(points, init, cfg.max_iter, cfg.tol)
-    for run in rest:
-        if run[1] < best[1] - _TIE_TOL:
-            best = run
-    return Clustering(labels=best[0], k=k, inertia=best[1], seed=cfg.seed)
+    rngs = (np.random.default_rng([cfg.seed, r]) for r in range(cfg.restarts))
+    runs = (_lloyd(points, _kmeanspp_init(points, k, rng), cfg.max_iter, cfg.tol) for rng in rngs)
+    labels, inertia, _ = min(runs, key=lambda run: run[1])
+    return Clustering(labels=labels, k=k, inertia=inertia, seed=cfg.seed)
 
 
 def cluster_graph(
@@ -308,9 +278,9 @@ def cluster_graph(
         raise ValueError(f"unknown feature choice {use!r}")
     start = _cpqr_start(feats, k)
     if drop_first:
-        feats, start = feats[:, 1:], start[:, :, 1:]
+        feats, start = feats[:, 1:], start[:, 1:]
     _check_points(feats, k)
-    [(labels, inertia, _)] = _lloyd(feats, start, cfg.max_iter, cfg.tol)
+    labels, inertia, _ = _lloyd(feats, start, cfg.max_iter, cfg.tol)
     return Clustering(labels=labels, k=k, inertia=inertia, seed=cfg.seed, spectrum=spec)
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,9 +76,27 @@ class TestKMeans:
         with pytest.raises(DegeneratePointsError, match=r"^row 4 is not finite$"):
             tosca.kmeans(points, 2)
 
+    def test_three_dimensional_points_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(4, 3, 2\)"):
+            tosca.kmeans(np.zeros((4, 3, 2)), 2)
+
+    def test_points_without_coordinates_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(5, 0\)"):
+            tosca.kmeans(np.zeros((5, 0)), 2)
+
+    def test_complex_points_rejected(self):
+        # rejected before a cast would drop the imaginary parts
+        points = np.arange(6.0).reshape(3, 2) * (1 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="complex128"):
+                tosca.kmeans(points, 2)
+
     def test_inertia_nonincreasing_per_iteration(self, rng):
         points = rng.normal(size=(100, 4))
-        for _, _, history in _lloyd(points, _kmeanspp_init(points, 5, 7, 5), 300, 1e-9):
+        for r in range(5):
+            start = _kmeanspp_init(points, 5, np.random.default_rng([7, r]))
+            _, _, history = _lloyd(points, start, 300, 1e-9)
             diffs = np.diff(history)
             assert (diffs <= 1e-12).all()
 
@@ -96,8 +116,8 @@ class TestKMeans:
     def test_no_iterations_keeps_the_init_assignment(self, rng):
         points = rng.normal(size=(40, 3))
         result = tosca.kmeans(points, 4, tosca.KMeansConfig(restarts=1, max_iter=0, seed=2))
-        init = _kmeanspp_init(points, 4, 2, 1)
-        assert np.array_equal(result.labels, broadcast_assign(points, init)[0][0])
+        init = _kmeanspp_init(points, 4, np.random.default_rng([2, 0]))
+        assert np.array_equal(result.labels, broadcast_assign(points, init)[0])
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -161,7 +181,8 @@ class TestKMeans:
 
     def test_peak_memory_does_not_grow_with_restarts_times_k(self):
         # one (n, restarts * k) score array would take 51 MB here; the
-        # row blocks keep the scores near 64k floats
+        # restarts run one at a time and the row blocks keep the scores
+        # near 64k floats
         n, k, restarts = 20000, 32, 10
         points = np.asfortranarray(np.random.default_rng(0).normal(size=(n, 32)))
         cfg = tosca.KMeansConfig(restarts=restarts, max_iter=3)
@@ -181,15 +202,11 @@ def broadcast_distances(points, centroids):
 
 
 def broadcast_assign(points, centroids):
-    """``_assign`` by brute force, one restart at a time: the argmin of the
-    broadcast distances, and the chosen distance."""
-    labels, dist2 = [], []
-    for restart in centroids:
-        d2 = broadcast_distances(points, restart)
-        chosen = np.argmin(d2, axis=1)
-        labels.append(chosen)
-        dist2.append(d2[np.arange(len(points)), chosen])
-    return np.array(labels), np.array(dist2)
+    """``_assign`` by brute force: the argmin of the broadcast distances,
+    and the chosen distance."""
+    d2 = broadcast_distances(points, centroids)
+    chosen = np.argmin(d2, axis=1)
+    return chosen, d2[np.arange(len(points)), chosen]
 
 
 def patch_assign(monkeypatch):
@@ -214,11 +231,10 @@ def points_and_centroids(draw):
     n = draw(st.integers(1, 30))
     k = draw(st.integers(1, 8))
     d = draw(st.integers(1, 6))
-    restarts = draw(st.integers(1, 4))
     unit = st.floats(-1.0, 1.0, allow_nan=False)
     order = draw(st.sampled_from("CF"))
     points = _layout(draw(arrays(np.float64, (n, d), elements=unit)), order)
-    centroids = draw(arrays(np.float64, (restarts, k, d), elements=unit))
+    centroids = draw(arrays(np.float64, (k, d), elements=unit))
     return points, centroids
 
 
@@ -226,72 +242,43 @@ class TestGemmAssign:
     @settings(max_examples=300, deadline=None)
     @given(points_and_centroids())
     def test_matches_brute_force_off_ties(self, case):
-        points, stack = case
-        all_labels, all_dist2 = _assign(points, stack)
-        for centroids, labels, dist2 in zip(stack, all_labels, all_dist2):
-            d2 = broadcast_distances(points, centroids)
-            best_two = np.sort(d2, axis=1)[:, :2]
-            clear = (
-                np.ones(len(points), dtype=bool)
-                if d2.shape[1] == 1
-                else best_two[:, 1] - best_two[:, 0] > 1e-12
-            )
-            assert np.array_equal(labels[clear], np.argmin(d2, axis=1)[clear])
-            # the chosen distance, up to rounding, near-ties included
-            chosen = d2[np.arange(len(points)), labels]
-            assert np.allclose(dist2, chosen, rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize(
-        "n,k,d",
-        [
-            (1, 1, 40),
-            (2, 1, 40),
-            (700, 9, 33),
-            (4099, 32, 32),
-            (300, 17, 64),
-            (600, 41, 16),
-            (2049, 32, 32),
-            (2049, 1, 3),
-        ],
-    )
-    def test_scores_do_not_depend_on_the_batch(self, order, n, k, d):
-        # a restart's labels and distances are the same alone, in a batch
-        # of any width and so in any row blocking (4099 and 2049 rows
-        # leave short last blocks)
-        rng = np.random.default_rng(n + k + d)
-        points = _layout(rng.normal(size=(n, d)), order)
-        stack = rng.normal(size=(5, k, d))
-        labels, dist2 = _assign(points, stack)
-        for r in range(5):
-            for lo, hi in ((r, r + 1), (r, 5), (0, r + 1)):
-                alone = _assign(points, stack[lo:hi])
-                assert np.array_equal(alone[0][r - lo], labels[r])
-                assert np.array_equal(alone[1][r - lo], dist2[r])
+        points, centroids = case
+        labels, dist2 = _assign(points, centroids)
+        d2 = broadcast_distances(points, centroids)
+        best_two = np.sort(d2, axis=1)[:, :2]
+        clear = (
+            np.ones(len(points), dtype=bool)
+            if d2.shape[1] == 1
+            else best_two[:, 1] - best_two[:, 0] > 1e-12
+        )
+        assert np.array_equal(labels[clear], np.argmin(d2, axis=1)[clear])
+        # the chosen distance, up to rounding, near-ties included
+        chosen = d2[np.arange(len(points)), labels]
+        assert np.allclose(dist2, chosen, rtol=0.0, atol=1e-12)
 
     def test_scores_equal_one_product_over_all_points(self, rng):
         # row blocks of 2048 cut 4100 points; a 32-column product over
         # all of them gives the same labels, and the distances are those
         # of the chosen centroids (numpy sums a row in another order)
         points = rng.normal(size=(4100, 32))
-        centroids = rng.normal(size=(1, 32, 32))
+        centroids = rng.normal(size=(32, 32))
         labels, dist2 = _assign(points, centroids)
-        scores = (centroids[0] ** 2).sum(axis=1) - 2.0 * (points @ centroids[0].T)
-        assert np.array_equal(labels[0], scores.argmin(axis=1))
-        chosen = ((points - centroids[0][labels[0]]) ** 2).sum(axis=1)
-        np.testing.assert_allclose(dist2[0], chosen, rtol=1e-12)
+        scores = (centroids**2).sum(axis=1) - 2.0 * (points @ centroids.T)
+        assert np.array_equal(labels, scores.argmin(axis=1))
+        chosen = ((points - centroids[labels]) ** 2).sum(axis=1)
+        np.testing.assert_allclose(dist2, chosen, rtol=1e-12)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_blocked_distances_equal_broadcast(self, rng, order):
         # more rows than one block holds at k = 32, and a remainder of one row
         points = _layout(rng.normal(size=(4097, 32)), order)
         centroids = rng.normal(size=(32, 32))
-        labels, dist2 = _assign(points, centroids[None])
+        labels, dist2 = _assign(points, centroids)
         d2 = broadcast_distances(points, centroids)
-        assert np.array_equal(labels[0], np.argmin(d2, axis=1))
-        chosen = d2[np.arange(len(points)), labels[0]]
+        assert np.array_equal(labels, np.argmin(d2, axis=1))
+        chosen = d2[np.arange(len(points)), labels]
         # the broadcast sums each distance in another order
-        np.testing.assert_allclose(dist2[0], chosen, rtol=1e-12)
+        np.testing.assert_allclose(dist2, chosen, rtol=1e-12)
 
     @pytest.mark.parametrize("order", ["C", "F", "F-slice", "rows"])
     def test_distances_bitwise_in_every_layout(self, rng, order):
@@ -306,12 +293,14 @@ class TestGemmAssign:
         }[order]
         reference = np.ascontiguousarray(points)
         start = rng.normal(size=(3, 8, 32))
-        for run, ref in zip(_lloyd(points, start, 300, 1e-9), _lloyd(reference, start, 300, 1e-9)):
+        for centroids in start:
+            run = _lloyd(points, centroids, 300, 1e-9)
+            ref = _lloyd(reference, centroids, 300, 1e-9)
             assert np.array_equal(run[0], ref[0])
             assert run[1] == ref[1]
             assert run[2] == ref[2]
         d2 = broadcast_distances(reference, start[0])
-        first = _lloyd(points, start[:1], 0, 1e-9)[0]
+        first = _lloyd(points, start[0], 0, 1e-9)
         assert np.array_equal(first[0], np.argmin(d2, axis=1))
         cfg = tosca.KMeansConfig(restarts=3, seed=4)
         got, want = tosca.kmeans(points, 8, cfg), tosca.kmeans(reference, 8, cfg)
@@ -357,7 +346,7 @@ def mask_loop_lloyd(points, centroids, max_iter, tol):
     ``_assign``'s distances."""
     centroids = centroids.copy()
     history = []
-    labels, dist2 = (a[0] for a in clustering._assign(points, centroids[None]))
+    labels, dist2 = clustering._assign(points, centroids)
     for _ in range(max_iter):
         for j in range(len(centroids)):
             if not (labels == j).any():
@@ -373,7 +362,7 @@ def mask_loop_lloyd(points, centroids, max_iter, tol):
                 new_centroids[j] = np.cumsum(points[members], axis=0)[-1] / members.sum()
         shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
-        labels, dist2 = (a[0] for a in clustering._assign(points, centroids[None]))
+        labels, dist2 = clustering._assign(points, centroids)
         if shift <= tol:
             break
     history.append(float(dist2.sum()))
@@ -387,13 +376,17 @@ def assert_same_restart(a, b):
 
 
 def best_restart(runs):
-    """The restart kmeans keeps: the lowest inertia, ties within 1e-12 to
-    the lower index."""
+    """The restart kmeans keeps: the first with the lowest inertia."""
     best = runs[0]
     for run in runs[1:]:
-        if run[1] < best[1] - 1e-12:
+        if run[1] < best[1]:
             best = run
     return best
+
+
+def kmeanspp_starts(points, k, seed, restarts):
+    """The k-means++ start of every restart, each from its own stream."""
+    return [_kmeanspp_init(points, k, np.random.default_rng([seed, r])) for r in range(restarts)]
 
 
 @st.composite
@@ -411,16 +404,16 @@ def kmeans_cases(draw):
     return points, k
 
 
-class TestBatchedRestarts:
+class TestRestarts:
     @settings(max_examples=200, deadline=None)
     @given(kmeans_cases(), st.integers(1, 4), st.integers(0, 2**16))
     def test_kmeans_is_the_best_reference_restart(self, case, restarts, seed):
         points, k = case
         cfg = tosca.KMeansConfig(restarts=restarts, seed=seed)
-        init = _kmeanspp_init(points, k, seed, restarts)
+        init = kmeanspp_starts(points, k, seed, restarts)
         refs = [mask_loop_lloyd(points, start, cfg.max_iter, cfg.tol) for start in init]
-        for run, ref in zip(_lloyd(points, init, cfg.max_iter, cfg.tol), refs):
-            assert_same_restart(run, ref)
+        for start, ref in zip(init, refs):
+            assert_same_restart(_lloyd(points, start, cfg.max_iter, cfg.tol), ref)
         result = tosca.kmeans(points, k, cfg)
         labels, inertia, _ = best_restart(refs)
         assert np.array_equal(result.labels, labels)
@@ -431,7 +424,7 @@ class TestBatchedRestarts:
         # bit, so kmeans' tie rule picks the lower restart, far from 0 too
         points = 1e3 + rng.normal(size=(300, 5))
         start = points[:6]
-        runs = _lloyd(points, np.stack([start, start[::-1]]), 300, 1e-9)
+        runs = [_lloyd(points, s, 300, 1e-9) for s in (start, start[::-1])]
         assert np.array_equal(runs[0][0], 5 - runs[1][0])
         assert runs[0][1] == runs[1][1]
         assert runs[0][2] == runs[1][2]
@@ -440,15 +433,13 @@ class TestBatchedRestarts:
     @given(kmeans_cases(), st.data())
     def test_any_starts_match_the_reference(self, case, data):
         # starts drawn from the points with repeats leave clusters empty,
-        # so the batch reseeds in some restarts and not in others
+        # so some runs reseed and others do not
         points, k = case
         restarts = data.draw(st.integers(1, 4))
         rows = data.draw(arrays(np.int64, (restarts, k), elements=st.integers(0, len(points) - 1)))
         max_iter = data.draw(st.sampled_from([0, 1, 2, 300]))
-        init = np.asarray(points)[rows]
-        runs = _lloyd(points, init, max_iter, 1e-9)
-        assert len(runs) == restarts
-        for run, start in zip(runs, init):
+        for start in np.asarray(points)[rows]:
+            run = _lloyd(points, start, max_iter, 1e-9)
             assert_same_restart(run, mask_loop_lloyd(points, start, max_iter, 1e-9))
 
 
@@ -464,24 +455,80 @@ class TestCentroidUpdate:
             if trial % 2:
                 points = np.round(points, 0)  # duplicates and ties
             points = _layout(points, order)
-            init = _kmeanspp_init(points, k, trial, 3)
-            for run, start in zip(_lloyd(points, init, 300, 1e-9), init):
+            for start in kmeanspp_starts(points, k, trial, 3):
+                run = _lloyd(points, start, 300, 1e-9)
                 assert_same_restart(run, mask_loop_lloyd(points, start, 300, 1e-9))
 
     def test_reseed_that_empties_a_later_cluster(self):
         # Centroid 1 duplicates centroid 0, so cluster 1 starts empty and
         # is reseeded at the farthest point, (100, 0). That point was the
         # only member of cluster 2, which must be reseeded in the same pass.
-        # A restart beside it in the batch needs no reseed.
+        # The other start needs no reseed.
         points = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [100.0, 0.0]])
         init = np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]])
         other = np.array([[0.0, 0.0], [5.0, 0.0], [100.0, 0.0]])
         for max_iter in (1, 300):
-            runs = _lloyd(points, np.stack([other, init]), max_iter, 1e-9)
+            runs = [_lloyd(points, start, max_iter, 1e-9) for start in (other, init)]
             for run, start in zip(runs, (other, init)):
                 assert_same_restart(run, mask_loop_lloyd(points, start, max_iter, 1e-9))
         assert runs[1][0].tolist() == [0, 0, 2, 1]
         assert runs[1][2][0] == 1.0
+
+
+def clustered_points(seed, n, d, blobs):
+    """n points around ``blobs`` random centres, unit noise."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(scale=3.0, size=(blobs, d))
+    return centres[rng.integers(blobs, size=n)] + rng.normal(size=(n, d))
+
+
+class TestKMeansPinned:
+    # SHA-256 of the int64 labels and float.hex of the inertia of kmeans
+    # with restarts=10 and seed=3, so a change to what a seed produces
+    # fails here. On the Cauchy points the winning restart (2) reseeds an
+    # empty cluster, left by a far outlier.
+    CASES = {
+        "blobs_2d": (
+            lambda: clustered_points(0, 300, 2, 5),
+            5,
+            "77a23c093df9faeb20ae924217638e020e4c45e312241528d0df7c23d8979c65",
+            "0x1.f466429ad8cb0p+8",
+        ),
+        "blobs_8d": (
+            lambda: clustered_points(1, 500, 8, 8),
+            8,
+            "0c36f854b28f2f9539076ebb52127253556d010b41c9772714330d42b290182b",
+            "0x1.f23effc6423abp+11",
+        ),
+        "cauchy_reseed": (
+            lambda: np.random.default_rng(5392).standard_cauchy(size=(16, 2)),
+            6,
+            "4392ed58d0330d58c03a651c8fe4dadb58ba30b559be038139410a4a693a0678",
+            "0x1.548c15bf1f161p+2",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_labels_and_inertia_pinned(self, case):
+        make, k, labels_sha, inertia_hex = self.CASES[case]
+        result = tosca.kmeans(make(), k, tosca.KMeansConfig(restarts=10, seed=3))
+        assert hashlib.sha256(result.labels.astype(np.int64).tobytes()).hexdigest() == labels_sha
+        assert result.inertia.hex() == inertia_hex
+
+    def test_reseed_case_empties_a_cluster(self, monkeypatch):
+        points = self.CASES["cauchy_reseed"][0]()
+        start = _kmeanspp_init(points, 6, np.random.default_rng([3, 2]))
+        emptied = []
+
+        def recording(points, centroids):
+            labels, dist2 = _assign(points, centroids)
+            emptied.append(len(np.unique(labels)) < len(centroids))
+            return labels, dist2
+
+        monkeypatch.setattr(clustering, "_assign", recording)
+        _lloyd(points, start, 300, 1e-9)
+        # every assignment but the last is followed by a round that reseeds
+        assert any(emptied[:-1])
 
 
 class TestClusterGraph:
@@ -579,13 +626,13 @@ class TestClusterGraph:
         g = three_cycles_graph()
         result = tosca.cluster_graph(g, 3, cfg=tosca.KMeansConfig(max_iter=0))
         start = clustering._cpqr_start(result.spectrum.phi, 3)
-        assert np.array_equal(result.labels, broadcast_assign(result.spectrum.phi, start)[0][0])
+        assert np.array_equal(result.labels, broadcast_assign(result.spectrum.phi, start)[0])
 
     def test_pivoted_qr_start_takes_one_row_per_cycle(self):
         phi = tosca.cluster_graph(three_cycles_graph(), 3).spectrum.phi
         start = clustering._cpqr_start(phi, 3)
-        assert start.shape == (1, 3, 3)
-        rows = [np.flatnonzero((phi == row).all(axis=1))[0] for row in start[0]]
+        assert start.shape == (3, 3)
+        rows = [np.flatnonzero((phi == row).all(axis=1))[0] for row in start]
         assert sorted(row // 4 for row in rows) == [0, 1, 2]
 
 
