@@ -256,6 +256,40 @@ class TestGemmAssign:
         chosen = d2[np.arange(len(points)), labels]
         assert np.allclose(dist2, chosen, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "n,k,d",
+        [
+            (1, 1, 40),
+            (2, 1, 40),
+            (700, 9, 33),
+            (4099, 32, 32),
+            (300, 17, 64),
+            (600, 41, 16),
+            (2049, 32, 32),
+            (2049, 1, 3),
+        ],
+    )
+    def test_scores_do_not_depend_on_the_batch(self, monkeypatch, order, n, k, d):
+        # a point's label and distance are the same whichever batch of
+        # rows it is assigned in, and so in any row blocking: one row per
+        # block, seven, or all in one (4099 and 2049 rows leave short
+        # last blocks)
+        rng = np.random.default_rng(n + k + d)
+        points = _layout(rng.normal(size=(n, d)), order)
+        centroids = rng.normal(size=(k, d))
+        labels, dist2 = _assign(points, centroids)
+        for lo, hi in ((0, 1), (n - 1, n), (n // 3, n), (0, n // 2 + 1), (n // 4, 3 * n // 4 + 1)):
+            alone = _assign(points[lo:hi], centroids)
+            assert np.array_equal(alone[0], labels[lo:hi])
+            assert np.array_equal(alone[1], dist2[lo:hi])
+        width = max(k, d)
+        for block in (width, 7 * width, n * width):
+            monkeypatch.setattr(clustering, "_BLOCK", block)
+            reblocked = _assign(points, centroids)
+            assert np.array_equal(reblocked[0], labels)
+            assert np.array_equal(reblocked[1], dist2)
+
     def test_scores_equal_one_product_over_all_points(self, rng):
         # row blocks of 2048 cut 4100 points; a 32-column product over
         # all of them gives the same labels, and the distances are those
