@@ -116,7 +116,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     for j in range(k):
         total = d2.sum() if j else 0.0
         # the first centroid, or every point coincides with a chosen one
-        chosen = rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2 / total)
+        chosen = rng.integers(n) if total <= 0.0 else _choice(d2 / total, rng)
         centroids[j] = points[chosen]
         if j == k - 1:
             break
@@ -125,13 +125,21 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _member_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Member sums of every cluster, shape (k, d), from one sparse one-hot product."""
-    import scipy.sparse as sp
+def _choice(p: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(p), p=p)``, the same draw from the same state, without
+    re-validating p: the inverse CDF of one uniform over the normalised cumsum."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
-    n = len(labels)
-    onehot = sp.csc_array((np.ones(n), labels, np.arange(n + 1)), shape=(k, n))
-    return onehot @ points
+
+def _member_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Member sums of every cluster, shape (k, d), from one bincount over the
+    (cluster, column) bins of the C-ordered points: each bin adds its
+    cluster's members in row order."""
+    d = points.shape[1]
+    bins = (labels * d)[:, None] + np.arange(d)
+    return np.bincount(bins.ravel(), weights=points.ravel(), minlength=k * d).reshape(k, d)
 
 
 def _lloyd(

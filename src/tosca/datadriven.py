@@ -17,13 +17,15 @@ the Galerkin projection of F; finite-sample estimates are biased upward.
 Sampling draws uniforms from numpy's PCG64 generator, so all draws are
 reproducible from the seed alone. Each step is an inverse-CDF lookup
 inside the walker's row of S, over cumulative row sums kept in the CSR
-layout of S: O(nnz) memory whatever the degrees. Every draw is
-``searchsorted(cum, u, side="right")`` with a fallback to the last entry,
-found three ways with the same result: start vertices through a guide
-table over the density's cumsum, independent pairs by a branchless
-fixed-step search inside every walker's row at once, and a trajectory by
-``bisect_right`` on per-vertex Python lists. The Grams are built from
-visit counts and the sparse pair-count matrix C,
+layout of S: O(nnz) memory whatever the degrees. These tables are built
+on the first draw from an S and kept with it, and ``transition_matrix``
+returns one S per graph, so repeated samples of one chain build them
+once. Every draw is ``searchsorted(cum, u, side="right")`` with a
+fallback to the last entry, found three ways with the same result: start
+vertices through a guide table over the density's cumsum, independent
+pairs by a branchless fixed-step search inside every walker's row at
+once, and a trajectory by ``bisect_right`` on per-vertex Python lists. The Grams are built from
+visit counts and the sparse pair-count matrix C, counted from one sort,
 
     Gxx = Phi diag(visits of x) Phi^T / m,  Gxy = Phi C Phi^T / m,
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, NamedTuple, get_args
+from typing import TYPE_CHECKING, Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .errors import (
 from .galerkin import Basis
 from .graph import (
     TransitionMatrix,
+    _CumulativeRows,
     _check_vertices,
     _header_values,
     _read_rows,
@@ -55,6 +58,9 @@ from .graph import (
     _write_rows,
 )
 from .operators import Density, _check_density_length
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "WalkSample",
@@ -111,39 +117,6 @@ class EstimatedOperators(NamedTuple):
     t: np.ndarray
     f: np.ndarray
     b: np.ndarray
-
-
-class _CumulativeRows(NamedTuple):
-    """Per-row cumulative transition probabilities in CSR layout.
-
-    ``cum[indptr[v]:indptr[v + 1]]`` is the sequential cumsum of row v's
-    stored probabilities in column order, and ``indices`` holds their
-    columns. Adding the unstored zeros changes no partial sum, so these
-    are the values of the dense row cumsum at the stored columns, bit for
-    bit.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    cum: np.ndarray
-
-
-def _cumulative_rows(s: TransitionMatrix) -> _CumulativeRows:
-    csr = s.s
-    if not csr.has_canonical_format:
-        csr = csr.copy()
-        csr.sum_duplicates()
-    indptr = csr.indptr.astype(np.int64)
-    cum = csr.data.astype(np.float64)  # a copy: the cumsum runs in place
-    # Position j of every row with more than j entries in one vectorised
-    # step: O(nnz) work in max-degree steps, with no padding to max degree.
-    degree = np.diff(indptr)
-    order = np.argsort(degree, kind="stable")
-    degree, starts = degree[order], indptr[:-1][order]
-    for j in range(1, int(degree[-1]) if len(degree) else 0):
-        pos = starts[np.searchsorted(degree, j, side="right") :] + j
-        cum[pos] += cum[pos - 1]
-    return _CumulativeRows(indptr=indptr, indices=csr.indices, cum=cum)
 
 
 def _first_above(
@@ -225,11 +198,15 @@ def _draw_in_rows(rows: _CumulativeRows, v: np.ndarray, u: np.ndarray) -> np.nda
 def sample_pairs(
     s: TransitionMatrix, mu: Density, m: int, seed: int = 0
 ) -> WalkSample:
-    """m independent walkers: start from mu, take one step of S."""
+    """m independent walkers: start from mu, take one step of S.
+
+    The steps search S's cumulative rows, built on the first call on ``s``
+    and kept with it (see ``TransitionMatrix``).
+    """
     _check_density_length(mu, s.n)
     rng = np.random.default_rng(seed)
     xs = _draw_density(mu.p, rng.random(m))
-    ys = _draw_in_rows(_cumulative_rows(s), xs, rng.random(m))
+    ys = _draw_in_rows(s._cumulative_rows, xs, rng.random(m))
     return WalkSample(xs=xs, ys=ys, mode="independent_pairs", seed=seed, n=s.n)
 
 
@@ -241,23 +218,16 @@ def sample_trajectory(
     Each vertex keeps its row's cums and its neighbours as Python lists,
     the last neighbour repeated at the end, so a step is one
     ``bisect_right`` (searchsorted's side="right") and one index, the
-    fallback at or above the row total included.
+    fallback at or above the row total included. The lists are built on
+    the first trajectory on ``s`` and kept with it (see ``TransitionMatrix``).
     """
     _check_density_length(start_density, s.n)
     rng = np.random.default_rng(seed)
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return WalkSample(xs=empty, ys=empty, mode="single_trajectory", seed=seed, n=s.n)
-    rows = _cumulative_rows(s)
     v = int(_draw_density(start_density.p, rng.random(1))[0])
-    bounds = list(zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist()))
-    cums = [rows.cum[a:b].tolist() for a, b in bounds]
-    # One int object per vertex, shared by every list that holds it.
-    columns = np.arange(s.n).astype(object)[rows.indices]
-    neighbours = [columns[a:b].tolist() for a, b in bounds]
-    for row in neighbours:
-        row.append(row[-1])
-    del rows, columns
+    cums, neighbours = s._walk_lists
     walk = np.empty(m + 1, dtype=np.int64)
     walk[0] = v
     # The uniforms come in chunks, one stream as from rng.random(m), so no
@@ -272,11 +242,38 @@ def sample_trajectory(
     )
 
 
+def _pair_counts(xs: np.ndarray, ys: np.ndarray, n: int) -> sp.csr_matrix:
+    """The n x n matrix C[x, y] = #{i : (xs[i], ys[i]) = (x, y)} of m >= 1
+    pairs of vertices in [0, n).
+
+    From one sort of the int64 keys x n + y: the distinct keys, their run
+    lengths as float counts, and row starts from a bincount of their rows.
+    The same indptr, indices and data, dtypes included, as
+    ``csr_matrix((ones(m), (xs, ys)))``, without its per-row sorts.
+    """
+    import scipy.sparse as sp
+
+    keys = xs.astype(np.int64)  # a copy: the key is formed and sorted in place
+    keys *= n
+    keys += ys
+    keys.sort()
+    new = np.empty(len(keys), dtype=bool)  # where a run of equal keys starts
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(keys)).astype(np.float64)
+    rows, columns = np.divmod(keys[starts], n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((counts, columns, indptr), shape=(n, n))
+
+
 def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
     """Empirical covariance matrices of the basis evaluated on the walk.
 
-    Built from visit counts and the sparse pair-count matrix C, so memory
-    is O(m + r n): Gxx = Phi diag(count x) Phi^T / m and Gxy = Phi C Phi^T / m.
+    Built from visit counts and the sparse pair-count matrix C
+    (``_pair_counts``, one sort of the m pairs), so memory is O(m + r n):
+    Gxx = Phi diag(count x) Phi^T / m and Gxy = Phi C Phi^T / m.
     """
     if sample.m == 0:
         raise EmptySampleError("cannot estimate from an empty sample")
@@ -284,13 +281,10 @@ def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
     xs, ys = np.asarray(sample.xs), np.asarray(sample.ys)
     _check_vertices(xs, n, "walk vertex")
     _check_vertices(ys, n, "walk vertex")
-    import scipy.sparse as sp
-
-    pairs = sp.csr_matrix((np.ones(m), (xs, ys)), shape=(n, n))
     return EmpiricalGrams(
         gxx=(phi * np.bincount(xs, minlength=n)) @ phi.T / m,
         gyy=(phi * np.bincount(ys, minlength=n)) @ phi.T / m,
-        gxy=phi @ (pairs @ phi.T) / m,
+        gxy=phi @ (_pair_counts(xs, ys, n) @ phi.T) / m,
         m=m,
     )
 

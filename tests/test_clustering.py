@@ -509,6 +509,74 @@ class TestCentroidUpdate:
         assert runs[1][2][0] == 1.0
 
 
+class TestMemberSums:
+    def test_bitwise_equal_to_sparse_one_hot_product(self):
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(4)
+        for trial in range(20):
+            n, k, d = int(rng.integers(1, 400)), int(rng.integers(1, 12)), int(rng.integers(1, 9))
+            points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8, 8, size=(n, d))
+            points[rng.random((n, d)) < 0.1] = -0.0
+            labels = rng.integers(0, k, n)
+            onehot = sp.csc_array((np.ones(n), labels, np.arange(n + 1)), shape=(k, n))
+            sums = clustering._member_sums(points, labels, k)
+            assert sums.shape == (k, d)
+            assert np.array_equal((onehot @ points).view(np.int64), sums.view(np.int64))
+
+
+# k-means++ weights: zeros, and masses spread over 1e-18..1e3
+d2_weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-18, 1e3), st.sampled_from([1e-18, 1.0, 1e3])),
+    min_size=1, max_size=50,
+)
+
+
+class TestKMeansppDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(d2_weights, st.integers(0, 2**32 - 1), st.integers(0, 49))
+    def test_equals_generator_choice(self, weights, seed, nonzero):
+        d2 = np.asarray(weights)
+        if d2.sum() == 0.0:
+            d2[nonzero % len(d2)] = 1.0
+        p = d2 / d2.sum()
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert clustering._choice(p, ours) == numpys.choice(len(p), p=p)
+        assert ours.random() == numpys.random()
+
+    @settings(max_examples=200, deadline=None)
+    @given(d2_weights, st.integers(0, 49))
+    def test_equals_generator_choice_at_every_cdf_value(self, weights, nonzero):
+        # uniforms that hit a cum exactly, 0 and the largest double below 1
+        # decide ties and zero weights, which random uniforms almost never do
+        d2 = np.asarray(weights)
+        if d2.sum() == 0.0:
+            d2[nonzero % len(d2)] = 1.0
+        p = d2 / d2.sum()
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        for u in (0.0, np.nextafter(1.0, 0.0), *cdf[cdf < 1.0]):
+            assert clustering._choice(p, _FixedUniform(u)) == _FixedUniform(u).choice(len(p), p=p)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_one_nonzero_entry(self, n):
+        for i in range(n):
+            p = np.eye(n)[i]
+            assert clustering._choice(p, np.random.default_rng(i)) == i
+
+
+class _FixedUniform(np.random.Generator):
+    """A Generator whose every uniform is u; ``Generator.choice`` draws through it too."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u
+
+
 def clustered_points(seed, n, d, blobs):
     """n points around ``blobs`` random centres, unit noise."""
     rng = np.random.default_rng(seed)

@@ -129,7 +129,7 @@ class TestDrawsPinned:
     def test_cumulative_rows_match_dense_cumsum(self):
         for g in (dsbm_self_loop_graph(), hub_graph(150)):
             s = tosca.transition_matrix(g)
-            rows = datadriven._cumulative_rows(s)
+            rows = s._cumulative_rows
             dense = np.cumsum(s.dense(), axis=1)
             row_of = np.repeat(np.arange(g.n), np.diff(rows.indptr))
             assert np.array_equal(rows.cum, dense[row_of, rows.indices])
@@ -137,7 +137,7 @@ class TestDrawsPinned:
 
 class TestDrawFallback:
     def test_draw_at_row_total_stays_on_neighbour(self):
-        rows = datadriven._cumulative_rows(fallback_graph())
+        rows = fallback_graph()._cumulative_rows
         assert rows.cum[rows.indptr[1] - 1] < 1.0
         u = np.array([np.nextafter(1.0, 0.0)])
         assert datadriven._draw_in_rows(rows, np.array([0]), u).tolist() == [10]
@@ -205,7 +205,7 @@ class TestDrawKernels:
     @settings(max_examples=200, deadline=None)
     @given(weighted_rows(), st.data())
     def test_in_rows_matches_searchsorted(self, s, data):
-        rows = datadriven._cumulative_rows(s)
+        rows = s._cumulative_rows
         u = kernel_uniforms(data, rows.cum)
         v = np.asarray(data.draw(st.lists(st.integers(0, s.n - 1), min_size=len(u), max_size=len(u))))
         expected = []
@@ -236,6 +236,101 @@ class TestDrawKernels:
         u = np.r_[cum[:-1], np.nextafter(cum[:-1], 0.0), np.linspace(0.0, 1.0, 50, endpoint=False)]
         expected = np.minimum(np.searchsorted(cum, u, side="right"), 199)
         assert np.array_equal(datadriven._draw_density(p, u), expected)
+
+
+class TestSamplingTables:
+    """One S builds its sampling tables once; the draws do not depend on
+    whether the tables were built before."""
+
+    GRAPHS = {
+        "five_vertex": lambda: five_vertex_setup()[0],
+        "dsbm_self_loops": dsbm_self_loop_graph,
+        "hub": lambda: hub_graph(150),
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("density", [tosca.uniform_density, weighted_density],
+                             ids=["uniform", "zero_masses"])
+    def test_first_repeated_and_fresh_calls_agree(self, graph, density):
+        s = tosca.transition_matrix(self.GRAPHS[graph]())
+        mu = density(s.n)
+        for seed in (0, 1, 7, 123):
+            for sampler in (tosca.sample_pairs, tosca.sample_trajectory, tosca.sample_pairs):
+                first = sampler(s, mu, 1500, seed)
+                again = sampler(s, mu, 1500, seed)
+                fresh = sampler(tosca.TransitionMatrix(s=s.s), mu, 1500, seed)
+                for other in (again, fresh):
+                    assert np.array_equal(first.xs, other.xs)
+                    assert np.array_equal(first.ys, other.ys)
+
+    def test_tables_built_once(self):
+        s = tosca.transition_matrix(hub_graph(50))
+        mu = tosca.uniform_density(50)
+        tosca.sample_trajectory(s, mu, 100, 0)
+        rows, lists = s._cumulative_rows, s._walk_lists
+        tosca.sample_pairs(s, mu, 100, 1)
+        tosca.sample_trajectory(s, mu, 100, 2)
+        assert s._cumulative_rows is rows and s._walk_lists is lists
+        assert tosca.transition_matrix(hub_graph(50))._walk_lists is not lists
+
+    def test_tables_held_after_a_trajectory(self):
+        # What S keeps after one trajectory at the benchmark size (167792
+        # stored entries): the cumulative rows, nnz floats and n + 1 int64
+        # (1.34 MiB), and the per-vertex lists, 8 B list slots and a 24 B
+        # float object per cum, 8 B slots per neighbour and list headers
+        # per vertex (8.15 MiB): 9.5 MiB measured, bounded at 11 MiB.
+        s = tosca.transition_matrix(sparse_graph(8000, 20))
+        tracemalloc.start()
+        try:
+            tosca.sample_trajectory(s, tosca.uniform_density(8000), 200_000, 3)
+            held = tracemalloc.get_traced_memory()[0] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert held < 11.0
+
+
+def scipy_pair_counts(xs, ys, n):
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((np.ones(len(xs)), (xs, ys)), shape=(n, n))
+
+
+@st.composite
+def pair_lists(draw):
+    """m >= 1 pairs on n vertices, drawn from a few rows so that rows repeat
+    pairs and others hold none, as int32 or int64 arrays."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(rows), st.integers(0, n - 1)), min_size=1, max_size=80,
+    ))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    xs, ys = (np.array(column, dtype=dtype) for column in zip(*pairs))
+    return xs, ys, n
+
+
+class TestPairCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists())
+    def test_equals_scipy_coo_to_csr(self, pairs):
+        xs, ys, n = pairs
+        counts = datadriven._pair_counts(xs, ys, n)
+        expected = scipy_pair_counts(xs, ys, n)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(counts, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_one_pair_and_benchmark_size(self):
+        counts = datadriven._pair_counts(np.array([3]), np.array([1]), 5)
+        assert counts.indptr.tolist() == [0, 0, 0, 0, 1, 1]
+        assert counts.indices.tolist() == [1] and counts.data.tolist() == [1.0]
+        s = tosca.transition_matrix(sparse_graph(8000, 20))
+        sample = tosca.sample_pairs(s, tosca.uniform_density(8000), 500_000, 3)
+        counts = datadriven._pair_counts(sample.xs, sample.ys, 8000)
+        expected = scipy_pair_counts(sample.xs, sample.ys, 8000)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(counts, name), getattr(expected, name))
 
 
 class TestMemory:

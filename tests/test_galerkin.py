@@ -6,10 +6,12 @@ import pytest
 import tosca
 from tosca.errors import (
     EmptySetError,
+    IndexOutOfRangeError,
     KOutOfRangeError,
     OverlappingSetsError,
     ParseError,
     SingularGramError,
+    ToscaError,
 )
 
 from conftest import example_block_matrix, random_directed_graph, three_cycles_graph
@@ -33,12 +35,46 @@ class TestIndicatorBasis:
         assert basis.phi_v.sum() == 400
 
     def test_overlap_rejected(self):
-        with pytest.raises(OverlappingSetsError):
+        with pytest.raises(OverlappingSetsError, match=r"^vertex 1 appears in two sets$"):
             tosca.indicator_basis(4, [[0, 1], [1, 2]])
 
     def test_empty_set_rejected(self):
-        with pytest.raises(EmptySetError):
+        with pytest.raises(EmptySetError, match=r"^set 1 is empty$"):
             tosca.indicator_basis(4, [[0], []])
+
+    @pytest.mark.parametrize("sets, error, message", [
+        ([[0, 1.5], [2.9]], ToscaError, "vertex 1.5 is not an integer"),
+        ([[0, np.nan]], ToscaError, "vertex nan is not an integer"),
+        ([np.array([2, -np.inf])], ToscaError, "vertex -inf is not an integer"),
+        ([[0, 4]], IndexOutOfRangeError, "vertex 4 outside [0, 4)"),
+        ([[-1]], IndexOutOfRangeError, "vertex -1 outside [0, 4)"),
+        ([[0, 1, 1]], OverlappingSetsError, "vertex 1 appears in two sets"),
+        ([[0, 2], [3, 2.0]], OverlappingSetsError, "vertex 2 appears in two sets"),
+        # the first offending vertex in set order decides
+        ([[5, 0.5]], IndexOutOfRangeError, "vertex 5 outside [0, 4)"),
+        ([[0.5, 5]], ToscaError, "vertex 0.5 is not an integer"),
+        ([[1], [1, 9]], OverlappingSetsError, "vertex 1 appears in two sets"),
+        ([[1], [9, 1]], IndexOutOfRangeError, "vertex 9 outside [0, 4)"),
+        ([[1], [2, 2, 7]], OverlappingSetsError, "vertex 2 appears in two sets"),
+        ([[0, 9], []], IndexOutOfRangeError, "vertex 9 outside [0, 4)"),
+        ([[0], [], [9]], EmptySetError, "set 1 is empty"),
+        ([[], [0.5]], EmptySetError, "set 0 is empty"),
+    ])
+    def test_first_offending_vertex_named(self, sets, error, message):
+        with pytest.raises(error) as caught:
+            tosca.indicator_basis(4, sets)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_non_integer_vertex_is_a_data_error(self):
+        with pytest.raises(ToscaError) as caught:
+            tosca.indicator_basis(4, [[0, 1.5]])
+        assert caught.value.exit_code == 3
+
+    def test_integer_valued_floats_name_vertices(self):
+        sets = [np.array([0.0, 2.0]), [np.int32(3)], range(1, 2)]
+        basis = tosca.indicator_basis(4, sets)
+        assert np.array_equal(basis.phi_v, tosca.indicator_basis(4, [[0, 2], [3], [1]]).phi_v)
 
     def test_partial_cover_allowed(self):
         basis = tosca.indicator_basis(5, [[0, 1], [3]])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -129,6 +131,23 @@ class TestTransitionMatrix:
         g = tosca.from_edge_list(2, [(0, 1, 1.0)])
         with pytest.raises(DanglingVertexError, match="self_loops"):
             tosca.transition_matrix(g)
+
+    def test_dangling_vertex_raises_on_every_call(self):
+        g = tosca.from_edge_list(3, [(0, 1, 1.0), (1, 0, 1.0)])
+        for _ in range(3):
+            with pytest.raises(DanglingVertexError) as caught:
+                tosca.transition_matrix(g)
+            assert caught.value.vertex == 2
+
+    def test_one_matrix_per_graph(self):
+        triples = [(0, 1, 1.0), (1, 0, 2.0), (1, 1, 1.0)]
+        g = tosca.from_edge_list(2, triples)
+        s = tosca.transition_matrix(g)
+        assert tosca.transition_matrix(g) is s
+        # an equal graph is another object with its own matrix, of equal entries
+        other = tosca.transition_matrix(tosca.from_edge_list(2, triples))
+        assert other is not s
+        assert np.array_equal(other.dense(), s.dense())
 
     def test_row_sums_one(self, rng):
         for _ in range(20):
@@ -731,6 +750,49 @@ def test_write_rows_equals_per_row_format(tmp_path_factory, rows, sep):
     assert path.read_text() == "# a\nh\n" + "".join(
         f"{i}{sep}{x:.17g}{sep}{y:.17g}\n" for i, x, y in rows
     )
+
+
+def per_field_write_rows(path, columns, sep=",", head=()):
+    """The string writer ``_write_rows`` replaced: one Python string per
+    field, joined per row."""
+    fields = []
+    for column in map(np.asarray, columns):
+        floats = column.dtype.kind == "f"
+        column = column.astype(np.float64 if floats else np.int64, copy=False)
+        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        text = map("{:.17g}".format if floats else str, keys.view(column.dtype).tolist())
+        fields.append(np.array(list(text), dtype=object)[inverse].tolist())
+    lines = [*head, *map(sep.join, zip(*fields))]
+    Path(path).write_text("\n".join(lines) + "\n" if lines else "")
+
+
+int_values = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(10**17) - 7, 10**17 + 3, -(2**63), 2**63 - 1, -1, 0]),
+)
+float_values = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 0.1 + 0.2]),
+)
+float32_values = st.one_of(st.floats(width=32), st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 1e-45]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 25), kinds=st.lists(st.sampled_from("ifF"), max_size=4),
+       head=st.lists(st.sampled_from(["# a", "h", "%%MatrixMarket matrix", "3 3 0"]), max_size=3),
+       sep=st.sampled_from([",", "\t", " "]))
+def test_write_rows_equals_per_field_writer(tmp_path_factory, data, rows, kinds, head, sep):
+    # int64 with negative and 18-digit values, float64 with -0.0, nan, +-inf
+    # and subnormals, float32; no rows, and head lines with no rows
+    columns = []
+    for kind in kinds:
+        strategy = {"i": int_values, "f": float_values, "F": float32_values}[kind]
+        values = data.draw(st.lists(strategy, min_size=rows, max_size=rows))
+        columns.append(np.array(values, dtype={"i": np.int64, "f": np.float64, "F": np.float32}[kind]))
+    folder = tmp_path_factory.mktemp("rows")
+    graph_module._write_rows(folder / "new.txt", columns, sep, head)
+    per_field_write_rows(folder / "old.txt", columns, sep, head)
+    assert (folder / "new.txt").read_bytes() == (folder / "old.txt").read_bytes()
 
 
 def test_writers_on_graph_without_edges(tmp_path):
