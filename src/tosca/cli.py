@@ -201,12 +201,10 @@ def _cmd_estimate(args) -> int:
     else:
         g = _prepare(args)
         mu = _resolve_mu(args.mu, g)
-        s = transition_matrix(g)
         walkers = _WALKERS if args.walkers is None else args.walkers
-        if args.mode == "trajectory":
-            sample = sample_trajectory(s, mu, walkers, args.seed)
-        else:
-            sample = sample_pairs(s, mu, walkers, args.seed)
+        sampler = sample_trajectory if args.mode == "trajectory" else sample_pairs
+        # S and its sampling tables are freed here, before the Grams
+        sample = sampler(transition_matrix(g), mu, walkers, args.seed)
         n = g.n
     sets = galerkin.read_partition(args.basis, n)
     if n is None:

@@ -134,12 +134,12 @@ def _choice(p: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _member_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Member sums of every cluster, shape (k, d), from one bincount over the
-    (cluster, column) bins of the C-ordered points: each bin adds its
-    cluster's members in row order."""
-    d = points.shape[1]
-    bins = (labels * d)[:, None] + np.arange(d)
-    return np.bincount(bins.ravel(), weights=points.ravel(), minlength=k * d).reshape(k, d)
+    """Member sums of every cluster, shape (k, d), from one sparse one-hot product."""
+    import scipy.sparse as sp
+
+    n = len(labels)
+    onehot = sp.csc_array((np.ones(n), labels, np.arange(n + 1)), shape=(k, n))
+    return onehot @ points
 
 
 def _lloyd(

@@ -17,15 +17,15 @@ the Galerkin projection of F; finite-sample estimates are biased upward.
 Sampling draws uniforms from numpy's PCG64 generator, so all draws are
 reproducible from the seed alone. Each step is an inverse-CDF lookup
 inside the walker's row of S, over cumulative row sums kept in the CSR
-layout of S: O(nnz) memory whatever the degrees. These tables are built
-on the first draw from an S and kept with it, and ``transition_matrix``
-returns one S per graph, so repeated samples of one chain build them
-once. Every draw is ``searchsorted(cum, u, side="right")`` with a
+layout of S: O(nnz) memory whatever the degrees. They are built on the
+first draw from an S and kept with it, so the samples of one chain
+share them. Every draw is ``searchsorted(cum, u, side="right")`` with a
 fallback to the last entry, found three ways with the same result: start
 vertices through a guide table over the density's cumsum, independent
 pairs by a branchless fixed-step search inside every walker's row at
-once, and a trajectory by ``bisect_right`` on per-vertex Python lists. The Grams are built from
-visit counts and the sparse pair-count matrix C, counted from one sort,
+once, and a trajectory by ``bisect_right`` within rows of flat Python lists.
+The Grams are built from visit counts and the sparse pair-count matrix
+C, counted from one sort,
 
     Gxx = Phi diag(visits of x) Phi^T / m,  Gxy = Phi C Phi^T / m,
 
@@ -200,8 +200,8 @@ def sample_pairs(
 ) -> WalkSample:
     """m independent walkers: start from mu, take one step of S.
 
-    The steps search S's cumulative rows, built on the first call on ``s``
-    and kept with it (see ``TransitionMatrix``).
+    The steps search S's cumulative rows, built on the first draw from
+    ``s`` and kept with it (see ``TransitionMatrix``).
     """
     _check_density_length(mu, s.n)
     rng = np.random.default_rng(seed)
@@ -215,11 +215,12 @@ def sample_trajectory(
 ) -> WalkSample:
     """One walk of m steps; consecutive positions form the (x, y) pairs.
 
-    Each vertex keeps its row's cums and its neighbours as Python lists,
-    the last neighbour repeated at the end, so a step is one
-    ``bisect_right`` (searchsorted's side="right") and one index, the
-    fallback at or above the row total included. The lists are built on
-    the first trajectory on ``s`` and kept with it (see ``TransitionMatrix``).
+    The walk searches two flat Python lists built from S's cumulative
+    rows (see ``TransitionMatrix``) on every call and freed when it
+    returns: vertex v's cums and neighbours sit at [lo[v], hi[v]), and its
+    last neighbour again at hi[v]. So a step is one ``bisect_right``
+    (searchsorted's side="right") within the row and one index, the
+    fallback at or above the row total included.
     """
     _check_density_length(start_density, s.n)
     rng = np.random.default_rng(seed)
@@ -227,7 +228,18 @@ def sample_trajectory(
         empty = np.empty(0, dtype=np.int64)
         return WalkSample(xs=empty, ys=empty, mode="single_trajectory", seed=seed, n=s.n)
     v = int(_draw_density(start_density.p, rng.random(1))[0])
-    cums, neighbours = s._walk_lists
+    rows = s._cumulative_rows
+    ends, shift = rows.indptr[1:], np.arange(s.n)
+    # One float object per distinct cum, shared by every slot that holds it:
+    # rows with equal probabilities (on an unweighted graph, all rows of one
+    # degree) share their cums, and the walk reads a few hundred floats
+    # instead of one per stored entry. The None at hi[v] is never searched.
+    values, inverse = np.unique(rows.cum, return_inverse=True)
+    cums = np.insert(np.array(values.tolist(), dtype=object)[inverse], ends, None).tolist()
+    # One int object per vertex, likewise.
+    vertices = np.arange(s.n).astype(object)
+    neighbours = vertices[np.insert(rows.indices, ends, rows.indices[ends - 1])].tolist()
+    lo, hi = (rows.indptr[:-1] + shift).tolist(), (ends + shift).tolist()
     walk = np.empty(m + 1, dtype=np.int64)
     walk[0] = v
     # The uniforms come in chunks, one stream as from rng.random(m), so no
@@ -235,7 +247,7 @@ def sample_trajectory(
     for start in range(1, m + 1, _WALK_CHUNK):
         us = rng.random(min(_WALK_CHUNK, m + 1 - start)).tolist()
         walk[start : start + len(us)] = [
-            v := neighbours[v][bisect_right(cums[v], u)] for u in us
+            v := neighbours[bisect_right(cums, u, lo[v], hi[v])] for u in us
         ]
     return WalkSample(
         xs=walk[:-1], ys=walk[1:], mode="single_trajectory", seed=seed, n=s.n

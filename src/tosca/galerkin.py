@@ -79,41 +79,25 @@ class ReducedOperator:
 def indicator_basis(n: int, sets: Sequence[Iterable[int]]) -> Basis:
     """0/1 indicator functions of disjoint vertex sets (need not cover).
 
-    Vertices are integer values: 2.0 is vertex 2. Each set is checked as
-    one array, and the first offending vertex in set order raises: one
-    that is not an integer value (ToscaError), one outside [0, n)
-    (IndexOutOfRangeError), or one named before (OverlappingSetsError). An
-    empty set raises EmptySetError.
+    Vertices are integer values: 2.0 is vertex 2, and 1.5, nan or inf
+    raise ToscaError. The first offending vertex in set order raises.
     """
     phi_v = np.zeros((len(sets), n))
-    taken = np.zeros(n + 1, dtype=bool)
+    seen: set[int] = set()
     for row, vertices in enumerate(sets):
-        values = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices))
-        if values.size == 0:
+        vertices = list(vertices)
+        if not vertices:
             raise EmptySetError(f"set {row} is empty")
-        if values.dtype.kind in "biu":
-            whole = np.ones(len(values), dtype=bool)
-        else:
-            values = values.astype(np.float64)
-            whole = np.isfinite(values) & (values == np.trunc(values))  # nan is no integer
-        inside = whole & (values >= 0) & (values < n)
-        index = np.where(inside, values, n).astype(np.int64)  # taken[n] stays False
-        # named before: in an earlier set, or earlier in this one
-        named = taken[index]
-        again = np.ones(len(index), dtype=bool)
-        again[np.unique(index, return_index=True)[1]] = False
-        named |= again
-        bad = ~inside | named
-        if bad.any():
-            first = int(np.argmax(bad))
-            v = values[first].item()
-            if not whole[first]:
+        for v in vertices:
+            if not isinstance(v, (int, np.integer)) and not float(v).is_integer():
                 raise ToscaError(f"vertex {v} is not an integer")
-            if not inside[first]:
-                raise IndexOutOfRangeError(f"vertex {int(v)} outside [0, {n})")
-            raise OverlappingSetsError(f"vertex {int(v)} appears in two sets")
-        phi_v[row, index] = 1.0
-        taken[index] = True
+            v = int(v)
+            if not 0 <= v < n:
+                raise IndexOutOfRangeError(f"vertex {v} outside [0, {n})")
+            if v in seen:
+                raise OverlappingSetsError(f"vertex {v} appears in two sets")
+            seen.add(v)
+            phi_v[row, v] = 1.0
     return Basis(phi_v=phi_v)
 
 

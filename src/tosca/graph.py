@@ -77,20 +77,6 @@ class Graph:
             (self.weight, (self.src, self.dst)), shape=(self.n, self.n)
         )
 
-    @cached_property
-    def _transition_matrix(self) -> TransitionMatrix:
-        """``transition_matrix(self)``, built on first use; a dangling vertex
-        raises on every use, since nothing is cached then."""
-        deg = degree_info(self)
-        zero = deg.out_degrees == 0.0
-        if zero.any():
-            raise DanglingVertexError(int(np.argmax(zero)))
-        import scipy.sparse as sp
-
-        data = self.weight / deg.out_degrees[self.src]
-        s = sp.csr_matrix((data, (self.src, self.dst)), shape=(self.n, self.n))
-        return TransitionMatrix(s=s)
-
     def edge_multiset(self) -> dict[tuple[int, int], float]:
         return {
             (int(s), int(d)): float(w)
@@ -125,14 +111,12 @@ class _CumulativeRows(NamedTuple):
 class TransitionMatrix:
     """Row-stochastic matrix of one-step walk probabilities.
 
-    The walk samplers' tables are built from ``s`` on first use and kept
-    for the life of this object: the CSR cumulative rows (``nnz`` floats
-    and ``n + 1`` int64 row starts; the columns are ``s``'s own) and, once
-    a trajectory is sampled, one Python list of cums and one of
-    neighbours per vertex. Beside the 2.0 MiB of ``s`` at n = 8000 with
-    168k stored entries, they hold 1.3 and 8.2 MiB; beside the 27 MiB of
-    ``s`` at n = 10^5 with 2.3M entries, 18 and 110 MiB. The lists take
-    about 3 s to build at n = 10^5. ``s`` is not to be changed in place.
+    The CSR cumulative rows that both walk samplers search are built from
+    ``s`` on the first draw and kept for the life of this object: ``nnz``
+    floats and ``n + 1`` int64 row starts, the columns being ``s``'s own.
+    Beside the 2.0 MiB of ``s`` at n = 8000 with 168k stored entries they
+    hold 1.3 MiB; beside the 27 MiB of ``s`` at n = 10^5 with 2.3M
+    entries, 18 MiB. ``s`` is not to be changed in place.
     """
 
     s: sp.csr_matrix
@@ -161,20 +145,6 @@ class TransitionMatrix:
             pos = starts[np.searchsorted(degree, j, side="right") :] + j
             cum[pos] += cum[pos - 1]
         return _CumulativeRows(indptr=indptr, indices=csr.indices, cum=cum)
-
-    @cached_property
-    def _walk_lists(self) -> tuple[list[list[float]], list[list[int]]]:
-        """Per vertex, its row's cums and its neighbours as Python lists, the
-        last neighbour repeated at the end."""
-        rows = self._cumulative_rows
-        bounds = list(zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist()))
-        cums = [rows.cum[a:b].tolist() for a, b in bounds]
-        # One int object per vertex, shared by every list that holds it.
-        columns = np.arange(self.n).astype(object)[rows.indices]
-        neighbours = [columns[a:b].tolist() for a, b in bounds]
-        for row in neighbours:
-            row.append(row[-1])
-        return cums, neighbours
 
 
 def _check_vertices(vertices: np.ndarray, n: int, what: str = "vertex index") -> None:
@@ -269,13 +239,16 @@ def degree_info(g: Graph) -> DegreeInfo:
 
 
 def transition_matrix(g: Graph) -> TransitionMatrix:
-    """Row-normalize the adjacency matrix to one-step walk probabilities.
+    """Row-normalize the adjacency matrix to one-step walk probabilities."""
+    deg = degree_info(g)
+    zero = deg.out_degrees == 0.0
+    if zero.any():
+        raise DanglingVertexError(int(np.argmax(zero)))
+    import scipy.sparse as sp
 
-    Returns the one TransitionMatrix of ``g``, built on the first call and
-    kept for the life of ``g``, with the sampling tables it builds in turn.
-    A vertex with out-degree 0 raises DanglingVertexError on every call.
-    """
-    return g._transition_matrix
+    data = g.weight / deg.out_degrees[g.src]
+    s = sp.csr_matrix((data, (g.src, g.dst)), shape=(g.n, g.n))
+    return TransitionMatrix(s=s)
 
 
 def lazy_chain(s: TransitionMatrix) -> TransitionMatrix:

@@ -509,22 +509,6 @@ class TestCentroidUpdate:
         assert runs[1][2][0] == 1.0
 
 
-class TestMemberSums:
-    def test_bitwise_equal_to_sparse_one_hot_product(self):
-        import scipy.sparse as sp
-
-        rng = np.random.default_rng(4)
-        for trial in range(20):
-            n, k, d = int(rng.integers(1, 400)), int(rng.integers(1, 12)), int(rng.integers(1, 9))
-            points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8, 8, size=(n, d))
-            points[rng.random((n, d)) < 0.1] = -0.0
-            labels = rng.integers(0, k, n)
-            onehot = sp.csc_array((np.ones(n), labels, np.arange(n + 1)), shape=(k, n))
-            sums = clustering._member_sums(points, labels, k)
-            assert sums.shape == (k, d)
-            assert np.array_equal((onehot @ points).view(np.int64), sums.view(np.int64))
-
-
 # k-means++ weights: zeros, and masses spread over 1e-18..1e3
 d2_weights = st.lists(
     st.one_of(st.just(0.0), st.floats(1e-18, 1e3), st.sampled_from([1e-18, 1.0, 1e3])),

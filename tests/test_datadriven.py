@@ -88,6 +88,17 @@ class _TopRng:
         return np.full(size, np.nextafter(1.0, 0.0))
 
 
+class _ListRng:
+    """Stands in for default_rng: hands out the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, size):
+        drawn, self.uniforms = self.uniforms[:size], self.uniforms[size:]
+        return np.array(drawn)
+
+
 def peak_mib(fn, *args):
     tracemalloc.start()
     try:
@@ -216,6 +227,25 @@ class TestDrawKernels:
         assert datadriven._draw_in_rows(rows, v, u).tolist() == expected
 
     @settings(max_examples=200, deadline=None)
+    @given(weighted_rows(), st.data())
+    def test_trajectory_matches_searchsorted(self, s, data):
+        rows = s._cumulative_rows
+        u = kernel_uniforms(data, rows.cum)
+        start = data.draw(st.integers(0, s.n - 1))
+        v, expected = start, []
+        for ux in u:
+            lo, hi = rows.indptr[v], rows.indptr[v + 1]
+            k = np.searchsorted(rows.cum[lo:hi], ux, side="right")
+            v = rows.indices[lo + min(k, hi - lo - 1)]
+            expected.append(v)
+        at_start = tosca.Density(np.eye(s.n)[start])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "default_rng", lambda seed=None: _ListRng([0.5, *u]))
+            walk = tosca.sample_trajectory(s, at_start, len(u))
+        assert walk.xs[0] == start
+        assert walk.ys.tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
     @given(densities(), st.data())
     def test_density_matches_searchsorted(self, p, data):
         support = np.flatnonzero(p)
@@ -239,8 +269,8 @@ class TestDrawKernels:
 
 
 class TestSamplingTables:
-    """One S builds its sampling tables once; the draws do not depend on
-    whether the tables were built before."""
+    """One S builds its cumulative rows once; the draws do not depend on
+    whether they were built before."""
 
     GRAPHS = {
         "five_vertex": lambda: five_vertex_setup()[0],
@@ -267,18 +297,19 @@ class TestSamplingTables:
         s = tosca.transition_matrix(hub_graph(50))
         mu = tosca.uniform_density(50)
         tosca.sample_trajectory(s, mu, 100, 0)
-        rows, lists = s._cumulative_rows, s._walk_lists
+        rows = s._cumulative_rows
         tosca.sample_pairs(s, mu, 100, 1)
         tosca.sample_trajectory(s, mu, 100, 2)
-        assert s._cumulative_rows is rows and s._walk_lists is lists
-        assert tosca.transition_matrix(hub_graph(50))._walk_lists is not lists
+        assert s._cumulative_rows is rows
+        assert tosca.transition_matrix(hub_graph(50))._cumulative_rows is not rows
 
     def test_tables_held_after_a_trajectory(self):
         # What S keeps after one trajectory at the benchmark size (167792
         # stored entries): the cumulative rows, nnz floats and n + 1 int64
-        # (1.34 MiB), and the per-vertex lists, 8 B list slots and a 24 B
-        # float object per cum, 8 B slots per neighbour and list headers
-        # per vertex (8.15 MiB): 9.5 MiB measured, bounded at 11 MiB.
+        # (1.34 MiB); 1.46 MiB measured, bounded at 2 MiB. The walk's own
+        # lists are freed when it returns: kept as per-vertex lists they
+        # held 8.15 MiB, and a second copy of the cums (1.28 MiB) would not
+        # fit either.
         s = tosca.transition_matrix(sparse_graph(8000, 20))
         tracemalloc.start()
         try:
@@ -286,7 +317,7 @@ class TestSamplingTables:
             held = tracemalloc.get_traced_memory()[0] / 2**20
         finally:
             tracemalloc.stop()
-        assert held < 11.0
+        assert held < 2.0
 
 
 def scipy_pair_counts(xs, ys, n):
@@ -351,8 +382,8 @@ class TestMemory:
     ], ids=["pairs", "trajectory"])
     def test_sampling_peak_at_benchmark_size(self, sampler, m, bound_mib):
         # Bounds just below the peaks of a plain bisection sampler here (32.8
-        # and 20.7 MiB); the guide table and per-vertex lists reach about 28.5
-        # and 15 MiB.
+        # and 20.7 MiB); the guide table and the trajectory's flat lists reach
+        # about 25 and 12.5 MiB.
         s = tosca.transition_matrix(sparse_graph(8000, 20))
         assert peak_mib(sampler, s, tosca.uniform_density(8000), m, 3) < bound_mib
 

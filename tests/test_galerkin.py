@@ -48,6 +48,7 @@ class TestIndicatorBasis:
         ([np.array([2, -np.inf])], ToscaError, "vertex -inf is not an integer"),
         ([[0, 4]], IndexOutOfRangeError, "vertex 4 outside [0, 4)"),
         ([[-1]], IndexOutOfRangeError, "vertex -1 outside [0, 4)"),
+        ([[2**1100]], IndexOutOfRangeError, f"vertex {2**1100} outside [0, 4)"),
         ([[0, 1, 1]], OverlappingSetsError, "vertex 1 appears in two sets"),
         ([[0, 2], [3, 2.0]], OverlappingSetsError, "vertex 2 appears in two sets"),
         # the first offending vertex in set order decides
