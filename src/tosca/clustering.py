@@ -133,12 +133,22 @@ def _choice(p: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _member_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Member sums of every cluster, shape (k, d), from one sparse one-hot product."""
+def _one_hot(n: int, k: int):
+    """A k x n sparse matrix with one stored 1 in each column, for ``_member_sums``."""
     import scipy.sparse as sp
 
-    n = len(labels)
-    onehot = sp.csc_array((np.ones(n), labels, np.arange(n + 1)), shape=(k, n))
+    return sp.csc_array((np.ones(n), np.zeros(n, dtype=np.intp), np.arange(n + 1)), shape=(k, n))
+
+
+def _member_sums(onehot, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Member sums of every cluster, shape (k, d), as the one-hot matrix of
+    ``labels`` times ``points``.
+
+    ``onehot`` comes from ``_one_hot``: every labelling has its structure,
+    one stored 1 per column, so only its row indices are written here.
+    Building the matrix anew each round cost more than the product.
+    """
+    onehot.indices[:] = labels
     return onehot @ points
 
 
@@ -160,6 +170,7 @@ def _lloyd(
     points = np.ascontiguousarray(points)
     centroids = np.array(start, dtype=np.float64)
     k = len(centroids)
+    onehot = _one_hot(len(points), k)
     history: list[float] = []
     labels, dist2 = _assign(points, centroids)
     for _ in range(max_iter):
@@ -173,7 +184,7 @@ def _lloyd(
                 labels[far] = j
                 dist2[far] = 0.0
         history.append(float(dist2.sum()))
-        sums = _member_sums(points, labels, k)
+        sums = _member_sums(onehot, points, labels)
         moved = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centroids)
         shift = np.abs(moved - centroids).max()
         centroids = moved

@@ -24,12 +24,17 @@ fallback to the last entry, found three ways with the same result: start
 vertices through a guide table over the density's cumsum, independent
 pairs by a branchless fixed-step search inside every walker's row at
 once, and a trajectory by ``bisect_right`` within rows of flat Python lists.
-The Grams are built from visit counts and the sparse pair-count matrix
-C, counted from one sort,
+The Grams are counted per basis class. With Phi = psi[:, c] for a
+vertex -> class map c, C the sparse matrix of class pair counts from one
+sort of the pairs, and v_x, v_y its row and column sums (the visits),
 
-    Gxx = Phi diag(visits of x) Phi^T / m,  Gxy = Phi C Phi^T / m,
+    Gxx = psi diag(v_x) psi^T / m,  Gxy = psi C psi^T / m.
 
-which for 0/1 indicator bases are the gathered sums above, bit for bit.
+For an indicator basis c maps each vertex to its set, or to one more
+class with a zero column when it is in none, so C is (r + 1) x (r + 1)
+and no r x n product is formed; the counts are exact integers, so these
+are the gathered sums above, bit for bit. Any other basis keeps one
+class per vertex: psi = Phi and C is n x n.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .errors import (
     LengthMismatchError,
     SingularGramError,
 )
-from .galerkin import Basis
+from .galerkin import Basis, _classes
 from .graph import (
     TransitionMatrix,
     _CumulativeRows,
@@ -75,6 +80,7 @@ __all__ = [
 ]
 
 _WALK_CHUNK = 1 << 16  # trajectory steps per block of uniforms
+_KEY_CHUNK = 1 << 16  # pairs per block of class gathers
 
 SampleMode = Literal["independent_pairs", "single_trajectory"]
 _SAMPLE_MODES = get_args(SampleMode)
@@ -254,49 +260,61 @@ def sample_trajectory(
     )
 
 
-def _pair_counts(xs: np.ndarray, ys: np.ndarray, n: int) -> sp.csr_matrix:
-    """The n x n matrix C[x, y] = #{i : (xs[i], ys[i]) = (x, y)} of m >= 1
-    pairs of vertices in [0, n).
+def _pair_counts(
+    xs: np.ndarray, ys: np.ndarray, classes: np.ndarray, k: int
+) -> sp.csr_matrix:
+    """The k x k matrix C[a, b] = #{i : classes[xs[i]] = a, classes[ys[i]] = b}
+    of m >= 1 pairs of vertices, for a vertex -> class map into [0, k).
 
-    From one sort of the int64 keys x n + y: the distinct keys, their run
-    lengths as float counts, and row starts from a bincount of their rows.
-    The same indptr, indices and data, dtypes included, as
-    ``csr_matrix((ones(m), (xs, ys)))``, without its per-row sorts.
+    From one sort of the int64 keys a k + b, formed in one buffer: the
+    distinct keys, their run lengths as float counts, and row starts from
+    a bincount of their rows. The same indptr, indices and data, dtypes
+    included, as ``csr_matrix((ones(m), (classes[xs], classes[ys])))``,
+    without its per-row sorts.
     """
     import scipy.sparse as sp
 
-    keys = xs.astype(np.int64)  # a copy: the key is formed and sorted in place
-    keys *= n
-    keys += ys
+    # The keys are formed and sorted in one m-long buffer: the classes of
+    # ys are gathered in blocks, not as a second m-long array.
+    keys = classes.take(xs)
+    keys *= k
+    for lo in range(0, len(keys), _KEY_CHUNK):
+        keys[lo : lo + _KEY_CHUNK] += classes.take(ys[lo : lo + _KEY_CHUNK])
     keys.sort()
     new = np.empty(len(keys), dtype=bool)  # where a run of equal keys starts
     new[0] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     starts = np.flatnonzero(new)
     counts = np.diff(starts, append=len(keys)).astype(np.float64)
-    rows, columns = np.divmod(keys[starts], n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((counts, columns, indptr), shape=(n, n))
+    rows, columns = np.divmod(keys[starts], k)
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
+    return sp.csr_matrix((counts, columns, indptr), shape=(k, k))
 
 
 def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
     """Empirical covariance matrices of the basis evaluated on the walk.
 
-    Built from visit counts and the sparse pair-count matrix C
-    (``_pair_counts``, one sort of the m pairs), so memory is O(m + r n):
-    Gxx = Phi diag(count x) Phi^T / m and Gxy = Phi C Phi^T / m.
+    Counted per basis class (``galerkin._classes``), from the class pair
+    counts C (``_pair_counts``, one sort of the m pairs) and its row and
+    column sums v_x, v_y, the visits: Gxx = psi diag(v_x) psi^T / m and
+    Gxy = psi C psi^T / m, as in the module docstring. An indicator basis
+    has r + 1 classes, any other basis one per vertex. Memory is O(m + r n).
     """
     if sample.m == 0:
         raise EmptySampleError("cannot estimate from an empty sample")
-    phi, n, m = basis.phi_v, basis.n, sample.m
+    n, m = basis.n, sample.m
     xs, ys = np.asarray(sample.xs), np.asarray(sample.ys)
     _check_vertices(xs, n, "walk vertex")
     _check_vertices(ys, n, "walk vertex")
+    classes, psi = _classes(basis)
+    k = psi.shape[1]
+    counts = _pair_counts(xs, ys, classes, k)
+    ones = np.ones(k)
     return EmpiricalGrams(
-        gxx=(phi * np.bincount(xs, minlength=n)) @ phi.T / m,
-        gyy=(phi * np.bincount(ys, minlength=n)) @ phi.T / m,
-        gxy=phi @ (_pair_counts(xs, ys, n) @ phi.T) / m,
+        gxx=(psi * (counts @ ones)) @ psi.T / m,
+        gyy=(psi * (counts.T @ ones)) @ psi.T / m,
+        gxy=psi @ (counts @ psi.T) / m,
         m=m,
     )
 
@@ -313,8 +331,8 @@ def estimated_operators(
     r = grams.gxx.shape[0]
     if ridge is None:
         ridge = 1e-10 * np.trace(grams.gxx) / r
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     eye = ridge * np.eye(r)
     try:
         k = np.linalg.solve(grams.gxx + eye, grams.gxy)

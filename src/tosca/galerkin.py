@@ -24,7 +24,7 @@ from .errors import (
     ToscaError,
     check_k,
 )
-from .graph import _read_rows, _vertex_fault, _write_rows
+from .graph import _non_integer, _not_an_integer, _read_rows, _vertex_fault, _write_rows
 from .operators import OperatorMatrix
 
 __all__ = [
@@ -76,28 +76,87 @@ class ReducedOperator:
     kind: str
 
 
+def _classes(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """A vertex -> class map ``classes`` and the class columns ``psi`` of a
+    basis, with ``phi_v == psi[:, classes]``.
+
+    In a basis of real 0s and 1s where each vertex has at most one 1
+    (every ``indicator_basis``), each vertex maps to its set, and the
+    vertices in no set to one more class, r, whose column is 0: psi is
+    [I_r | 0], r x (r + 1). Any other basis maps each vertex to itself,
+    psi = phi_v.
+    """
+    phi = basis.phi_v
+    r, n = phi.shape
+    if phi.dtype.kind in "biuf":
+        nonzero = phi != 0
+        # More than n nonzeros put two in some column: a dense basis is
+        # turned away before index arrays of its r n nonzeros are made.
+        if np.count_nonzero(nonzero) <= n:
+            # from flat positions: np.nonzero searches 2-D arrays far slower
+            sets, vertices = np.divmod(np.flatnonzero(nonzero), n)
+            classes = np.full(n, r)
+            classes[vertices] = sets  # a vertex in two sets keeps one of them
+            if (phi[sets, vertices] == 1).all() and np.array_equal(classes[vertices], sets):
+                return classes, np.eye(r, r + 1)
+    return np.arange(n), phi
+
+
+def _numbers(vertices: Iterable) -> tuple[Sequence, np.ndarray]:
+    """A set's vertices as given, and as a 1-D numeric array the checks read.
+
+    Numbers numpy will not hold in one such array go one by one: integers
+    as they are, or -1 when beyond int64 (outside every vertex range),
+    anything else as ``float`` reads it.
+    """
+    if not (isinstance(vertices, np.ndarray) and vertices.ndim == 1):
+        vertices = list(vertices)
+    try:
+        values = np.asarray(vertices)
+    except ValueError:  # sequences of unequal lengths
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "biuf":
+        values = np.array([
+            (v if -(2**63) <= v < 2**63 else -1) if isinstance(v, (int, np.integer)) else float(v)
+            for v in vertices
+        ])
+    return vertices, values
+
+
 def indicator_basis(n: int, sets: Sequence[Iterable[int]]) -> Basis:
     """0/1 indicator functions of disjoint vertex sets (need not cover).
 
     Vertices are integer values: 2.0 is vertex 2, and 1.5, nan or inf
-    raise ToscaError. The first offending vertex in set order raises.
+    raise ToscaError. The first offending vertex in set order raises, an
+    empty set in its place among them. The checks run on all vertices at
+    once, and phi_v is set from the (set, vertex) pairs in one step.
     """
     phi_v = np.zeros((len(sets), n))
-    seen: set[int] = set()
-    for row, vertices in enumerate(sets):
-        vertices = list(vertices)
-        if not vertices:
-            raise EmptySetError(f"set {row} is empty")
-        for v in vertices:
-            if not isinstance(v, (int, np.integer)) and not float(v).is_integer():
-                raise ToscaError(f"vertex {v} is not an integer")
-            v = int(v)
-            if not 0 <= v < n:
-                raise IndexOutOfRangeError(f"vertex {v} outside [0, {n})")
-            if v in seen:
-                raise OverlappingSetsError(f"vertex {v} appears in two sets")
-            seen.add(v)
-            phi_v[row, v] = 1.0
+    members = [_numbers(vertices) for vertices in sets]
+    sizes = [len(values) for _, values in members]
+    starts = np.cumsum([0, *sizes])
+    values = np.concatenate([values for _, values in members] or [np.empty(0)])
+    not_integer = _non_integer(values)
+    outside = ~not_integer & ((values < 0) | (values >= n))
+    bad = not_integer | outside
+    inside = np.flatnonzero(~bad)
+    vertex = values[inside].astype(np.int64)
+    repeated = np.ones(len(vertex), dtype=bool)
+    repeated[np.unique(vertex, return_index=True)[1]] = False
+    bad[inside[repeated]] = True
+    first = int(np.argmax(bad)) if bad.any() else len(values)
+    empty = [row for row, size in enumerate(sizes) if size == 0 and starts[row] <= first]
+    if empty:
+        raise EmptySetError(f"set {empty[0]} is empty")
+    if first < len(values):
+        row = int(np.searchsorted(starts, first, side="right")) - 1
+        v = members[row][0][first - starts[row]]
+        if not_integer[first]:
+            raise _not_an_integer(v)
+        if outside[first]:
+            raise IndexOutOfRangeError(f"vertex {int(v)} outside [0, {n})")
+        raise OverlappingSetsError(f"vertex {int(v)} appears in two sets")
+    phi_v[np.repeat(np.arange(len(sets)), sizes), vertex] = 1.0
     return Basis(phi_v=phi_v)
 
 

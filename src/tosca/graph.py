@@ -22,6 +22,7 @@ from .errors import (
     LengthMismatchError,
     NonPositiveWeightError,
     ParseError,
+    ToscaError,
 )
 
 # scipy is imported where it is used, so that processes which only
@@ -154,6 +155,18 @@ def _check_vertices(vertices: np.ndarray, n: int, what: str = "vertex index") ->
         raise IndexOutOfRangeError(f"{what} {bad} outside [0, {n})")
 
 
+def _non_integer(values: np.ndarray) -> np.ndarray:
+    """Where a vertex value is no integer: a fraction, nan or +-inf (2.0 is vertex 2).
+
+    ``values`` is a numeric array; integer and boolean values always pass.
+    """
+    return ~np.isfinite(values) | (np.floor(values) != values)
+
+
+def _not_an_integer(vertex) -> ToscaError:
+    return ToscaError(f"vertex {vertex} is not an integer")
+
+
 def _validate_triples(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
     _check_vertices(src, n)
     _check_vertices(dst, n)
@@ -193,8 +206,14 @@ def from_edge_list(
 
     Duplicate pairs are summed. For undirected graphs each edge is
     materialized in both directions with identical accumulated weight.
+    Vertices are integer values: 2.0 is vertex 2, and the first of 0.5,
+    nan or inf in row order, src before dst, raises ToscaError.
     """
     arr = np.asarray(list(triples), dtype=np.float64).reshape(-1, 3)
+    ends = arr[:, :2].ravel()  # src0, dst0, src1, ...
+    bad = _non_integer(ends)
+    if bad.any():
+        raise _not_an_integer(ends[np.argmax(bad)])
     src, dst = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
     return _from_arrays(n, src, dst, arr[:, 2], directed)
 

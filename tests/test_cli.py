@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -512,6 +513,46 @@ class TestEstimate:
         ])
         assert code == 3
         assert "line 1" in capsys.readouterr().err
+
+    def test_output_bytes_pinned(self, tmp_path, cycles_tsv):
+        # Digests of the outputs when the Grams were counted per vertex;
+        # counting per basis class gives the same bytes. Vertex 11 is in no set.
+        partition = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([range(0, 4), range(4, 8), range(8, 11)], partition)
+        out = tmp_path / "out"
+        out.mkdir()
+        graph = [cycles_tsv, "--self-loops", "1.0", "--walkers", "20000"]
+        runs = {
+            "pairs": [*graph, "--seed", "3", "--save-walks", str(out / "pairs.csv")],
+            "trajectory": [*graph, "--mode", "trajectory", "--seed", "4",
+                           "--save-walks", str(out / "trajectory.csv")],
+            "walks": ["--walks", str(out / "trajectory.csv"), "--ridge", "1e-3"],
+        }
+        for name, args in runs.items():
+            argv = ["estimate", *args, "--basis", str(partition), "-o", str(out / f"{name}.json")]
+            assert main(argv) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())
+        }
+        assert digests == {
+            "pairs.csv": "1a00d4f475b6119d5ce8630429f6ede19906a4511207c049c81002dc1161a804",
+            "pairs.json": "1ea87704974954c964a973fa5dcb727391d66f151020a747d5be47daac2a45c9",
+            "trajectory.csv": "56a6f5cff4254d335904c496c93f8e73148ebcf3acdd5977a5d0612af0bfdedb",
+            "trajectory.json": "3eb306780a31483d6108fab00a0a4edec2b4c86c157d80c4e4d39614da0ff9ce",
+            "walks.json": "1affe0f0e586869889997b5766030993fc1ed85ec9f7dcb63d09422297c196b1",
+        }
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
+    def test_bad_ridge_usage_error(self, tmp_path, cycles_tsv, capsys, ridge):
+        partition = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([range(0, 6), range(6, 12)], partition)
+        assert main([
+            "estimate", cycles_tsv, "--self-loops", "1.0", "--walkers", "100",
+            "--basis", str(partition), "--ridge", ridge, "-o", str(tmp_path / "est.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"tosca estimate: error: ridge must be a finite number >= 0, got {float(ridge)}\n"
 
     def test_negative_walk_vertex_data_error(self, tmp_path, capsys):
         partition = tmp_path / "partition.csv"

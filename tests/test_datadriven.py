@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tosca
-from tosca import datadriven
+from tosca import datadriven, galerkin
 from tosca.errors import (
     EmptySampleError,
     IndexOutOfRangeError,
@@ -342,26 +342,34 @@ def pair_lists(draw):
 
 class TestPairCounts:
     @settings(max_examples=200, deadline=None)
-    @given(pair_lists())
-    def test_equals_scipy_coo_to_csr(self, pairs):
+    @given(pair_lists(), st.data())
+    def test_equals_scipy_coo_to_csr(self, pairs, data):
         xs, ys, n = pairs
-        counts = datadriven._pair_counts(xs, ys, n)
-        expected = scipy_pair_counts(xs, ys, n)
+        # each vertex its own class, or a map of vertices into fewer classes
+        classes = data.draw(st.one_of(
+            st.just(np.arange(n)),
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(np.array),
+        ))
+        k = int(classes.max()) + 1 + data.draw(st.integers(0, 2))  # unused classes too
+        counts = datadriven._pair_counts(xs, ys, classes, k)
+        expected = scipy_pair_counts(classes[xs], classes[ys], k)
         for name in ("indptr", "indices", "data"):
             got, want = getattr(counts, name), getattr(expected, name)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
     def test_one_pair_and_benchmark_size(self):
-        counts = datadriven._pair_counts(np.array([3]), np.array([1]), 5)
+        counts = datadriven._pair_counts(np.array([3]), np.array([1]), np.arange(5), 5)
         assert counts.indptr.tolist() == [0, 0, 0, 0, 1, 1]
         assert counts.indices.tolist() == [1] and counts.data.tolist() == [1.0]
         s = tosca.transition_matrix(sparse_graph(8000, 20))
         sample = tosca.sample_pairs(s, tosca.uniform_density(8000), 500_000, 3)
-        counts = datadriven._pair_counts(sample.xs, sample.ys, 8000)
-        expected = scipy_pair_counts(sample.xs, sample.ys, 8000)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(counts, name), getattr(expected, name))
+        # one class per vertex, and 64 blocks of 125: keys formed across chunks
+        for classes, k in ((np.arange(8000), 8000), (np.arange(8000) // 125, 64)):
+            counts = datadriven._pair_counts(sample.xs, sample.ys, classes, k)
+            expected = scipy_pair_counts(classes[sample.xs], classes[sample.ys], k)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(counts, name), getattr(expected, name))
 
 
 class TestMemory:
@@ -393,6 +401,15 @@ class TestMemory:
         sets = [range(100 * j, 100 * (j + 1)) for j in range(50)]
         basis = tosca.indicator_basis(5000, sets)
         assert peak_mib(tosca.empirical_grams, sample, basis) < self.BOUND_MIB
+
+    def test_grams_peak_at_benchmark_size(self):
+        # Counting per vertex peaked at 10.5 MiB here; per class the int64
+        # keys, formed in one buffer, set a peak of about 4.5 MiB. Two more
+        # m-long int64 gathers of the classes would take it past the bound.
+        s = tosca.transition_matrix(sparse_graph(8000, 20))
+        sample = tosca.sample_pairs(s, tosca.uniform_density(8000), 500_000, seed=3)
+        basis = tosca.indicator_basis(8000, np.arange(8000).reshape(64, 125))
+        assert peak_mib(tosca.empirical_grams, sample, basis) < 10.5
 
 
 class TestSamplePairs:
@@ -542,6 +559,91 @@ def gather_grams(sample, basis):
     )
 
 
+def vertex_grams(sample, basis):
+    """The Grams counted per vertex, with visit bincounts and the n x n pair
+    counts: the computation before counting per basis class."""
+    phi, n, m = basis.phi_v, basis.n, sample.m
+    xs, ys = np.asarray(sample.xs), np.asarray(sample.ys)
+    return tosca.EmpiricalGrams(
+        gxx=(phi * np.bincount(xs, minlength=n)) @ phi.T / m,
+        gyy=(phi * np.bincount(ys, minlength=n)) @ phi.T / m,
+        gxy=phi @ (scipy_pair_counts(xs, ys, n) @ phi.T) / m,
+        m=m,
+    )
+
+
+def assert_same_grams(got, want):
+    for name in ("gxx", "gyy", "gxy"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def walks_on(draw, n):
+    """m >= 1 pairs of vertices in [0, n)."""
+    m = draw(st.integers(1, 60))
+    xs, ys = (draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)) for _ in range(2))
+    return tosca.WalkSample(xs=np.array(xs), ys=np.array(ys), mode="independent_pairs", seed=0)
+
+
+@st.composite
+def set_lists(draw, n):
+    """0..n disjoint nonempty sets of shuffled vertices, not always covering [0, n)."""
+    order = draw(st.permutations(range(n)))
+    covered = draw(st.integers(0, n))
+    if covered == 0:
+        return []
+    r = draw(st.integers(1, covered))
+    cuts = []
+    if r > 1:
+        cuts = sorted(draw(st.sets(st.integers(1, covered - 1), min_size=r - 1, max_size=r - 1)))
+    return [order[a:b] for a, b in zip([0, *cuts], [*cuts, covered])]
+
+
+class TestGramsByClass:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(set_lists(n), walks_on(n), st.just(n))))
+    def test_indicator_basis_equals_gather(self, case):
+        sets, sample, n = case
+        basis = tosca.indicator_basis(n, sets)
+        classes, psi = galerkin._classes(basis)
+        assert psi.shape == (len(sets), len(sets) + 1)  # the sets and the uncovered vertices
+        assert np.array_equal(psi[:, classes], basis.phi_v)
+        grams = tosca.empirical_grams(sample, basis)
+        assert_same_grams(grams, gather_grams(sample, basis))
+        assert_same_grams(grams, vertex_grams(sample, basis))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(walks_on(n), st.just(n))),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_dense_basis_equals_per_vertex_counting(self, case, r, seed):
+        sample, n = case
+        phi = np.random.default_rng(seed).standard_normal((r, n))
+        basis = tosca.Basis(phi_v=phi)
+        classes, psi = galerkin._classes(basis)
+        assert np.array_equal(classes, np.arange(n)) and psi is phi
+        assert_same_grams(tosca.empirical_grams(sample, basis), vertex_grams(sample, basis))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 30).flatmap(lambda n: st.tuples(set_lists(n), walks_on(n), st.just(n))),
+           st.data())
+    def test_near_indicator_basis_counts_per_vertex(self, case, data):
+        sets, sample, n = case
+        assume(sets)
+        phi = tosca.indicator_basis(n, sets).phi_v
+        row, column = data.draw(st.tuples(st.integers(0, len(sets) - 1), st.integers(0, n - 1)))
+        if len(sets) > 1 and data.draw(st.booleans()):
+            phi[:, column] = 0.0
+            phi[[row, (row + 1) % len(sets)], column] = 1.0  # a vertex in two sets
+        else:
+            phi[row, column] = 2.0
+        basis = tosca.Basis(phi_v=phi)
+        classes, psi = galerkin._classes(basis)
+        assert np.array_equal(classes, np.arange(n)) and psi is phi
+        assert_same_grams(tosca.empirical_grams(sample, basis), vertex_grams(sample, basis))
+
+
 def exact_grams(s, mu, basis):
     """Infinite-data limits computed from the matrices themselves."""
     nu = tosca.image_density(s, mu)
@@ -599,6 +701,15 @@ class TestEstimatedOperators:
             est = tosca.estimated_operators(tosca.empirical_grams(sample, basis))
             vals = np.linalg.eigvals(est.f).real
             assert vals.min() > -0.05 and vals.max() < 1.05
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+    def test_ridge_must_be_finite_and_nonnegative(self, ridge):
+        _, s, mu = five_vertex_setup()
+        basis = tosca.indicator_basis(5, [[0, 1], [2, 3, 4]])
+        grams = tosca.empirical_grams(tosca.sample_pairs(s, mu, 500, seed=7), basis)
+        with pytest.raises(ValueError) as caught:
+            tosca.estimated_operators(grams, ridge)
+        assert str(caught.value) == f"ridge must be a finite number >= 0, got {ridge}"
 
     def test_grams_deterministic_bitwise(self):
         _, s, mu = five_vertex_setup()

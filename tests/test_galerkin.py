@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tosca
 from tosca.errors import (
@@ -20,6 +21,48 @@ from conftest import example_block_matrix, random_directed_graph, three_cycles_g
 def fb_operator(g, mu=None):
     mu = mu or tosca.uniform_density(g.n)
     return tosca.forward_backward(tosca.transition_matrix(g), mu)
+
+
+def loop_indicator_basis(n, sets):
+    """indicator_basis as a loop over the vertices, checking each in set order."""
+    phi_v = np.zeros((len(sets), n))
+    seen = set()
+    for row, vertices in enumerate(sets):
+        vertices = list(vertices)
+        if not vertices:
+            raise EmptySetError(f"set {row} is empty")
+        for v in vertices:
+            if not isinstance(v, (int, np.integer)) and not float(v).is_integer():
+                raise ToscaError(f"vertex {v} is not an integer")
+            v = int(v)
+            if not 0 <= v < n:
+                raise IndexOutOfRangeError(f"vertex {v} outside [0, {n})")
+            if v in seen:
+                raise OverlappingSetsError(f"vertex {v} appears in two sets")
+            seen.add(v)
+            phi_v[row, v] = 1.0
+    return phi_v
+
+
+def vertex_values(n):
+    """Vertices as Python ints, numpy ints and integral floats, mostly in range,
+    among fractions, nan, +-inf and ints beyond int64 and float."""
+    inside = st.integers(0, n - 1) if n else st.nothing()
+    integral = st.one_of(inside, inside, inside, inside, st.integers(-2, n + 2))
+    return st.one_of(
+        integral, integral.map(np.int64), integral.map(np.int32), integral.map(float),
+        integral.map(np.float64), st.integers(0, n + 2).map(np.uint8),
+        st.sampled_from([1.5, -0.5, np.float32(2.5), np.nan, np.inf, -np.inf, 2**63, 2**70, 2**1100]),
+    )
+
+
+def vertex_sets(n):
+    """A set as a list, or as the numpy array numpy makes of a list without
+    ints beyond int64."""
+    nonempty = st.lists(vertex_values(n), min_size=1, max_size=4)
+    lists = st.one_of(nonempty, nonempty, nonempty, st.just([]))
+    fits = lists.filter(lambda vs: not any(isinstance(v, int) and abs(v) >= 2**63 for v in vs))
+    return st.one_of(lists, fits.map(np.array))
 
 
 class TestIndicatorBasis:
@@ -76,6 +119,23 @@ class TestIndicatorBasis:
         sets = [np.array([0.0, 2.0]), [np.int32(3)], range(1, 2)]
         basis = tosca.indicator_basis(4, sets)
         assert np.array_equal(basis.phi_v, tosca.indicator_basis(4, [[0, 2], [3], [1]]).phi_v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(vertex_sets(n), max_size=4))
+    ))
+    def test_equals_per_vertex_loop(self, case):
+        n, sets = case
+        try:
+            expected = loop_indicator_basis(n, sets)
+        except ToscaError as error:
+            with pytest.raises(ToscaError) as caught:
+                tosca.indicator_basis(n, sets)
+            assert type(caught.value) is type(error)
+            assert str(caught.value) == str(error)
+        else:
+            phi_v = tosca.indicator_basis(n, sets).phi_v
+            assert phi_v.dtype == expected.dtype and np.array_equal(phi_v, expected)
 
     def test_partial_cover_allowed(self):
         basis = tosca.indicator_basis(5, [[0, 1], [3]])

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,30 @@ class TestFromEdgeList:
     def test_undirected_self_loop_not_doubled(self):
         g = tosca.from_edge_list(2, [(0, 0, 1.5)], directed=False)
         assert g.edge_multiset() == {(0, 0): 1.5}
+
+    @pytest.mark.parametrize("triples, message", [
+        ([(0.5, 1, 2.0)], "vertex 0.5 is not an integer"),
+        ([(1.9, 2, 1.0)], "vertex 1.9 is not an integer"),
+        ([(0, 1, 1.0), (np.nan, 1, 1.0)], "vertex nan is not an integer"),
+        ([(1, np.inf, 1.0)], "vertex inf is not an integer"),
+        ([(-np.inf, 1, 1.0)], "vertex -inf is not an integer"),
+        # the first in row order, src before dst, and before any range fault
+        ([(0, 1, 1.0), (1, 2.5, 1.0), (0.5, 1, 1.0)], "vertex 2.5 is not an integer"),
+        ([(0.25, 1.5, 1.0)], "vertex 0.25 is not an integer"),
+        ([(7, 1, 1.0), (0, 0.5, 1.0)], "vertex 0.5 is not an integer"),
+    ])
+    def test_non_integer_vertex_rejected(self, triples, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast of nan or inf to int64
+            with pytest.raises(ToscaError) as caught:
+                tosca.from_edge_list(3, triples)
+        assert type(caught.value) is ToscaError
+        assert caught.value.exit_code == 3
+        assert str(caught.value) == message
+
+    def test_integer_valued_floats_name_vertices(self):
+        g = tosca.from_edge_list(3, [(2.0, 1, 1.0), (0, np.float64(2.0), 1.0)])
+        assert g.edge_multiset() == {(2, 1): 1.0, (0, 2): 1.0}
 
 
 class TestArrayBuilder:
