@@ -24,6 +24,8 @@ fallback to the last entry, found three ways with the same result: start
 vertices through a guide table over the density's cumsum, independent
 pairs by a branchless fixed-step search inside every walker's row at
 once, and a trajectory by ``bisect_right`` within rows of flat Python lists.
+Pairs and trajectories take their uniforms in blocks of ``_WALK_CHUNK``
+from the seed's one stream, so no m-long array of uniforms is held.
 The Grams are counted per basis class. With Phi = psi[:, c] for a
 vertex -> class map c, C the sparse matrix of class pair counts from one
 sort of the pairs, and v_x, v_y its row and column sums (the visits),
@@ -79,7 +81,7 @@ __all__ = [
     "read_walks",
 ]
 
-_WALK_CHUNK = 1 << 16  # trajectory steps per block of uniforms
+_WALK_CHUNK = 1 << 16  # walk draws per block of uniforms
 _KEY_CHUNK = 1 << 16  # pairs per block of class gathers
 
 SampleMode = Literal["independent_pairs", "single_trajectory"]
@@ -160,18 +162,27 @@ def _bucket(x: np.ndarray, size: int) -> np.ndarray:
     return np.minimum(b, size - 1, out=b)
 
 
-def _draw_density(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws from a probability vector, onto its support only.
+class _GuideTable(NamedTuple):
+    """Inverse-CDF tables of a probability vector, for ``_draw_density``.
 
-    Draw i is ``support[searchsorted(cum, u[i], side="right")]``, with cum
-    the cumsum of the support's masses; a draw at or above the floating
-    total takes the last support vertex. A guide table (Chen & Asau, 1974)
-    of L = len(cum) buckets narrows each search: ``_bucket`` is monotone,
-    so every cum in a lower bucket than u[i] is below u[i] and every cum in
-    a higher one is above it. The answer is then within u[i]'s bucket's run
-    of cums or the first cum after it, and only that run is searched, by
-    ``_first_above``. A skewed density may put many cums into one bucket;
-    the search stays logarithmic in the largest run.
+    ``cum`` is the cumsum of the masses of the ``support``; bucket b of the
+    guide table (Chen & Asau, 1974) has its run of cums at ``first[b]``
+    through ``last[b]``, at most ``width`` long.
+    """
+
+    support: np.ndarray
+    cum: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    width: int
+
+
+def _guide_table(p: np.ndarray) -> _GuideTable:
+    """The guide table of L = len(cum) buckets over the support of p.
+
+    ``_bucket`` is monotone, so every cum in a lower bucket than a uniform
+    u is below u and every cum in a higher one is above it: the draw is
+    within u's bucket's run of cums or the first cum after it.
     """
     support = np.flatnonzero(p)
     cum = np.cumsum(p[support])
@@ -181,24 +192,43 @@ def _draw_density(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     first = np.searchsorted(_bucket(cum, size), np.arange(size + 1))
     last = np.minimum(first[1:], size - 1)
     width = int((last - first[:-1]).max()) + 1
-    b = _bucket(u, size)
-    k = _first_above(cum, first.take(b), last.take(b), u, width)
-    return support.take(k)
+    return _GuideTable(support, cum, first[:-1], last, width)
 
 
-def _draw_in_rows(rows: _CumulativeRows, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _draw_density(table: _GuideTable, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from a probability vector, onto its support only.
+
+    Draw i is ``support[searchsorted(cum, u[i], side="right")]``; a draw at
+    or above the floating total takes the last support vertex. Only u[i]'s
+    bucket's run of cums is searched, by ``_first_above``. A skewed density
+    may put many cums into one bucket; the search stays logarithmic in the
+    largest run.
+    """
+    b = _bucket(u, len(table.cum))
+    k = _first_above(table.cum, table.first.take(b), table.last.take(b), u, table.width)
+    return table.support.take(k)
+
+
+def _row_width(rows: _CumulativeRows) -> int:
+    """The largest count of stored entries in a row: ``_draw_in_rows``'s width."""
+    return int(np.diff(rows.indptr).max())
+
+
+def _draw_in_rows(
+    rows: _CumulativeRows, v: np.ndarray, u: np.ndarray, width: int
+) -> np.ndarray:
     """One walk step for every walker: ys[i] is drawn from row v[i] with u[i].
 
     ys[i] is the column of ``searchsorted(cum[lo:hi], u[i], side="right")``
     inside row v[i]'s stored entries ``lo:hi``, falling back to the row's
     last stored neighbour at or above its total: ``_first_above`` on every
-    walker's row at once, in as many fixed steps as the largest degree needs.
+    walker's row at once, in as many fixed steps as the largest degree,
+    ``width = _row_width(rows)``, needs.
     """
-    width = int(np.diff(rows.indptr).max())
     last = rows.indptr[1:].take(v)
     last -= 1
     k = _first_above(rows.cum, rows.indptr.take(v), last, u, width)
-    return rows.indices.take(k).astype(np.int64)
+    return rows.indices.take(k)
 
 
 def sample_pairs(
@@ -206,13 +236,24 @@ def sample_pairs(
 ) -> WalkSample:
     """m independent walkers: start from mu, take one step of S.
 
-    The steps search S's cumulative rows, built on the first draw from
-    ``s`` and kept with it (see ``TransitionMatrix``).
+    The m starts, then the m steps, take their uniforms in blocks of
+    ``_WALK_CHUNK`` from one stream, the same uniforms in the same order
+    as ``rng.random(m)`` twice; each block is drawn into the two int64
+    outputs, so no other m-long array is held. The guide table of mu and
+    the row width are built once per call. The steps search S's
+    cumulative rows, built on the first draw from ``s`` and kept with it
+    (see ``TransitionMatrix``).
     """
     _check_density_length(mu, s.n)
     rng = np.random.default_rng(seed)
-    xs = _draw_density(mu.p, rng.random(m))
-    ys = _draw_in_rows(s._cumulative_rows, xs, rng.random(m))
+    table, rows = _guide_table(mu.p), s._cumulative_rows
+    width = _row_width(rows)
+    xs, ys = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    blocks = [slice(lo, min(lo + _WALK_CHUNK, m)) for lo in range(0, m, _WALK_CHUNK)]
+    for block in blocks:
+        xs[block] = _draw_density(table, rng.random(block.stop - block.start))
+    for block in blocks:
+        ys[block] = _draw_in_rows(rows, xs[block], rng.random(block.stop - block.start), width)
     return WalkSample(xs=xs, ys=ys, mode="independent_pairs", seed=seed, n=s.n)
 
 
@@ -233,7 +274,7 @@ def sample_trajectory(
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return WalkSample(xs=empty, ys=empty, mode="single_trajectory", seed=seed, n=s.n)
-    v = int(_draw_density(start_density.p, rng.random(1))[0])
+    v = int(_draw_density(_guide_table(start_density.p), rng.random(1))[0])
     rows = s._cumulative_rows
     ends, shift = rows.indptr[1:], np.arange(s.n)
     # One float object per distinct cum, shared by every slot that holds it:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,9 +149,15 @@ class TransitionMatrix:
 
 
 def _check_vertices(vertices: np.ndarray, n: int, what: str = "vertex index") -> None:
-    """Raise IndexOutOfRangeError naming the first of ``vertices`` outside [0, n)."""
+    """Raise IndexOutOfRangeError naming the first of ``vertices`` outside [0, n).
+
+    Integer-valued float vertices are named as integers below 2^53 in size
+    (5.0 as 5) and as floats beyond (1e+300).
+    """
     if len(vertices) and not 0 <= vertices.min() <= vertices.max() < n:
         bad = vertices[(vertices < 0) | (vertices >= n)][0]
+        if -(2**53) < bad < 2**53:
+            bad = int(bad)
         raise IndexOutOfRangeError(f"{what} {bad} outside [0, {n})")
 
 
@@ -197,6 +203,32 @@ def _aggregate(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int):
     return uniq // n, uniq % n, summed
 
 
+# One edge row as a numpy record: the (m,) array of records is the
+# (m, 3) float64 array of the rows.
+_TRIPLE = np.dtype([("src", np.float64), ("dst", np.float64), ("weight", np.float64)])
+
+
+def _three_values(rows: Iterable, rejected: list[int]) -> Iterator[tuple]:
+    """Each row as a tuple, up to the first row that is not three values.
+
+    That row ends the rows, and its length goes to ``rejected``; a row that
+    is not a sequence counts as one value, and so does a string, which
+    "012" would otherwise make (0, 1, 2.0). No reference to a row is kept
+    past its ``yield``, so a ``zip`` of columns refills one tuple for every
+    row instead of allocating m of them (the tuple of a tuple is itself).
+    """
+    for row in rows:
+        try:
+            values = (row,) if isinstance(row, (str, bytes)) else tuple(row)
+        except TypeError:
+            values = (row,)
+        if len(values) != 3:
+            rejected.append(len(values))
+            return
+        yield values
+        del row, values
+
+
 def from_edge_list(
     n: int,
     triples: Iterable[tuple[int, int, float]],
@@ -204,27 +236,44 @@ def from_edge_list(
 ) -> Graph:
     """Build a graph from (src, dst, weight) triples.
 
-    Duplicate pairs are summed. For undirected graphs each edge is
-    materialized in both directions with identical accumulated weight.
-    Vertices are integer values: 2.0 is vertex 2, and the first of 0.5,
-    nan or inf in row order, src before dst, raises ToscaError.
+    The rows may come as tuples, lists, numpy rows or scalars, from a
+    list, a generator, a ``zip`` or a 2-D array; they are read in one pass
+    into an (m, 3) float64 array, holding no list of rows. Duplicate pairs
+    are summed. For undirected graphs each edge is materialized in both
+    directions with identical accumulated weight. Errors, in this order:
+
+    - a row that is not three values raises ToscaError naming its index
+      and length;
+    - vertices are integer values: 2.0 is vertex 2, and the first of 0.5,
+      nan or inf in row order, src before dst, raises ToscaError;
+    - a negative ``n``, or a vertex outside [0, n) (named as given, 1e+300
+      too), raises IndexOutOfRangeError; all src are checked before dst;
+    - a weight that is not positive and finite raises NonPositiveWeightError.
     """
-    arr = np.asarray(list(triples), dtype=np.float64).reshape(-1, 3)
+    rejected: list[int] = []
+    arr = np.fromiter(_three_values(triples, rejected), dtype=_TRIPLE)
+    if rejected:
+        s = "" if rejected[0] == 1 else "s"
+        raise ToscaError(
+            f"edge row {len(arr)} has {rejected[0]} value{s}, not a (src, dst, weight) triple"
+        )
+    arr = arr.view(np.float64).reshape(-1, 3)
     ends = arr[:, :2].ravel()  # src0, dst0, src1, ...
     bad = _non_integer(ends)
     if bad.any():
         raise _not_an_integer(ends[np.argmax(bad)])
-    src, dst = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
-    return _from_arrays(n, src, dst, arr[:, 2], directed)
+    return _from_arrays(n, arr[:, 0], arr[:, 1], arr[:, 2], directed)
 
 
 def _from_arrays(
     n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray, directed: bool
 ) -> Graph:
-    """``from_edge_list`` on int64 ``src``/``dst`` and float64 ``weight``."""
+    """``from_edge_list`` on integer-valued ``src``/``dst`` (int64, or float64
+    checked for range before the cast to int64) and float64 ``weight``."""
     if n < 0:
         raise IndexOutOfRangeError(f"vertex count {n} is negative")
     _validate_triples(n, src, dst, weight)
+    src, dst = src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
     if not directed:
         # Accumulate on the unordered pair so both directions get the
         # bitwise-identical sum, then mirror the off-diagonal part.

@@ -151,7 +151,8 @@ class TestDrawFallback:
         rows = fallback_graph()._cumulative_rows
         assert rows.cum[rows.indptr[1] - 1] < 1.0
         u = np.array([np.nextafter(1.0, 0.0)])
-        assert datadriven._draw_in_rows(rows, np.array([0]), u).tolist() == [10]
+        width = datadriven._row_width(rows)
+        assert datadriven._draw_in_rows(rows, np.array([0]), u, width).tolist() == [10]
 
     def test_samplers_fall_back_to_last_support_vertex(self, monkeypatch):
         s = fallback_graph()
@@ -224,7 +225,8 @@ class TestDrawKernels:
             lo, hi = rows.indptr[x], rows.indptr[x + 1]
             k = np.searchsorted(rows.cum[lo:hi], ux, side="right")
             expected.append(rows.indices[lo + min(k, hi - lo - 1)])
-        assert datadriven._draw_in_rows(rows, v, u).tolist() == expected
+        width = datadriven._row_width(rows)
+        assert datadriven._draw_in_rows(rows, v, u, width).tolist() == expected
 
     @settings(max_examples=200, deadline=None)
     @given(weighted_rows(), st.data())
@@ -255,7 +257,7 @@ class TestDrawKernels:
             support[min(np.searchsorted(cum, ux, side="right"), len(support) - 1)]
             for ux in u
         ]
-        assert datadriven._draw_density(p, u).tolist() == expected
+        assert datadriven._draw_density(datadriven._guide_table(p), u).tolist() == expected
 
     def test_many_masses_in_one_bucket(self):
         # 199 masses share the first of 200 buckets; the heavy last one
@@ -265,7 +267,7 @@ class TestDrawKernels:
         cum = np.cumsum(p)
         u = np.r_[cum[:-1], np.nextafter(cum[:-1], 0.0), np.linspace(0.0, 1.0, 50, endpoint=False)]
         expected = np.minimum(np.searchsorted(cum, u, side="right"), 199)
-        assert np.array_equal(datadriven._draw_density(p, u), expected)
+        assert np.array_equal(datadriven._draw_density(datadriven._guide_table(p), u), expected)
 
 
 class TestSamplingTables:
@@ -385,13 +387,16 @@ class TestMemory:
             assert peak_mib(sampler, s, mu, 100_000, 3) < self.BOUND_MIB
 
     @pytest.mark.parametrize("sampler, m, bound_mib", [
-        (tosca.sample_pairs, 500_000, 32.0),
+        (tosca.sample_pairs, 500_000, 13.0),
         (tosca.sample_trajectory, 200_000, 20.0),
     ], ids=["pairs", "trajectory"])
     def test_sampling_peak_at_benchmark_size(self, sampler, m, bound_mib):
-        # Bounds just below the peaks of a plain bisection sampler here (32.8
-        # and 20.7 MiB); the guide table and the trajectory's flat lists reach
-        # about 25 and 12.5 MiB.
+        # Pairs drawn in blocks of uniforms peak at about 12.3 MiB here: the
+        # two int64 outputs (7.6 MiB), one block's temporaries, and S's
+        # cumulative rows, built on this first draw. Drawing all m starts,
+        # then all m steps, at once peaked at about 25 MiB. The trajectory
+        # bound is just below the peak of a plain bisection sampler (20.7
+        # MiB); its flat lists reach about 12.5 MiB.
         s = tosca.transition_matrix(sparse_graph(8000, 20))
         assert peak_mib(sampler, s, tosca.uniform_density(8000), m, 3) < bound_mib
 
@@ -412,7 +417,33 @@ class TestMemory:
         assert peak_mib(tosca.empirical_grams, sample, basis) < 10.5
 
 
+def one_shot_pairs(s, mu, m, seed):
+    """``sample_pairs`` with all m starts, then all m steps, drawn at once."""
+    rng = np.random.default_rng(seed)
+    rows = s._cumulative_rows
+    xs = datadriven._draw_density(datadriven._guide_table(mu.p), rng.random(m))
+    ys = datadriven._draw_in_rows(rows, xs, rng.random(m), datadriven._row_width(rows))
+    return xs, ys
+
+
 class TestSamplePairs:
+    @pytest.mark.parametrize("m", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+    def test_blocked_draws_equal_one_shot_draws(self, m, skewed):
+        s = tosca.transition_matrix(sparse_graph(3000, 6))
+        if skewed:
+            # masses over dozens of orders of magnitude, and a third of the vertices without any
+            p = np.random.default_rng(1).uniform(size=3000) ** 30
+            p[::3] = 0.0
+            mu = tosca.Density(p / p.sum())
+        else:
+            mu = tosca.uniform_density(3000)
+        sample = tosca.sample_pairs(s, mu, m, seed=11)
+        xs, ys = one_shot_pairs(s, mu, m, seed=11)
+        for got, want in ((sample.xs, xs), (sample.ys, ys)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
     def test_permutation_applies_map(self):
         g = tosca.from_edge_list(4, [(i, (i + 1) % 4, 1.0) for i in range(4)])
         s = tosca.transition_matrix(g)

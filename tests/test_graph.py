@@ -94,9 +94,77 @@ class TestFromEdgeList:
         assert caught.value.exit_code == 3
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("triples, message", [
+        ([(1e300, 1, 1.0)], "vertex index 1e+300 outside [0, 3)"),
+        ([(0, 1e19, 1.0)], "vertex index 1e+19 outside [0, 3)"),
+        ([(0, 1, 1.0), (-1e19, 2, 1.0)], "vertex index -1e+19 outside [0, 3)"),
+        # all src are checked before any dst, as for int64 arrays
+        ([(0, 1e300, 1.0), (5.0, 1, 1.0)], "vertex index 5 outside [0, 3)"),
+    ])
+    def test_huge_vertex_named_before_the_cast(self, triples, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast of 1e300 to int64
+            with pytest.raises(IndexOutOfRangeError) as caught:
+                tosca.from_edge_list(3, triples)
+        assert str(caught.value) == message
+
     def test_integer_valued_floats_name_vertices(self):
         g = tosca.from_edge_list(3, [(2.0, 1, 1.0), (0, np.float64(2.0), 1.0)])
         assert g.edge_multiset() == {(2, 1): 1.0, (0, 2): 1.0}
+
+    @pytest.mark.parametrize("triples, message", [
+        ([(0, 1), (2, 0), (1, 2)], "edge row 0 has 2 values, not a (src, dst, weight) triple"),
+        ([(0, 1, 1.0, 2.0)], "edge row 0 has 4 values, not a (src, dst, weight) triple"),
+        ([(0, 1, 1.0), [1, 2, 1.0], (2, 0)], "edge row 2 has 2 values, not a (src, dst, weight) triple"),
+        ([(0, 1, 1.0), (1, 2, 1.0, 0.5), (2,)], "edge row 1 has 4 values, not a (src, dst, weight) triple"),
+        ([(0, 1, 1.0), ()], "edge row 1 has 0 values, not a (src, dst, weight) triple"),
+        ([0, 1, 1.0, 1, 2, 1.0], "edge row 0 has 1 value, not a (src, dst, weight) triple"),
+        (((0, 1, 1.0) if i < 5 else 7 for i in range(9)),
+         "edge row 5 has 1 value, not a (src, dst, weight) triple"),
+        (np.zeros((4, 2)), "edge row 0 has 2 values, not a (src, dst, weight) triple"),
+        ([(0, 1, 1.0), "012"], "edge row 1 has 1 value, not a (src, dst, weight) triple"),
+        ([b"012"], "edge row 0 has 1 value, not a (src, dst, weight) triple"),
+    ], ids=["pairs", "four_tuple", "ragged", "ragged_longer", "empty_row", "flat_numbers",
+            "generator", "two_columns", "string_row", "bytes_row"])
+    def test_misaligned_rows_rejected(self, triples, message):
+        with pytest.raises(ToscaError) as caught:
+            tosca.from_edge_list(3, triples)
+        assert type(caught.value) is ToscaError
+        assert caught.value.exit_code == 3
+        assert str(caught.value) == message
+
+
+def parent_from_edge_list(n, triples, directed):
+    """The list-based parse that ``from_edge_list`` replaced, for well-formed triples."""
+    arr = np.asarray(list(triples), dtype=np.float64).reshape(-1, 3)
+    src, dst = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+    return _from_arrays(n, src, dst, arr[:, 2], directed)
+
+
+ROW_FORMS = {
+    "tuples": lambda s, d, w: list(zip(s, d, w)),
+    "lists": lambda s, d, w: [[a, b, c] for a, b, c in zip(s, d, w)],
+    "generator": lambda s, d, w: ((a, b, c) for a, b, c in zip(s, d, w)),
+    "zip": lambda s, d, w: zip(s, d, w),
+    "ndarray": lambda s, d, w: np.column_stack([s, d, w]),
+    "numpy_scalars": lambda s, d, w: [
+        (np.int64(a), np.int32(b), np.float64(c)) for a, b, c in zip(s, d, w)
+    ],
+}
+
+
+class TestRowForms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(ROW_FORMS)),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.floats(1e-3, 1e3)),
+                 max_size=40),
+        st.booleans(),
+    )
+    def test_same_graph_as_list_parse(self, form, triples, directed):
+        s, d, w = ([t[i] for t in triples] for i in range(3))
+        expected = parent_from_edge_list(8, ROW_FORMS[form](s, d, w), directed)
+        assert_same_graph(tosca.from_edge_list(8, ROW_FORMS[form](s, d, w), directed), expected)
 
 
 class TestArrayBuilder:
