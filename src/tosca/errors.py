@@ -108,3 +108,9 @@ class EmptySubsetError(ToscaError):
 
 class DegenerateSpectrumError(ToscaError):
     exit_code = EXIT_NUMERICAL
+
+
+class NotConvergedError(ToscaError):
+    """Lanczos missed its residual or failed, and n is too large for the dense solve."""
+
+    exit_code = EXIT_NUMERICAL

@@ -226,7 +226,7 @@ def read_partition(path, n: int | None = None) -> list[list[int]]:
     rows = _read_rows(path, (np.int64, np.int64), sep=",", header=header, shape=f"expected '{header}'")
     rows.check()
     if not len(rows.lines):
-        raise ParseError("no partition rows", max(1, len(rows.text)))
+        raise ParseError("no partition rows", max(1, rows.line_count))
     vertex, group = rows.columns
     rows.check(_vertex_fault(rows, (vertex,), n))
     order = np.argsort(group, kind="stable")
@@ -244,7 +244,7 @@ def read_labels(path) -> np.ndarray:
     rows = _read_rows(path, (np.int64, np.int64), sep=",", header=header, shape=f"expected '{header}'")
     rows.check()
     if not len(rows.lines):
-        raise ParseError("no label rows", max(1, len(rows.text)))
+        raise ParseError("no label rows", max(1, rows.line_count))
     vertex, label = rows.columns
     n = len(vertex)
     outside = (vertex < 0) | (vertex >= n)

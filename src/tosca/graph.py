@@ -9,9 +9,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -53,7 +53,9 @@ class Graph:
 
     Edges are unique per ordered (src, dst) pair with weight > 0; for
     undirected graphs the edge set is symmetric with bitwise-equal
-    weights in both directions.
+    weights in both directions. Every constructor of this module, and the
+    DSBM sampler, yields the edges sorted by (src, dst), with int64 ``src``
+    and ``dst``.
     """
 
     n: int
@@ -186,22 +188,45 @@ def _validate_triples(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarr
 
 
 def _aggregate(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int):
-    """Sum duplicate (src, dst) pairs; output sorted by (src, dst).
+    """Sum duplicate (src, dst) pairs; int64 output sorted by (src, dst).
+
+    ``src`` and ``dst`` are int64 or integer-valued float64 columns in
+    [0, n); they are read, not copied, into one int64 key ``src * n + dst``.
+    One stable argsort of the key gathers the weights and is freed; the key
+    is then sorted in place, which gives the bits of the gathered key. One
+    compare of neighbouring keys into a bool buffer marks the first key of
+    each run, and src and dst are decoded from the runs' keys. Without
+    duplicates the sorted key and the gathered weights become the output.
+    Beside the input, at most four m-long arrays are held at once: the key
+    and the gathered weights, with the order, or with the run starts and
+    the run sums.
 
     Each pair's weights are summed by ``np.add.reduceat`` in their input
     order, which is not strictly left to right: [1e16, 1, 1] sums to 1e16 + 2.
     """
     if len(src) == 0:
-        return src, dst, weight
-    key = src.astype(np.int64) * n + dst.astype(np.int64)
+        return src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False), weight
+    key = np.multiply(src, n, dtype=np.int64, casting="unsafe")
+    np.add(key, dst, out=key, dtype=np.int64, casting="unsafe")
     order = np.argsort(key, kind="stable")
-    key, weight = key[order], weight[order]
-    del order  # freed before the starts are found, which sets the memory peak
-    start = np.flatnonzero(np.diff(key, prepend=-1))  # each key's first index
-    summed = np.add.reduceat(weight, start)
-    uniq = key[start]
-    return uniq // n, uniq % n, summed
+    weight = weight[order]
+    del order
+    key.sort()
+    first = np.empty(len(key), dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if not first.all():
+        start = np.flatnonzero(first)
+        weight = np.add.reduceat(weight, start)
+        key = key[start]
+        del start
+    del first
+    dst = key % n
+    key //= n
+    return key, dst, weight
 
+
+_BLOCK = 1 << 16  # rows checked, or formatted and written, at a time
 
 # One edge row as a numpy record: the (m,) array of records is the
 # (m, 3) float64 array of the rows.
@@ -258,22 +283,22 @@ def from_edge_list(
             f"edge row {len(arr)} has {rejected[0]} value{s}, not a (src, dst, weight) triple"
         )
     arr = arr.view(np.float64).reshape(-1, 3)
-    ends = arr[:, :2].ravel()  # src0, dst0, src1, ...
-    bad = _non_integer(ends)
-    if bad.any():
-        raise _not_an_integer(ends[np.argmax(bad)])
+    for lo in range(0, len(arr), _BLOCK):
+        ends = arr[lo : lo + _BLOCK, :2]
+        bad = _non_integer(ends)
+        if bad.any():  # the first in row order, src before dst
+            raise _not_an_integer(ends[np.unravel_index(np.argmax(bad), bad.shape)])
     return _from_arrays(n, arr[:, 0], arr[:, 1], arr[:, 2], directed)
 
 
 def _from_arrays(
     n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray, directed: bool
 ) -> Graph:
-    """``from_edge_list`` on integer-valued ``src``/``dst`` (int64, or float64
-    checked for range before the cast to int64) and float64 ``weight``."""
+    """``from_edge_list`` on integer-valued ``src``/``dst`` (int64, or float64,
+    which ``_aggregate`` casts as it forms its key) and float64 ``weight``."""
     if n < 0:
         raise IndexOutOfRangeError(f"vertex count {n} is negative")
     _validate_triples(n, src, dst, weight)
-    src, dst = src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
     if not directed:
         # Accumulate on the unordered pair so both directions get the
         # bitwise-identical sum, then mirror the off-diagonal part.
@@ -347,7 +372,7 @@ class _Rows(NamedTuple):
     lines: Sequence[int]  # the 1-based line of each row
     comments: list[tuple[int, str]]  # (line, text after the mark) per comment line
     fault: ParseError | None
-    text: list[str]  # every line of the file
+    line_count: int  # lines in the file
 
     def fault_at(self, bad: np.ndarray, message: Callable[[int], str]) -> ParseError | None:
         """A ParseError at the first row flagged in ``bad``, worded by ``message(row)``."""
@@ -368,8 +393,31 @@ class _Rows(NamedTuple):
         return np.column_stack(self.columns) if self.columns else np.empty((0, 1))
 
 
+_COUNT_CHUNK = 1 << 20  # characters read at a time to count lines
+
+
+def _count_lines(fh: TextIO) -> int:
+    """The lines from ``fh``'s position on, as ``readlines`` splits them; it keeps the position.
+
+    The text is read in chunks, with universal newlines as for ``readlines``:
+    each line ends in a newline, except a last one without it.
+    """
+    pos = fh.tell()
+    count, last = 0, "\n"
+    for chunk in iter(lambda: fh.read(_COUNT_CHUNK), ""):
+        count, last = count + chunk.count("\n"), chunk
+    fh.seek(pos)
+    return count + (not last.endswith("\n"))
+
+
+def _skip_lines(fh: TextIO, count: int) -> None:
+    """Read past ``count`` lines of ``fh``."""
+    for _ in range(count):
+        fh.readline()
+
+
 def _read_rows(
-    source: str | Path | list[str],
+    path: str | Path,
     types: tuple[type, ...] | type,
     sep: str | None = None,
     comment: str = "#",
@@ -379,63 +427,72 @@ def _read_rows(
     shape: str = "expected {width} values like the first row, found {found}",
     entry: str = "cannot parse entry '{text}'",
 ) -> _Rows:
-    """Rows of ``sep``-separated fields (None: whitespace) from a file or its lines.
+    """Rows of ``sep``-separated fields (None: whitespace) from a file.
 
-    ``types`` holds each column's numpy type; one type reads as many columns
-    as the first row has. Skipped: lines before index ``start``, blank and
-    ``header`` lines, and comments (lines starting with ``comment``, or with
-    ``inline`` the text from it on). The first other line that is no row of
-    the types is the fault, worded by ``shape`` (field count) or ``entry``.
-    One ``np.loadtxt`` call (``_load_rows``) reads the rows, or this line
-    parser when it rejects them, to the same arrays.
+    The file's first ``start`` lines are passed over. ``types`` holds each
+    column's numpy type; one type reads as many columns as the first row
+    has. Skipped: blank and ``header`` lines, and comments (lines starting
+    with ``comment``, or with ``inline`` the text from it on). The first
+    other line that is no row of the types is the fault, worded by
+    ``shape`` (field count) or ``entry``.
+
+    The lines before the first row are read one at a time; that row and
+    the rest of the file go to one ``np.loadtxt`` call (``_load_rows``),
+    which reads them from the handle. When it rejects them, or skips a
+    line (it returns fewer rows than a count of the file's lines), a line
+    parser re-reads the file from that row and stops at the first fault,
+    to the same arrays. No list of the file's lines is held.
     """
-    if isinstance(source, list):
-        text = source
-    else:
-        with open(source) as fh:
-            text = fh.readlines()
-    fixed = isinstance(types, tuple)
-    width = len(types) if fixed else None
-    rows, lines, comments = [], [], []  # as in _Rows; rows as lists of values
-    fault = None
-    for index in range(start, len(text)):
-        stripped = (text[index].split(comment, 1)[0] if inline else text[index]).strip()
-        if not stripped or stripped == header:
-            continue
-        if stripped.startswith(comment):
-            comments.append((index + 1, stripped[len(comment):]))
-            continue
-        if not rows:
-            columns = _load_rows(text, index, types, sep)
-            if columns is not None:
-                return _Rows(columns, range(index + 1, len(text) + 1), comments, None, text)
-        fields = stripped.split(sep)
-        if fixed and len(fields) != width:
-            fault = ParseError(shape.format(width=width, found=len(fields)), index + 1)
-            break
-        try:
-            row = [t(f) for t, f in zip(types if fixed else repeat(types), fields)]
-        except (ValueError, OverflowError):
-            fault = ParseError(entry.format(text=stripped), index + 1)
-            break
-        width = width or len(row)
-        if len(row) != width:
-            fault = ParseError(shape.format(width=width, found=len(row)), index + 1)
-            break
-        rows.append(row)
-        lines.append(index + 1)
+    with open(path) as fh:
+        _skip_lines(fh, start)
+        line_count = start + _count_lines(fh)
+        fixed = isinstance(types, tuple)
+        width = len(types) if fixed else None
+        rows, lines, comments = [], [], []  # as in _Rows; rows as lists of values
+        fault, tried, number = None, False, start  # ``number``: the line just read
+        for text in iter(fh.readline, ""):
+            number += 1
+            stripped = (text.split(comment, 1)[0] if inline else text).strip()
+            if not stripped or stripped == header:
+                continue
+            if stripped.startswith(comment):
+                comments.append((number, stripped[len(comment):]))
+                continue
+            if not tried:
+                tried = True
+                columns = _load_rows(chain([text], fh), line_count - number + 1, types, sep)
+                if columns is not None:
+                    return _Rows(columns, range(number, line_count + 1), comments, None, line_count)
+                fh.seek(0)  # back to this line, for the line parser
+                _skip_lines(fh, number)
+            fields = stripped.split(sep)
+            if fixed and len(fields) != width:
+                fault = ParseError(shape.format(width=width, found=len(fields)), number)
+                break
+            try:
+                row = [t(f) for t, f in zip(types if fixed else repeat(types), fields)]
+            except (ValueError, OverflowError):
+                fault = ParseError(entry.format(text=stripped), number)
+                break
+            width = width or len(row)
+            if len(row) != width:
+                fault = ParseError(shape.format(width=width, found=len(row)), number)
+                break
+            rows.append(row)
+            lines.append(number)
     types = types if fixed else (types,) * (width or 0)
     columns = [np.array([row[c] for row in rows], dtype=t) for c, t in enumerate(types)]
-    return _Rows(columns, lines, comments, fault, text)
+    return _Rows(columns, lines, comments, fault, line_count)
 
 
 def _load_rows(
-    text: list[str], start: int, types: tuple[type, ...] | type, sep: str | None
+    lines: Iterable[str], count: int, types: tuple[type, ...] | type, sep: str | None
 ) -> list[np.ndarray] | None:
-    """``_read_rows``'s columns for ``text[start:]`` from one ``np.loadtxt``.
+    """``_read_rows``'s columns for the ``count`` ``lines`` from one ``np.loadtxt``.
 
     None when ``np.loadtxt`` rejects the lines (with comments off, any
-    comment or header line among them) or skips one (a blank line).
+    comment or header line among them) or skips one (a blank line), and so
+    returns other than ``count`` rows.
     """
     fixed = isinstance(types, tuple)
     dtype = np.dtype([(f"c{i}", t) for i, t in enumerate(types)] if fixed else types)
@@ -444,17 +501,13 @@ def _load_rows(
             # an empty block warns; any warning means "let the line parser decide"
             warnings.simplefilter("error")
             table = np.loadtxt(
-                islice(text, start, None), dtype=dtype, delimiter=sep, comments=None,
-                ndmin=1 if fixed else 2,
+                lines, dtype=dtype, delimiter=sep, comments=None, ndmin=1 if fixed else 2
             )
     except (ValueError, Warning):
         return None
-    if len(table) != len(text) - start:
+    if len(table) != count:
         return None
     return [np.ascontiguousarray(table[name]) for name in dtype.names] if fixed else list(table.T)
-
-
-_WRITE_BLOCK = 1 << 16  # rows formatted and written at a time
 
 
 def _write_rows(
@@ -464,19 +517,22 @@ def _write_rows(
 
     Integer columns are written in decimal, float columns as '%.17g', which
     ``_read_rows`` reads back bit for bit. Each distinct value is formatted
-    once, keyed by its bits, so -0.0, 0.0 and nan keep their own text. The
-    rows are bytes, not strings: per block of rows, every column's texts
-    are gathered from a NUL-padded ``S`` table into one uint8 array, one
-    row per line, with ``sep`` and newline bytes between the fields, and
-    one mask drops the padding.
+    once, keyed by its bits, so -0.0, 0.0 and nan keep their own text;
+    integers by numpy's cast to bytes, which writes ``str``'s digits with no
+    Python object per value. The rows are bytes, not strings: per block of
+    rows, every column's texts are gathered from a NUL-padded ``S`` table
+    into one uint8 array, one row per line, with ``sep`` and newline bytes
+    between the fields, and one mask drops the padding.
     """
     tables, inverses = [], []
     for column in map(np.asarray, columns):
         floats = column.dtype.kind == "f"
         column = column.astype(np.float64 if floats else np.int64, copy=False)
         keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        text = map("{:.17g}".format if floats else str, keys.view(column.dtype).tolist())
-        table = np.array(list(text), dtype=bytes)
+        if floats:
+            table = np.array(list(map("{:.17g}".format, keys.view(np.float64).tolist())), dtype=bytes)
+        else:  # numpy's cast writes str's digits, with no Python object per value
+            table = keys.astype(f"S{max(len(str(v)) for v in keys[[0, -1]].tolist())}" if len(keys) else "S1")
         tables.append(table.view(np.uint8).reshape(len(table), table.itemsize))
         inverses.append(inverse)
     rows = min(map(len, inverses), default=0)
@@ -484,8 +540,8 @@ def _write_rows(
     ends = np.cumsum([table.shape[1] + 1 for table in tables])
     with open(path, "w") as fh:
         fh.write("".join(f"{line}\n" for line in head))
-        for lo in range(0, rows, _WRITE_BLOCK):
-            block = np.empty((min(_WRITE_BLOCK, rows - lo), ends[-1]), dtype=np.uint8)
+        for lo in range(0, rows, _BLOCK):
+            block = np.empty((min(_BLOCK, rows - lo), ends[-1]), dtype=np.uint8)
             block[:, ends - 1] = ord(sep)
             block[:, -1] = ord("\n")
             for table, inverse, end in zip(tables, inverses, ends):
@@ -553,48 +609,42 @@ def read_matrix_market(path: str | Path) -> Graph:
     """
     path = Path(path)
     with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError("empty file", 1)
-    header = lines[0].strip().lower().split()
-    if len(header) < 5 or header[0] != "%%matrixmarket":
-        raise ParseError("expected '%%MatrixMarket matrix coordinate ...' header", 1)
-    if header[1] != "matrix" or header[2] != "coordinate":
-        raise ParseError(f"unsupported object/format '{header[1]} {header[2]}'", 1)
-    if header[3] not in ("real", "integer"):
-        raise ParseError(f"unsupported field '{header[3]}'", 1)
-    symmetric = header[4] == "symmetric"
-    if header[4] not in ("general", "symmetric"):
-        raise ParseError(f"unsupported symmetry '{header[4]}'", 1)
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty file", 1)
+        header = first.strip().lower().split()
+        if len(header) < 5 or header[0] != "%%matrixmarket":
+            raise ParseError("expected '%%MatrixMarket matrix coordinate ...' header", 1)
+        if header[1] != "matrix" or header[2] != "coordinate":
+            raise ParseError(f"unsupported object/format '{header[1]} {header[2]}'", 1)
+        if header[3] not in ("real", "integer"):
+            raise ParseError(f"unsupported field '{header[3]}'", 1)
+        symmetric = header[4] == "symmetric"
+        if header[4] not in ("general", "symmetric"):
+            raise ParseError(f"unsupported symmetry '{header[4]}'", 1)
 
-    size_line = None
-    entries_start = None
-    for idx in range(1, len(lines)):
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = (stripped, idx + 1)
-        entries_start = idx + 1
-        break
-    if size_line is None:
-        raise ParseError("missing size line", len(lines))
-    parts = size_line[0].split()
+        number, parts = 1, None  # the line just read; the size line's fields
+        for number, text in enumerate(iter(fh.readline, ""), 2):
+            stripped = text.strip()
+            if stripped and not stripped.startswith("%"):
+                parts = stripped.split()
+                break
+    if parts is None:
+        raise ParseError("missing size line", number)
     if len(parts) != 3:
-        raise ParseError("size line must be 'rows cols nnz'", size_line[1])
+        raise ParseError("size line must be 'rows cols nnz'", number)
     try:
         rows, cols, nnz = (int(p) for p in parts)
     except ValueError:
-        raise ParseError("size line must contain three integers", size_line[1])
+        raise ParseError("size line must contain three integers", number)
     if rows != cols:
-        raise ParseError(f"matrix must be square, got {rows}x{cols}", size_line[1])
+        raise ParseError(f"matrix must be square, got {rows}x{cols}", number)
     if nnz < 0:
-        raise ParseError(f"negative entry count {nnz}", size_line[1])
+        raise ParseError(f"negative entry count {nnz}", number)
     if rows == 0 or nnz == 0:
         raise EmptyMatrixError(f"{path} holds an empty matrix")
 
-    entries = _read_rows(
-        lines, _EDGE_ROW, comment="%", start=entries_start, shape="entry must be 'row col value'"
-    )
+    entries = _read_rows(path, _EDGE_ROW, comment="%", start=number, shape="entry must be 'row col value'")
     i, j, val = entries.columns
     outside = (i < 1) | (i > rows) | (j < 1) | (j > rows)
     entries.check(
@@ -603,7 +653,7 @@ def read_matrix_market(path: str | Path) -> Graph:
         _weight_fault(entries, val),
     )
     if len(i) != nnz:
-        raise ParseError(f"expected {nnz} entries, found {len(i)}", len(lines))
+        raise ParseError(f"expected {nnz} entries, found {len(i)}", entries.line_count)
     for index in (i, j):  # to 0-based in place, without a second copy of each column
         index -= 1
     return _from_arrays(rows, i, j, _shift_weights(val), directed=not symmetric)

@@ -13,7 +13,8 @@ F, so the eigenpairs of F and B follow as
 
 This keeps the numerics real and stable for directed graphs. Both
 spectra come from restarted Lanczos (ARPACK) with a residual check on
-every returned vector; a dense solve answers only where Lanczos cannot.
+every returned vector; a dense solve answers only where Lanczos cannot,
+and only up to _DENSE_MAX_N vertices.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, TooFewValuesError, check_k
+from .errors import IndexOutOfRangeError, NotConvergedError, TooFewValuesError, check_k
 from .graph import Graph, TransitionMatrix, lazy_chain, transition_matrix
 from .operators import Density, _positive_image, stationary_density
 
@@ -45,6 +46,11 @@ _ITER_MAXITER_PER_K = 300
 # Largest accepted per-column residual of a Lanczos answer; above it the
 # dense solve is used instead.
 _RESIDUAL_TOL = 1e-8
+# Largest n the dense solve is tried at. m @ I and its SVD hold up to four
+# n x n float64 arrays, 0.8 GB each at this n (80 GB each at n = 10^5).
+# The bound keeps the dense answer for graphs of the paper's size, such as
+# add32 (n = 4960) and the 8000-vertex DSBM.
+_DENSE_MAX_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,13 @@ def _fix_signs(phi: np.ndarray, *others: np.ndarray) -> None:
         phi[pivot, j] = np.abs(phi[pivot, j])
 
 
+def _residual(m, v: np.ndarray, u: np.ndarray, vals: np.ndarray) -> float:
+    """max over columns j of ||m v_j - vals_j u_j||, the difference formed in one buffer."""
+    r = m @ v
+    r -= u * vals
+    return np.linalg.norm(r, axis=0).max()
+
+
 def _top_k(
     m: sp.spmatrix | spla.LinearOperator, k: int, symmetric: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,12 +121,15 @@ def _top_k(
     not accept, when ARPACK fails, or when a column (value w, left u,
     right v) misses ||m v - w u|| <= tol or, for singular triplets,
     ||m^T u - w v|| <= tol, tol = _RESIDUAL_TOL. The dense solve of
-    m @ I answers those cases, so m may also be a LinearOperator.
+    m @ I answers those cases, so m may also be a LinearOperator, up to
+    n = _DENSE_MAX_N; above it they raise NotConvergedError naming the
+    ARPACK failure or the largest residual.
     """
     import scipy.linalg as sla
     import scipy.sparse.linalg as spla
 
     n = m.shape[0]
+    failure = f"k = {k} >= n - 1 is outside ARPACK's range"
     if k < n - 1:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         # ARPACK draws a fresh vector on every restart; a fixed generator
@@ -133,16 +149,21 @@ def _top_k(
                 x = np.linalg.qr(x)[0]
                 u, vals, vh = sla.svd(op @ x, full_matrices=False, overwrite_a=True)
                 vals, u, v = vals[::-1], u[:, ::-1], (vh[::-1] @ x.T.conj()).T
-        except spla.ArpackError:
-            pass
+        except spla.ArpackError as exc:
+            failure = f"ARPACK failed ({exc})"
         else:
             order = np.argsort(vals)[::-1]
             vals, u, v = vals[order], u[:, order], v[:, order]
-            residual = np.linalg.norm(m @ v - u * vals, axis=0).max()
+            residual = _residual(m, v, u, vals)
             if not symmetric:
-                residual = max(residual, np.linalg.norm(m.T @ u - v * vals, axis=0).max())
+                residual = max(residual, _residual(m.T, u, v, vals))
             if residual <= _RESIDUAL_TOL:
                 return vals, u, v
+            failure = f"the largest Lanczos residual is {residual:.3g} > {_RESIDUAL_TOL:g}"
+    if n > _DENSE_MAX_N:
+        raise NotConvergedError(
+            f"{failure}, and the dense solve is limited to n <= {_DENSE_MAX_N} (n = {n})"
+        )
     if symmetric:
         vals, u = np.linalg.eigh(m @ np.eye(n))
         u = u[:, ::-1][:, :k]

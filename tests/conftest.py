@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,16 @@ def random_undirected_graph(
     for i, j in zip(*np.nonzero(mask)):
         triples.append((int(i), int(j), float(rng.uniform(0.5, 1.5))))
     return tosca.from_edge_list(n, triples, directed=False)
+
+
+def peak_mib(fn, *args) -> float:
+    """The tracemalloc peak, in MiB, of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def example_block_matrix(p: float = 0.8, q: float = 0.1) -> np.ndarray:

@@ -884,6 +884,26 @@ class TestDegenerateSpectrum:
         spec = tosca.fb_spectrum(tosca.transition_matrix(g), tosca.uniform_density(g.n), 2)
         assert json.loads(capsys.readouterr().out)["kappa"] == spec.kappa.tolist()
 
+    def test_bounded_dense_fallback_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # ARPACK fails on this graph, and the dense solve is bounded below its n
+        probs = tmp_path / "probs.csv"
+        probs.write_text("0.001,0.001\n0.001,0.001\n")
+        graph_path = tmp_path / "g.tsv"
+        assert main([
+            "generate", "dsbm", "--blocks", "2", "--block-size", "100",
+            "--probs", str(probs), "--seed", "0", "-o", str(graph_path),
+        ]) == 0
+        monkeypatch.setattr(tosca.spectral, "_DENSE_MAX_N", 199)
+        capsys.readouterr()
+        code = main([
+            "cluster", str(graph_path), "-k", "2", "--self-loops", "1.0",
+            "-o", str(tmp_path / "l.csv"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "ARPACK failed" in err and "limited to n <= 199 (n = 200)" in err
+        assert not (tmp_path / "l.csv").exists()
+
 
 SCIPY_MODULES = ("scipy.sparse", "scipy.linalg", "scipy.optimize")
 

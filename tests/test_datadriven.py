@@ -14,7 +14,7 @@ from tosca.errors import (
     ParseError,
 )
 
-from conftest import example_block_matrix, random_undirected_graph
+from conftest import example_block_matrix, peak_mib, random_undirected_graph
 
 
 def five_vertex_setup(rng=None):
@@ -97,15 +97,6 @@ class _ListRng:
     def random(self, size):
         drawn, self.uniforms = self.uniforms[:size], self.uniforms[size:]
         return np.array(drawn)
-
-
-def peak_mib(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 class TestDrawsPinned:

@@ -1,4 +1,5 @@
 import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from tosca.errors import (
 
 from tosca.graph import _from_arrays, _shift_weights
 
-from conftest import random_undirected_graph
+from conftest import peak_mib, random_undirected_graph
 
 
 def assert_same_graph(a, b):
@@ -28,6 +29,15 @@ def assert_same_graph(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype
         assert np.array_equal(x, y)
+
+
+# A handle left open, on the line parser's path too, fails the test: its
+# ResourceWarning is raised where the handle is collected, as an unraisable
+# exception, and both are errors.
+NO_LEAKED_HANDLES = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 class TestFromEdgeList:
@@ -340,7 +350,112 @@ class TestAggregate:
         assert np.bincount(zeros, np.array([1e16, 1.0, 1.0])).tolist() == [1e16]
 
 
+def reduceat_sum(weights):
+    """The sum ``np.add.reduceat`` forms for one run: its first weight plus
+    numpy's pairwise sum of the rest, so [1e16, 1, 1] sums to 1e16 + 2."""
+    w = np.array(weights)
+    return w[0] + np.add.reduce(w[1:]) if len(w) > 1 else w[0]
+
+
+def per_pair_graph(n, src, dst, weight, directed):
+    """The graph as one sum per pair of the pair's weights in input order;
+    undirected pairs are summed unordered and mirrored."""
+    groups = {}
+    for s, d, w in zip(src.tolist(), dst.tolist(), weight.tolist()):
+        pair = (int(s), int(d)) if directed else (int(min(s, d)), int(max(s, d)))
+        groups.setdefault(pair, []).append(w)
+    sums = {pair: reduceat_sum(ws) for pair, ws in groups.items()}
+    if not directed:
+        sums.update({(d, s): w for (s, d), w in list(sums.items())})
+    pairs = sorted(sums)
+    return tosca.Graph(
+        n=n,
+        src=np.array([s for s, _ in pairs], dtype=np.int64),
+        dst=np.array([d for _, d in pairs], dtype=np.int64),
+        weight=np.array([sums[pair] for pair in pairs], dtype=np.float64),
+        directed=directed,
+    )
+
+
+@st.composite
+def unsorted_edges(draw):
+    """Edges in any order, most pairs repeated, with int64 or integer-valued
+    float64 vertex columns and weights of mixed scale."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 40))
+    vertex = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    weight = st.one_of(
+        st.sampled_from([1e16, 1.0, 0.1, 3.0, 1e-300]),
+        st.floats(min_value=1e-300, max_value=1e300),
+    )
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    src, dst = (np.array(draw(vertex), dtype=dtype) for _ in range(2))
+    return n, src, dst, np.array(draw(st.lists(weight, min_size=m, max_size=m)), dtype=np.float64)
+
+
+class TestAggregateReference:
+    @settings(max_examples=300, deadline=None)
+    @given(edges=unsorted_edges(), directed=st.booleans())
+    @example(edges=(1, np.zeros(3), np.zeros(3), np.array([1e16, 1.0, 1.0])), directed=True)
+    @example(edges=(3, np.empty(0), np.empty(0), np.empty(0)), directed=False)
+    @example(edges=(3, np.array([2, 0, 2, 1]), np.array([0, 2, 1, 2]),
+                    np.array([1e16, 1.0, 1.0, 0.5])), directed=False)
+    def test_bitwise_equal_to_per_pair_sums(self, edges, directed):
+        n, src, dst, weight = edges
+        want = per_pair_graph(n, src, dst, weight, directed)
+        got = _from_arrays(n, src, dst, weight, directed)
+        assert (got.n, got.directed) == (want.n, want.directed)
+        for name in ("src", "dst", "weight"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        if directed:
+            for x, y in zip(graph_module._aggregate(src, dst, weight, n), (want.src, want.dst, want.weight)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_inputs_are_not_changed(self):
+        src, dst, weight = np.array([2.0, 0.0, 2.0]), np.array([1, 1, 1]), np.array([1.0, 2.0, 3.0])
+        copies = [a.copy() for a in (src, dst, weight)]
+        graph_module._aggregate(src, dst, weight, 3)
+        for a, b in zip((src, dst, weight), copies):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def benchmark_size_edges(m=163_554, n=8000, seed=5):
+    """As many distinct unit-weight (src, dst) pairs as the walks benchmark's
+    graph has, sorted by pair."""
+    key = np.sort(np.random.default_rng(seed).choice(n * n, m, replace=False))
+    return n, key // n, key % n
+
+
+class TestIngestMemory:
+    """tracemalloc peaks of ingest at benchmark size, 163,554 edges on 8000 vertices.
+
+    The bounds sit a little above what one key buffer per ``_aggregate``
+    and a streamed reader measure: about 7.6, 9.4 and 7.6 MiB. Building the
+    key from int64 copies of both columns, with ``np.diff`` run starts,
+    peaked at 17.8, 13.2 and, with the file's lines held as strings,
+    26.2 MiB.
+    """
+
+    def test_from_edge_list(self):
+        n, src, dst = benchmark_size_edges()
+        assert peak_mib(tosca.from_edge_list, n, zip(src.tolist(), dst.tolist(), repeat(1.0))) < 8.5
+
+    def test_add_self_loops(self):
+        n, src, dst = benchmark_size_edges()
+        g = tosca.from_edge_list(n, zip(src.tolist(), dst.tolist(), repeat(1.0)))
+        assert peak_mib(tosca.add_self_loops, g, 1.0) < 10.5
+
+    def test_read_matrix_market(self, tmp_path):
+        n, src, dst = benchmark_size_edges()
+        weight = np.random.default_rng(1).uniform(0.5, 2.0, len(src))
+        tosca.write_matrix_market(tosca.Graph(n, src, dst, weight), tmp_path / "g.mtx")
+        assert peak_mib(tosca.read_matrix_market, tmp_path / "g.mtx") < 8.5
+
+
 class TestMatrixMarket:
+    pytestmark = NO_LEAKED_HANDLES
+
     def test_shift_applied(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text(
@@ -520,6 +635,8 @@ def mm_entry_line(draw):
 
 
 class TestMatrixMarketLineParserEquivalence:
+    pytestmark = NO_LEAKED_HANDLES
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -679,6 +796,8 @@ class TestLineParserEquivalence:
     """Every reader gives the same outcome from the one-call parse and the
     line parser, on row blocks with blank, comment, header and malformed lines."""
 
+    pytestmark = NO_LEAKED_HANDLES
+
     @pytest.mark.parametrize("name", sorted(TABLE_FORMATS))
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -717,6 +836,108 @@ class TestLineParserEquivalence:
         assert_same_result(fast, forced_line_parser_outcome(read, path))
 
 
+MM_SYMMETRIC_HEAD = ["%%MatrixMarket matrix coordinate real symmetric", "% seed=1", "3 3 2"]
+
+# name -> (_read_rows keywords, row tokens per column, separator, comment and
+# header lines); "mm" reads a symmetric Matrix Market file past its head, as
+# read_matrix_market does.
+STREAM_FORMATS = {
+    "mm": (
+        {"types": graph_module._EDGE_ROW, "comment": "%", "shape": "entry must be 'row col value'"},
+        [MM_INDEX, MM_INDEX, MM_VALUE], [" ", "\t"], ["% c", "%", "%%x"],
+    ),
+    "tsv": (
+        {"types": graph_module._EDGE_ROW, "sep": "\t"},
+        [VERTEX, VERTEX, VALUE], ["\t"], ["# n=3", "# c", "#"],
+    ),
+    "pairs": (
+        {"types": (np.int64, np.int64), "sep": ",", "header": "x,y"},
+        [VERTEX, VERTEX], [","], ["x,y", "# seed=2", "#"],
+    ),
+    "floats": (
+        {"types": np.float64, "inline": True},
+        [VALUE, VALUE], [" ", "  "], ["# c", " # c"],
+    ),
+}
+
+
+@st.composite
+def streamed_file(draw, name):
+    """(text, head lines) of a table with a comment preamble, rows that may
+    hold a blank, comment or malformed line after the first, one of three
+    line endings, and maybe no final newline."""
+    _, columns, seps, extra = STREAM_FORMATS[name]
+    row = st.builds(
+        lambda tokens, sep: sep.join(tokens),
+        st.tuples(*(st.sampled_from(column) for column in columns)), st.sampled_from(seps),
+    )
+    odd = st.lists(st.sampled_from(sum(columns, []) + ODD), max_size=4).map(" ".join)
+    preamble = draw(st.lists(st.sampled_from(extra + ["", " "]), max_size=3))
+    rows = draw(st.lists(st.one_of(row, row, row, odd), max_size=5))
+    after_first = draw(st.sampled_from([[], [""], ["  "], [extra[0]], ["x"]]))
+    lines = preamble + rows[:1] + (after_first if rows else []) + rows[1:]
+    head = MM_SYMMETRIC_HEAD if name == "mm" else []
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = newline if draw(st.booleans()) else ""
+    return newline.join(head + lines) + (end if head + lines else ""), len(head)
+
+
+def read_streamed(path, name, head, line_parser=False):
+    """``_read_rows`` on the file at ``path`` past its ``head`` lines; with
+    ``line_parser`` the one-call parse is switched off."""
+    kwargs = STREAM_FORMATS[name][0]
+    with pytest.MonkeyPatch.context() as patch:
+        if line_parser:
+            patch.setattr(graph_module, "_load_rows", lambda lines, count, types, sep: None)
+        return graph_module._read_rows(path, start=head, **kwargs)
+
+
+class TestStreamedRows:
+    pytestmark = NO_LEAKED_HANDLES
+
+    @pytest.mark.parametrize("name", sorted(STREAM_FORMATS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_rows_as_line_parser(self, tmp_path_factory, name, data):
+        text, head = data.draw(streamed_file(name))
+        path = tmp_path_factory.mktemp("stream") / "t.txt"
+        path.write_bytes(text.encode())
+        fast = read_streamed(path, name, head)
+        slow = read_streamed(path, name, head, line_parser=True)
+        with open(path) as fh:
+            assert fast.line_count == slow.line_count == len(fh.readlines())
+        assert list(fast.lines) == list(slow.lines)
+        assert fast.comments == slow.comments
+        assert [(str(f), f.line) for f in (fast.fault, slow.fault) if f] == (
+            [(str(slow.fault), slow.fault.line)] * 2 if slow.fault else []
+        )
+        assert len(fast.columns) == len(slow.columns)
+        for x, y in zip(fast.columns, slow.columns):
+            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+
+    @pytest.mark.parametrize("text,lines,count", [
+        ("# a\r\n1 2\r\n3 4", [2, 3], 3),
+        ("1 2\n\n3 4\n", [1, 3], 3),
+        ("1 2\n# mid\n3 4", [1, 3], 3),
+        ("\r# a\r1 2\r", [3], 3),
+    ])
+    def test_line_numbers(self, tmp_path, text, lines, count):
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode())
+        rows = graph_module._read_rows(path, np.float64)
+        assert (list(rows.lines), rows.line_count, rows.fault) == (lines, count, None)
+
+    def test_fallback_rereads_from_the_first_row(self, tmp_path):
+        # loadtxt rejects the block at its third row; the line parser reads
+        # the rows before it, then stops there
+        path = tmp_path / "t.txt"
+        path.write_text("# n=4\n0\t1\t0.5\n1\t2\t1.5\n2\tx\t1.0\n3\t0\t2.0\n")
+        rows = graph_module._read_rows(path, graph_module._EDGE_ROW, sep="\t")
+        assert [c.tolist() for c in rows.columns] == [[0, 1], [1, 2], [0.5, 1.5]]
+        assert (list(rows.lines), rows.comments) == ([2, 3], [(1, " n=4")])
+        assert (str(rows.fault), rows.line_count) == ("line 4: cannot parse entry '2\tx\t1.0'", 5)
+
+
 @st.composite
 def small_graphs(draw, min_edges=0, directed=st.booleans()):
     n = draw(st.integers(1, 6))
@@ -728,6 +949,8 @@ def small_graphs(draw, min_edges=0, directed=st.booleans()):
 
 
 class TestRoundTrips:
+    pytestmark = NO_LEAKED_HANDLES
+
     @settings(max_examples=100, deadline=None)
     @given(g=small_graphs())
     def test_edge_list(self, tmp_path_factory, g):
@@ -882,6 +1105,8 @@ def test_writers_on_graph_without_edges(tmp_path):
 
 
 class TestEdgeListIO:
+    pytestmark = NO_LEAKED_HANDLES
+
     def test_round_trip(self, tmp_path, rng):
         n = 10
         mask = rng.random((n, n)) < 0.3

@@ -86,6 +86,7 @@ EXIT_CODES = {
     "EmptySampleError": 3,
     "EmptySubsetError": 3,
     "DegenerateSpectrumError": 4,
+    "NotConvergedError": 4,
 }
 
 

@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import tosca
+from tosca import spectral
 from tosca.errors import (
     IndexOutOfRangeError,
     KOutOfRangeError,
+    NotConvergedError,
     NotUndirectedError,
     TooFewValuesError,
     ZeroDegreeError,
@@ -153,6 +155,45 @@ class TestFbSpectrum:
         kappa, phi = dense_fb_reference(s, mu, 2)
         assert np.abs(kappa - spec.kappa).max() < 1e-9
         assert np.abs(phi - spec.phi).max() < 1e-6
+
+    def test_dense_fallback_is_bounded(self, monkeypatch):
+        # the graph of test_degenerate_graph_falls_back_to_dense, with the
+        # dense bound set below its 200 vertices: no n x n array is formed
+        e = np.full((2, 2), 0.001)
+        g = tosca.dsbm_sample(tosca.DSBMParams(r_b=2, n_b=100, e=e, seed=0))
+        s, mu = fb_setup(tosca.add_self_loops(g, 1.0))
+        monkeypatch.setattr(spectral, "_DENSE_MAX_N", 199)
+        monkeypatch.setattr(np, "eye", None)  # a dense solve would fail on this
+        with pytest.raises(NotConvergedError) as caught:
+            tosca.fb_spectrum(s, mu, 2)
+        assert caught.value.exit_code == 4
+        assert str(caught.value).startswith("ARPACK failed (ARPACK error")
+        assert str(caught.value).endswith("the dense solve is limited to n <= 199 (n = 200)")
+
+    def test_bound_names_the_largest_residual(self, rng, monkeypatch):
+        g = random_directed_graph(60, rng)
+        s, mu = fb_setup(g)
+        eigsh = spla.eigsh
+
+        def perturbed(*args, **kwargs):
+            vals, x = eigsh(*args, **kwargs)
+            return vals, x + 1e-4 * np.roll(x, 1, axis=0)
+
+        monkeypatch.setattr(spla, "eigsh", perturbed)
+        monkeypatch.setattr(spectral, "_DENSE_MAX_N", 59)
+        with pytest.raises(NotConvergedError, match=r"^the largest Lanczos residual is \S+ > 1e-08, "
+                           r"and the dense solve is limited to n <= 59 \(n = 60\)$"):
+            tosca.fb_spectrum(s, mu, 5)
+
+    def test_bound_applies_to_k_outside_arpack(self, monkeypatch):
+        g = three_cycles_graph()
+        s, mu = fb_setup(g)
+        monkeypatch.setattr(spectral, "_DENSE_MAX_N", g.n - 1)
+        with pytest.raises(NotConvergedError, match="k = 11 >= n - 1 is outside ARPACK's range"):
+            tosca.fb_spectrum(s, mu, 11)
+        # at the bound the dense solve still answers
+        monkeypatch.setattr(spectral, "_DENSE_MAX_N", g.n)
+        assert tosca.fb_spectrum(s, mu, 11).k == 11
 
     def test_inaccurate_lanczos_answer_is_replaced(self, rng, monkeypatch):
         g = random_directed_graph(60, rng)
