@@ -19,7 +19,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .errors import DegeneratePointsError, EmptySubsetError, check_k
-from .graph import Graph, _check_vertices, transition_matrix
+from .graph import Graph, _check_vertices, _non_integer, _not_an_integer, transition_matrix
 from .operators import Density, forward_backward, uniform_density
 from .spectral import SpectrumResult, fb_spectrum
 
@@ -308,12 +308,18 @@ def coherence_score(g: Graph, mu: Density | None, subset: Iterable[int]) -> floa
 
     Averages the in-set row mass of F over the set; 1 means every
     forward-backward path starting inside stays inside: 1_A^T F 1_A / |A|,
-    with F applied as a sparse product.
+    with F applied as a sparse product. Vertices are integer values: 2.0
+    is vertex 2, and the first of 0.5, nan or inf raises ToscaError.
     """
-    idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.int64)
+    values = np.fromiter(subset, dtype=np.float64)
+    bad = _non_integer(values)
+    if bad.any():
+        raise _not_an_integer(values[np.argmax(bad)])
+    idx = np.unique(values)
     if len(idx) == 0:
         raise EmptySubsetError("coherence of the empty set is undefined")
-    _check_vertices(idx, g.n)
+    _check_vertices(idx, g.n)  # on the floats: 1e300 is named, not cast
+    idx = idx.astype(np.int64)
     indicator = np.zeros(g.n)
     indicator[idx] = 1.0
     f = forward_backward(transition_matrix(g), mu or uniform_density(g.n))

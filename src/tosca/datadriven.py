@@ -245,6 +245,8 @@ def sample_pairs(
     (see ``TransitionMatrix``).
     """
     _check_density_length(mu, s.n)
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     rng = np.random.default_rng(seed)
     table, rows = _guide_table(mu.p), s._cumulative_rows
     width = _row_width(rows)
@@ -270,6 +272,8 @@ def sample_trajectory(
     fallback at or above the row total included.
     """
     _check_density_length(start_density, s.n)
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     rng = np.random.default_rng(seed)
     if m == 0:
         empty = np.empty(0, dtype=np.int64)

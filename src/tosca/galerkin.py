@@ -102,61 +102,43 @@ def _classes(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n), phi
 
 
-def _numbers(vertices: Iterable) -> tuple[Sequence, np.ndarray]:
-    """A set's vertices as given, and as a 1-D numeric array the checks read.
-
-    Numbers numpy will not hold in one such array go one by one: integers
-    as they are, or -1 when beyond int64 (outside every vertex range),
-    anything else as ``float`` reads it.
-    """
-    if not (isinstance(vertices, np.ndarray) and vertices.ndim == 1):
-        vertices = list(vertices)
-    try:
-        values = np.asarray(vertices)
-    except ValueError:  # sequences of unequal lengths
-        values = None
-    if values is None or values.ndim != 1 or values.dtype.kind not in "biuf":
-        values = np.array([
-            (v if -(2**63) <= v < 2**63 else -1) if isinstance(v, (int, np.integer)) else float(v)
-            for v in vertices
-        ])
-    return vertices, values
-
-
 def indicator_basis(n: int, sets: Sequence[Iterable[int]]) -> Basis:
     """0/1 indicator functions of disjoint vertex sets (need not cover).
 
     Vertices are integer values: 2.0 is vertex 2, and 1.5, nan or inf
-    raise ToscaError. The first offending vertex in set order raises, an
-    empty set in its place among them. The checks run on all vertices at
-    once, and phi_v is set from the (set, vertex) pairs in one step.
+    raise ToscaError. The first offending vertex in set order raises.
+    Sets that numpy joins into one numeric array of distinct vertices in
+    [0, n), none of them empty, set phi_v in one step; any other input
+    goes vertex by vertex, which also names the first fault.
     """
     phi_v = np.zeros((len(sets), n))
-    members = [_numbers(vertices) for vertices in sets]
-    sizes = [len(values) for _, values in members]
-    starts = np.cumsum([0, *sizes])
-    values = np.concatenate([values for _, values in members] or [np.empty(0)])
-    not_integer = _non_integer(values)
-    outside = ~not_integer & ((values < 0) | (values >= n))
-    bad = not_integer | outside
-    inside = np.flatnonzero(~bad)
-    vertex = values[inside].astype(np.int64)
-    repeated = np.ones(len(vertex), dtype=bool)
-    repeated[np.unique(vertex, return_index=True)[1]] = False
-    bad[inside[repeated]] = True
-    first = int(np.argmax(bad)) if bad.any() else len(values)
-    empty = [row for row, size in enumerate(sizes) if size == 0 and starts[row] <= first]
-    if empty:
-        raise EmptySetError(f"set {empty[0]} is empty")
-    if first < len(values):
-        row = int(np.searchsorted(starts, first, side="right")) - 1
-        v = members[row][0][first - starts[row]]
-        if not_integer[first]:
-            raise _not_an_integer(v)
-        if outside[first]:
-            raise IndexOutOfRangeError(f"vertex {int(v)} outside [0, {n})")
-        raise OverlappingSetsError(f"vertex {int(v)} appears in two sets")
-    phi_v[np.repeat(np.arange(len(sets)), sizes), vertex] = 1.0
+    try:
+        parts = [np.asarray(vertices) for vertices in sets]
+        values = np.concatenate(parts)
+    except (TypeError, ValueError):  # no sets, or sets numpy cannot join
+        values = np.empty((0, 0))
+    # checked before the int64 cast, which would warn on 1e300
+    if (values.ndim == 1 and values.dtype.kind in "biuf" and all(map(len, parts))
+            and not (_non_integer(values) | (values < 0) | (values >= n)).any()):
+        vertex = values.astype(np.int64)
+        if np.bincount(vertex).max() == 1:
+            phi_v[np.repeat(np.arange(len(parts)), [len(p) for p in parts]), vertex] = 1.0
+            return Basis(phi_v=phi_v)
+    seen: set[int] = set()
+    for row, vertices in enumerate(sets):
+        vertices = list(vertices)
+        if not vertices:
+            raise EmptySetError(f"set {row} is empty")
+        for v in vertices:
+            if not isinstance(v, (int, np.integer)) and not float(v).is_integer():
+                raise _not_an_integer(v)
+            v = int(v)
+            if not 0 <= v < n:
+                raise IndexOutOfRangeError(f"vertex {v} outside [0, {n})")
+            if v in seen:
+                raise OverlappingSetsError(f"vertex {v} appears in two sets")
+            seen.add(v)
+            phi_v[row, v] = 1.0
     return Basis(phi_v=phi_v)
 
 
@@ -216,11 +198,18 @@ def reduced_eigenfunctions(
     return vals[:k], funcs
 
 
+def _repeated(values: np.ndarray) -> np.ndarray:
+    """Where a value repeats one earlier in ``values``."""
+    repeated = np.ones(len(values), dtype=bool)
+    repeated[np.unique(values, return_index=True)[1]] = False
+    return repeated
+
+
 def read_partition(path, n: int | None = None) -> list[list[int]]:
     """Partition CSV: 'vertex_index,set_index' per line, '#' comments.
 
-    A row naming a negative vertex, or with ``n`` given a vertex >= n,
-    raises ParseError with its line.
+    A row naming a negative vertex, with ``n`` given a vertex >= n, or a
+    vertex named on an earlier row raises ParseError with its line.
     """
     header = "vertex_index,set_index"
     rows = _read_rows(path, (np.int64, np.int64), sep=",", header=header, shape=f"expected '{header}'")
@@ -228,7 +217,10 @@ def read_partition(path, n: int | None = None) -> list[list[int]]:
     if not len(rows.lines):
         raise ParseError("no partition rows", max(1, rows.line_count))
     vertex, group = rows.columns
-    rows.check(_vertex_fault(rows, (vertex,), n))
+    rows.check(
+        _vertex_fault(rows, (vertex,), n),
+        rows.fault_at(_repeated(vertex), lambda k: f"vertex {vertex[k]} appears in two sets"),
+    )
     order = np.argsort(group, kind="stable")
     starts = np.unique(group[order], return_index=True)[1]
     return [part.tolist() for part in np.split(vertex[order], starts[1:])]
@@ -248,8 +240,7 @@ def read_labels(path) -> np.ndarray:
     vertex, label = rows.columns
     n = len(vertex)
     outside = (vertex < 0) | (vertex >= n)
-    repeated = np.ones(n, dtype=bool)
-    repeated[np.unique(vertex, return_index=True)[1]] = False
+    repeated = _repeated(vertex)
     rows.check(rows.fault_at(outside | repeated, lambda k: (
         f"vertex {vertex[k]} outside [0, {n}): {n} rows must name the vertices "
         f"0..{n - 1}, each once" if outside[k] else f"vertex {vertex[k]} appears twice"

@@ -6,10 +6,11 @@ construction; dense matrices are only materialized downstream.
 
 from __future__ import annotations
 
+import lzma
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -410,12 +411,6 @@ def _count_lines(fh: TextIO) -> int:
     return count + (not last.endswith("\n"))
 
 
-def _skip_lines(fh: TextIO, count: int) -> None:
-    """Read past ``count`` lines of ``fh``."""
-    for _ in range(count):
-        fh.readline()
-
-
 def _read_rows(
     path: str | Path,
     types: tuple[type, ...] | type,
@@ -438,18 +433,20 @@ def _read_rows(
 
     The lines before the first row are read one at a time; that row and
     the rest of the file go to one ``np.loadtxt`` call (``_load_rows``),
-    which reads them from the handle. When it rejects them, or skips a
-    line (it returns fewer rows than a count of the file's lines), a line
-    parser re-reads the file from that row and stops at the first fault,
-    to the same arrays. No list of the file's lines is held.
+    which reads them from the path with numpy's chunked reader. When it
+    rejects them, or skips a line (it returns fewer rows than a count of
+    the file's lines), a line parser reads on from that row and stops at
+    the first fault, to the same arrays. No list of the file's lines is
+    held.
     """
     with open(path) as fh:
-        _skip_lines(fh, start)
+        for _ in range(start):
+            fh.readline()
         line_count = start + _count_lines(fh)
         fixed = isinstance(types, tuple)
         width = len(types) if fixed else None
         rows, lines, comments = [], [], []  # as in _Rows; rows as lists of values
-        fault, tried, number = None, False, start  # ``number``: the line just read
+        fault, number = None, start  # ``number``: the line just read
         for text in iter(fh.readline, ""):
             number += 1
             stripped = (text.split(comment, 1)[0] if inline else text).strip()
@@ -458,13 +455,10 @@ def _read_rows(
             if stripped.startswith(comment):
                 comments.append((number, stripped[len(comment):]))
                 continue
-            if not tried:
-                tried = True
-                columns = _load_rows(chain([text], fh), line_count - number + 1, types, sep)
+            if not lines:  # the first row
+                columns = _load_rows(path, number - 1, line_count - number + 1, types, sep)
                 if columns is not None:
                     return _Rows(columns, range(number, line_count + 1), comments, None, line_count)
-                fh.seek(0)  # back to this line, for the line parser
-                _skip_lines(fh, number)
             fields = stripped.split(sep)
             if fixed and len(fields) != width:
                 fault = ParseError(shape.format(width=width, found=len(fields)), number)
@@ -486,13 +480,16 @@ def _read_rows(
 
 
 def _load_rows(
-    lines: Iterable[str], count: int, types: tuple[type, ...] | type, sep: str | None
+    path: str | Path, skip: int, count: int, types: tuple[type, ...] | type, sep: str | None
 ) -> list[np.ndarray] | None:
-    """``_read_rows``'s columns for the ``count`` ``lines`` from one ``np.loadtxt``.
+    """``_read_rows``'s columns for the ``count`` lines of the file at ``path``
+    after its first ``skip``, from one ``np.loadtxt``.
 
     None when ``np.loadtxt`` rejects the lines (with comments off, any
     comment or header line among them) or skips one (a blank line), and so
-    returns other than ``count`` rows.
+    returns other than ``count`` rows. numpy opens names ending in .gz,
+    .bz2 or .xz as compressed files; on a plain file that fails, and the
+    line parser reads it.
     """
     fixed = isinstance(types, tuple)
     dtype = np.dtype([(f"c{i}", t) for i, t in enumerate(types)] if fixed else types)
@@ -500,10 +497,11 @@ def _load_rows(
         with warnings.catch_warnings():
             # an empty block warns; any warning means "let the line parser decide"
             warnings.simplefilter("error")
-            table = np.loadtxt(
-                lines, dtype=dtype, delimiter=sep, comments=None, ndmin=1 if fixed else 2
+            table = np.loadtxt(  # a Path, as numpy fetches a name that parses as a URL
+                Path(path), dtype=dtype, delimiter=sep, comments=None, skiprows=skip,
+                ndmin=1 if fixed else 2,
             )
-    except (ValueError, Warning):
+    except (ValueError, OSError, EOFError, lzma.LZMAError, Warning):
         return None
     if len(table) != count:
         return None

@@ -38,6 +38,8 @@ def _as_labels(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, np.ndarr
         raise LengthMismatchError(
             f"label vectors must have equal length, got {a.shape} and {b.shape}"
         )
+    if len(a) == 0:
+        raise LengthMismatchError("need at least one element")
     return a, b
 
 

@@ -591,6 +591,17 @@ class TestEstimate:
         assert code == 3
         assert f"line 3: {message}" in capsys.readouterr().err
 
+    def test_partition_repeated_vertex_data_error(self, tmp_path, cycles_tsv, capsys):
+        partition = tmp_path / "part.csv"
+        partition.write_text("vertex_index,set_index\n0,0\n1,0\n# c\n1,1\n")
+        code = main([
+            "estimate", cycles_tsv, "--self-loops", "1.0", "--walkers", "100",
+            "--basis", str(partition), "-o", str(tmp_path / "est.json"),
+        ])
+        assert code == 3
+        assert "line 5: vertex 1 appears in two sets" in capsys.readouterr().err
+        assert not (tmp_path / "est.json").exists()
+
     def test_walks_partition_negative_vertex_data_error(self, tmp_path, capsys):
         walks = tmp_path / "walks.csv"
         walks.write_text("# mode=independent_pairs seed=0\nx,y\n0,1\n1,0\n")

@@ -18,6 +18,7 @@ from tosca.errors import (
     IndexOutOfRangeError,
     KTooLargeError,
     NonPositiveDensityError,
+    ToscaError,
 )
 
 from conftest import example_block_matrix, random_directed_graph, three_cycles_graph
@@ -790,6 +791,30 @@ class TestCoherenceScore:
         g = tosca.from_edge_list(3, [(i, (i + 1) % 3, 1.0) for i in range(3)])
         with pytest.raises(IndexOutOfRangeError, match=rf"^vertex index {bad} outside \[0, 3\)$"):
             tosca.coherence_score(g, None, subset)
+
+    @pytest.mark.parametrize("subset, bad", [
+        ([0.5], "0.5"), ([1, np.nan], "nan"), ([5, np.inf], "inf"), (np.array([2.0, -0.5]), "-0.5"),
+    ])
+    def test_non_integer_vertex_rejected(self, subset, bad):
+        # checked before the range check, in the given order
+        g = tosca.from_edge_list(3, [(i, (i + 1) % 3, 1.0) for i in range(3)])
+        with pytest.raises(ToscaError) as caught:
+            tosca.coherence_score(g, None, subset)
+        assert type(caught.value) is ToscaError
+        assert str(caught.value) == f"vertex {bad} is not an integer"
+        assert caught.value.exit_code == 3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("subset, bad", [([1e300], "1e+300"), ([0, 2**70], "1.1805916207174113e+21")])
+    def test_huge_vertex_named_not_cast(self, subset, bad):
+        g = tosca.from_edge_list(3, [(i, (i + 1) % 3, 1.0) for i in range(3)])
+        with pytest.raises(IndexOutOfRangeError) as caught:
+            tosca.coherence_score(g, None, subset)
+        assert str(caught.value) == f"vertex index {bad} outside [0, 3)"
+
+    def test_integer_valued_floats_name_vertices(self):
+        g = three_cycles_graph()
+        assert tosca.coherence_score(g, None, [0.0, 1.0, 2]) == tosca.coherence_score(g, None, {0, 1, 2})
 
     def test_matches_dense_forward_backward(self, rng):
         for _ in range(5):

@@ -472,6 +472,15 @@ class TestSamplePairs:
         assert not np.array_equal(a.ys, c.ys)
 
 
+@pytest.mark.parametrize("sample", [tosca.sample_pairs, tosca.sample_trajectory])
+@pytest.mark.parametrize("m", [-1, -2])
+def test_negative_walk_length_rejected(sample, m):
+    _, s, mu = five_vertex_setup()
+    with pytest.raises(ValueError) as caught:
+        sample(s, mu, m, seed=1)
+    assert str(caught.value) == f"m must be >= 0, got {m}"
+
+
 class TestSampleTrajectory:
     def test_single_step(self):
         _, s, mu = five_vertex_setup()

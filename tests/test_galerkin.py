@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,25 @@ class TestIndicatorBasis:
         else:
             phi_v = tosca.indicator_basis(n, sets).phi_v
             assert phi_v.dtype == expected.dtype and np.array_equal(phi_v, expected)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sets, expected", [
+        # numpy holds these only as strings or objects: the loop reads them
+        ([["2"]], [[0, 0, 1, 0]]),
+        ([[Fraction(2, 1)]], [[0, 0, 1, 0]]),
+        ([[0], [Fraction(2, 1)]], [[1, 0, 0, 0], [0, 0, 1, 0]]),
+        # beyond int64: checked before any cast, so nothing warns
+        ([[2**63, 0.0]], f"vertex {2**63} outside [0, 4)"),
+        ([[1e300]], f"vertex {int(1e300)} outside [0, 4)"),
+        ([np.array([1e19, 1.0])], f"vertex {10**19} outside [0, 4)"),
+    ], ids=["str", "fraction", "fraction-after-int", "2**63", "1e300", "1e19-array"])
+    def test_inputs_numpy_cannot_join_or_cast(self, sets, expected):
+        if isinstance(expected, str):
+            with pytest.raises(IndexOutOfRangeError) as caught:
+                tosca.indicator_basis(4, sets)
+            assert str(caught.value) == expected
+        else:
+            assert np.array_equal(tosca.indicator_basis(4, sets).phi_v, expected)
 
     def test_partial_cover_allowed(self):
         basis = tosca.indicator_basis(5, [[0, 1], [3]])
@@ -318,6 +338,28 @@ class TestPartitionIO:
         with pytest.raises(ParseError, match=message) as info:
             tosca.galerkin.read_partition(path, n)
         assert info.value.line == line
+
+    @pytest.mark.parametrize("rows, line", [
+        ("0,0\n1,0\n# c\n0,1\n", 5),
+        ("0,0\n0,0\n", 3),
+        ("1,0\n0,1\n2,1\n0,1\n", 5),
+    ])
+    def test_repeated_vertex_rejected_at_its_second_row(self, tmp_path, rows, line):
+        path = tmp_path / "partition.csv"
+        path.write_text("vertex_index,set_index\n" + rows)
+        with pytest.raises(ParseError) as info:
+            tosca.galerkin.read_partition(path)
+        assert str(info.value) == f"line {line}: vertex 0 appears in two sets"
+        assert info.value.line == line and info.value.exit_code == 3
+
+    def test_earliest_fault_wins(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        path.write_text("vertex_index,set_index\n0,0\n0,1\n-1,1\n")
+        with pytest.raises(ParseError, match="^line 3: vertex 0 appears in two sets$"):
+            tosca.galerkin.read_partition(path)
+        path.write_text("vertex_index,set_index\n-1,0\n0,0\n-1,1\n")
+        with pytest.raises(ParseError, match="^line 2: negative vertex -1$"):
+            tosca.galerkin.read_partition(path)
 
     def test_vertex_count_is_optional(self, tmp_path):
         path = tmp_path / "partition.csv"

@@ -1,3 +1,4 @@
+import urllib.request
 import warnings
 from itertools import repeat
 from pathlib import Path
@@ -597,7 +598,7 @@ def line_parser_outcome(path):
     """read_outcome with the one-call parse switched off: every entry
     block goes through the line-by-line parser."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graph_module, "_load_rows", lambda text, start, types, sep: None)
+        patch.setattr(graph_module, "_load_rows", lambda *args: None)
         return read_outcome(path)
 
 
@@ -703,7 +704,7 @@ def outcome(read, *args):
 def forced_line_parser_outcome(read, *args):
     """``outcome`` with the one-call parse switched off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graph_module, "_load_rows", lambda text, start, types, sep: None)
+        patch.setattr(graph_module, "_load_rows", lambda *args: None)
         return outcome(read, *args)
 
 
@@ -888,7 +889,7 @@ def read_streamed(path, name, head, line_parser=False):
     kwargs = STREAM_FORMATS[name][0]
     with pytest.MonkeyPatch.context() as patch:
         if line_parser:
-            patch.setattr(graph_module, "_load_rows", lambda lines, count, types, sep: None)
+            patch.setattr(graph_module, "_load_rows", lambda *args: None)
         return graph_module._read_rows(path, start=head, **kwargs)
 
 
@@ -1129,6 +1130,44 @@ class TestEdgeListIO:
             "# n=3 directed=1\n0\t1\t0.30000000000000004\n1\t1\t3\n"
             "2\t0\t0.33333333333333331\n"
         )
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_table_named_as_compressed(self, tmp_path, suffix):
+        # numpy opens these names as compressed files; a plain table still reads
+        plain, named = tmp_path / "g.tsv", tmp_path / f"g.tsv{suffix}"
+        for path in (plain, named):
+            path.write_text("# n=3 directed=1\n0\t1\t0.5\n2\t0\t1.5\n1\t1\t3\n")
+        assert_same_outcome(tosca.read_edge_list(named), tosca.read_edge_list(plain))
+        assert tosca.read_edge_list(plain).num_edges == 3
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_one_byte_table_named_as_compressed(self, tmp_path, suffix):
+        # shorter than a compressed stream's header: the xz reader runs out of input
+        named = tmp_path / f"t.txt{suffix}"
+        named.write_text("7")
+        rows = graph_module._read_rows(named, np.float64)
+        assert [column.tolist() for column in rows.columns] == [[7.0]]
+        assert (list(rows.lines), rows.fault, rows.line_count) == ([1], None, 1)
+
+    def test_url_like_name_is_read_as_a_local_file(self, tmp_path, monkeypatch):
+        # 'http://localhost/g.tsv' names the local file http:/localhost/g.tsv;
+        # numpy would fetch a name that parses as a URL
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("a local table was fetched as a URL")
+
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        (tmp_path / "http:" / "localhost" / "g.tsv").write_text("# n=3\n0\t1\t0.5\n2\t0\t1.5\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        load, loaded = graph_module._load_rows, []
+
+        def spy(*args):
+            loaded.append(load(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(graph_module, "_load_rows", spy)
+        assert tosca.read_edge_list("http://localhost/g.tsv").num_edges == 2
+        assert len(loaded) == 1 and loaded[0] is not None
 
     def test_header_preserves_isolated_vertices(self, tmp_path):
         g = tosca.from_edge_list(5, [(0, 1, 1.0)])

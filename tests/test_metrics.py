@@ -197,6 +197,16 @@ class TestMaxWeightAssignment:
         assert tosca.misclassified_fraction(a, b) == scipy_misclassified_fraction(a, b)
 
 
+@pytest.mark.parametrize("score", [
+    tosca.contingency_table, tosca.adjusted_rand_index, tosca.misclassified_fraction,
+])
+@pytest.mark.parametrize("labels", [[], np.empty(0, dtype=np.int64)])
+def test_empty_labels_rejected(score, labels):
+    with pytest.raises(LengthMismatchError) as caught:
+        score(labels, labels)
+    assert str(caught.value) == "need at least one element"
+
+
 class TestContingencyTable:
     def test_counts_and_marginals(self):
         table = tosca.contingency_table([0, 0, 1, 1], [0, 1, 0, 1])
