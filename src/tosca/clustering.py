@@ -283,18 +283,13 @@ def cluster_graph(
     the column is dropped, since k - 1 columns leave the k-th pivot to
     rounding. The spectrum comes back as ``.spectrum``.
     """
+    if use not in ("phi", "psi", "both"):
+        raise ValueError(f"unknown feature choice {use!r}")
     cfg = cfg or KMeansConfig()
     mu = mu or uniform_density(g.n)
     s = transition_matrix(g)
     spec = fb_spectrum(s, mu, k)
-    if use == "phi":
-        feats = spec.phi
-    elif use == "psi":
-        feats = spec.psi
-    elif use == "both":
-        feats = np.hstack([spec.phi, spec.psi])
-    else:
-        raise ValueError(f"unknown feature choice {use!r}")
+    feats = np.hstack([spec.phi, spec.psi]) if use == "both" else getattr(spec, use)
     start = _cpqr_start(feats, k)
     if drop_first:
         feats, start = feats[:, 1:], start[:, 1:]

@@ -32,11 +32,11 @@ sort of the pairs, and v_x, v_y its row and column sums (the visits),
 
     Gxx = psi diag(v_x) psi^T / m,  Gxy = psi C psi^T / m.
 
-For an indicator basis c maps each vertex to its set, or to one more
-class with a zero column when it is in none, so C is (r + 1) x (r + 1)
-and no r x n product is formed; the counts are exact integers, so these
-are the gathered sums above, bit for bit. Any other basis keeps one
-class per vertex: psi = Phi and C is n x n.
+For an indicator basis c is the set map it keeps (``Basis.classes``):
+each vertex's set, or one more class with a zero column when it is in
+none, so C is (r + 1) x (r + 1) and no r x n product is formed; the
+counts are exact integers, so these are the gathered sums above, bit for
+bit. Any other basis keeps one class per vertex: psi = Phi, C is n x n.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
     LengthMismatchError,
     SingularGramError,
 )
-from .galerkin import Basis, _classes
+from .galerkin import Basis
 from .graph import (
     TransitionMatrix,
     _CumulativeRows,
@@ -340,7 +340,7 @@ def _pair_counts(
 def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
     """Empirical covariance matrices of the basis evaluated on the walk.
 
-    Counted per basis class (``galerkin._classes``), from the class pair
+    Counted per basis class (``basis.classes``), from the class pair
     counts C (``_pair_counts``, one sort of the m pairs) and its row and
     column sums v_x, v_y, the visits: Gxx = psi diag(v_x) psi^T / m and
     Gxy = psi C psi^T / m, as in the module docstring. An indicator basis
@@ -352,7 +352,10 @@ def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
     xs, ys = np.asarray(sample.xs), np.asarray(sample.ys)
     _check_vertices(xs, n, "walk vertex")
     _check_vertices(ys, n, "walk vertex")
-    classes, psi = _classes(basis)
+    if basis.classes is None:
+        classes, psi = np.arange(n), basis.phi_v
+    else:
+        classes, psi = basis.classes, np.eye(basis.r, basis.r + 1)
     k = psi.shape[1]
     counts = _pair_counts(xs, ys, classes, k)
     ones = np.ones(k)

@@ -6,11 +6,14 @@ L_r = G0^-1 G1 with G0 = Phi D Phi^T and G1 = Phi D L Phi^T, where D is
 the diagonal of the operator's reference density and L is applied to the
 basis as a sparse product, at O(nnz r). Eigenpairs of L_r lift back to
 vertex functions through the basis.
+
+An ``indicator_basis`` keeps the vertex -> set map it builds its rows
+from as ``classes``, by which ``datadriven`` counts the walk Grams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,9 +55,14 @@ _SELF_ADJOINT_KINDS = frozenset({"F", "B"})
 
 @dataclass(frozen=True)
 class Basis:
-    """Rows are basis functions evaluated on all vertices (r x n)."""
+    """Rows are basis functions evaluated on all vertices (r x n).
+
+    An ``indicator_basis`` keeps its vertex -> set map, r for a vertex in
+    no set, as ``classes``; both arrays are read-only. Others have None.
+    """
 
     phi_v: np.ndarray
+    classes: np.ndarray | None = field(default=None, init=False)
 
     @property
     def r(self) -> int:
@@ -76,55 +84,9 @@ class ReducedOperator:
     kind: str
 
 
-def _classes(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
-    """A vertex -> class map ``classes`` and the class columns ``psi`` of a
-    basis, with ``phi_v == psi[:, classes]``.
-
-    In a basis of real 0s and 1s where each vertex has at most one 1
-    (every ``indicator_basis``), each vertex maps to its set, and the
-    vertices in no set to one more class, r, whose column is 0: psi is
-    [I_r | 0], r x (r + 1). Any other basis maps each vertex to itself,
-    psi = phi_v.
-    """
-    phi = basis.phi_v
-    r, n = phi.shape
-    if phi.dtype.kind in "biuf":
-        nonzero = phi != 0
-        # More than n nonzeros put two in some column: a dense basis is
-        # turned away before index arrays of its r n nonzeros are made.
-        if np.count_nonzero(nonzero) <= n:
-            # from flat positions: np.nonzero searches 2-D arrays far slower
-            sets, vertices = np.divmod(np.flatnonzero(nonzero), n)
-            classes = np.full(n, r)
-            classes[vertices] = sets  # a vertex in two sets keeps one of them
-            if (phi[sets, vertices] == 1).all() and np.array_equal(classes[vertices], sets):
-                return classes, np.eye(r, r + 1)
-    return np.arange(n), phi
-
-
-def indicator_basis(n: int, sets: Sequence[Iterable[int]]) -> Basis:
-    """0/1 indicator functions of disjoint vertex sets (need not cover).
-
-    Vertices are integer values: 2.0 is vertex 2, and 1.5, nan or inf
-    raise ToscaError. The first offending vertex in set order raises.
-    Sets that numpy joins into one numeric array of distinct vertices in
-    [0, n), none of them empty, set phi_v in one step; any other input
-    goes vertex by vertex, which also names the first fault.
-    """
-    phi_v = np.zeros((len(sets), n))
-    try:
-        parts = [np.asarray(vertices) for vertices in sets]
-        values = np.concatenate(parts)
-    except (TypeError, ValueError):  # no sets, or sets numpy cannot join
-        values = np.empty((0, 0))
-    # checked before the int64 cast, which would warn on 1e300
-    if (values.ndim == 1 and values.dtype.kind in "biuf" and all(map(len, parts))
-            and not (_non_integer(values) | (values < 0) | (values >= n)).any()):
-        vertex = values.astype(np.int64)
-        if np.bincount(vertex).max() == 1:
-            phi_v[np.repeat(np.arange(len(parts)), [len(p) for p in parts]), vertex] = 1.0
-            return Basis(phi_v=phi_v)
-    seen: set[int] = set()
+def _set_of(sets: Sequence[Iterable[int]], n: float) -> dict[int, int]:
+    """Each vertex's set, checked vertex by vertex in set order (see indicator_basis)."""
+    owner: dict[int, int] = {}
     for row, vertices in enumerate(sets):
         vertices = list(vertices)
         if not vertices:
@@ -135,11 +97,44 @@ def indicator_basis(n: int, sets: Sequence[Iterable[int]]) -> Basis:
             v = int(v)
             if not 0 <= v < n:
                 raise IndexOutOfRangeError(f"vertex {v} outside [0, {n})")
-            if v in seen:
+            if v in owner:
                 raise OverlappingSetsError(f"vertex {v} appears in two sets")
-            seen.add(v)
-            phi_v[row, v] = 1.0
-    return Basis(phi_v=phi_v)
+            owner[v] = row
+    return owner
+
+
+def indicator_basis(n: int, sets: Sequence[Iterable[int]]) -> Basis:
+    """0/1 indicator functions of disjoint vertex sets (need not cover).
+
+    Vertices are integer values: 2.0 is vertex 2, and 1.5, nan or inf
+    raise ToscaError. The first offending vertex in set order raises.
+    Sets that numpy joins into one numeric array of distinct vertices in
+    [0, n), none of them empty, map to their sets in one step; any other
+    input goes vertex by vertex, which also names the first fault. The
+    basis keeps the map as ``classes``.
+    """
+    r = len(sets)
+    classes = np.full(n, r)
+    try:
+        parts = [np.asarray(vertices) for vertices in sets]
+        values = np.concatenate(parts)
+    except (TypeError, ValueError):  # no sets, or sets numpy cannot join
+        values = np.empty((0, 0))
+    # checked before the int64 cast, which would warn on 1e300
+    if (values.ndim == 1 and values.dtype.kind in "biuf" and all(map(len, parts))
+            and not (_non_integer(values) | (values < 0) | (values >= n)).any()
+            and np.bincount(vertex := values.astype(np.int64)).max() == 1):
+        classes[vertex] = np.repeat(np.arange(r), [len(p) for p in parts])
+    else:
+        owner = _set_of(sets, n)
+        classes[list(owner)] = list(owner.values())
+    phi_v = np.zeros((r, n))
+    covered = np.flatnonzero(classes < r)
+    phi_v[classes[covered], covered] = 1.0
+    phi_v.flags.writeable = classes.flags.writeable = False
+    basis = Basis(phi_v=phi_v)
+    object.__setattr__(basis, "classes", classes)  # frozen, and not an argument
+    return basis
 
 
 def project(op: OperatorMatrix, basis: Basis) -> ReducedOperator:
@@ -251,6 +246,10 @@ def read_labels(path) -> np.ndarray:
 
 
 def write_partition(sets: Sequence[Iterable[int]], path) -> None:
-    rows = [(int(v), group) for group, vertices in enumerate(sets) for v in vertices]
-    columns = np.array(rows, dtype=np.int64).reshape(-1, 2).T
-    _write_rows(path, columns, head=["vertex_index,set_index"])
+    """Partition CSV, one 'vertex_index,set_index' row per vertex in set order.
+
+    Sets that ``indicator_basis`` rejects raise its error before the file
+    is opened; only a negative vertex is out of range here.
+    """
+    rows = np.array(list(_set_of(sets, np.inf).items()), dtype=np.int64)
+    _write_rows(path, rows.reshape(-1, 2).T, head=["vertex_index,set_index"])

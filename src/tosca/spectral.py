@@ -119,8 +119,10 @@ def _top_k(
     values (lambda, x, x). Restarted Lanczos (ARPACK, from a fixed start
     vector) answers unless it cannot: for k >= n - 1, which ARPACK does
     not accept, when ARPACK fails, or when a column (value w, left u,
-    right v) misses ||m v - w u|| <= tol or, for singular triplets,
-    ||m^T u - w v|| <= tol, tol = _RESIDUAL_TOL. The dense solve of
+    right v) misses its residual <= tol = _RESIDUAL_TOL: ||m v - w u|| for
+    eigenpairs, ||m^T u - w v|| for singular triplets. Triplets come from
+    the SVD of m x with v = x w, so their ||m v - w u|| is rounding by
+    construction and is not checked. The dense solve of
     m @ I answers those cases, so m may also be a LinearOperator, up to
     n = _DENSE_MAX_N; above it they raise NotConvergedError naming the
     ARPACK failure or the largest residual.
@@ -154,9 +156,7 @@ def _top_k(
         else:
             order = np.argsort(vals)[::-1]
             vals, u, v = vals[order], u[:, order], v[:, order]
-            residual = _residual(m, v, u, vals)
-            if not symmetric:
-                residual = max(residual, _residual(m.T, u, v, vals))
+            residual = _residual(m, v, u, vals) if symmetric else _residual(m.T, u, v, vals)
             if residual <= _RESIDUAL_TOL:
                 return vals, u, v
             failure = f"the largest Lanczos residual is {residual:.3g} > {_RESIDUAL_TOL:g}"

@@ -2,9 +2,9 @@
 
 Stands in for the real 32-bit-adder benchmark when its data file is not
 available: a 32-block directed graph with signed weights goes through
-Matrix Market ingestion (weight shift), regularization, the iterative
-spectral path (n > dense limit), gap detection, clustering, and
-reordering.
+Matrix Market ingestion (weight shift), regularization, the Lanczos
+spectral path (n = 2560, answered by Lanczos without the dense
+fallback), gap detection, clustering, and reordering.
 """
 
 import numpy as np

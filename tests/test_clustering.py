@@ -647,6 +647,14 @@ class TestClusterGraph:
             result = tosca.cluster_graph(g, 3, use=use)
             assert tosca.adjusted_rand_index(result.labels, truth) == 1.0
 
+    def test_unknown_feature_choice_rejected_before_solving(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("fb_spectrum called")
+
+        monkeypatch.setattr(clustering, "fb_spectrum", unreachable)
+        with pytest.raises(ValueError, match=r"^unknown feature choice 'bogus'$"):
+            tosca.cluster_graph(three_cycles_graph(), 3, use="bogus")
+
     def test_drop_first(self):
         g = three_cycles_graph()
         truth = np.repeat([0, 1, 2], 4)

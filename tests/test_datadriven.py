@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tosca
-from tosca import datadriven, galerkin
+from tosca import datadriven
 from tosca.errors import (
     EmptySampleError,
     IndexOutOfRangeError,
@@ -638,9 +638,9 @@ class TestGramsByClass:
     def test_indicator_basis_equals_gather(self, case):
         sets, sample, n = case
         basis = tosca.indicator_basis(n, sets)
-        classes, psi = galerkin._classes(basis)
-        assert psi.shape == (len(sets), len(sets) + 1)  # the sets and the uncovered vertices
-        assert np.array_equal(psi[:, classes], basis.phi_v)
+        r = len(sets)
+        assert set(basis.classes) <= set(range(r + 1))  # the sets and the uncovered vertices
+        assert np.array_equal(np.eye(r, r + 1)[:, basis.classes], basis.phi_v)
         grams = tosca.empirical_grams(sample, basis)
         assert_same_grams(grams, gather_grams(sample, basis))
         assert_same_grams(grams, vertex_grams(sample, basis))
@@ -652,8 +652,7 @@ class TestGramsByClass:
         sample, n = case
         phi = np.random.default_rng(seed).standard_normal((r, n))
         basis = tosca.Basis(phi_v=phi)
-        classes, psi = galerkin._classes(basis)
-        assert np.array_equal(classes, np.arange(n)) and psi is phi
+        assert basis.classes is None
         assert_same_grams(tosca.empirical_grams(sample, basis), vertex_grams(sample, basis))
 
     @settings(max_examples=100, deadline=None)
@@ -662,7 +661,7 @@ class TestGramsByClass:
     def test_near_indicator_basis_counts_per_vertex(self, case, data):
         sets, sample, n = case
         assume(sets)
-        phi = tosca.indicator_basis(n, sets).phi_v
+        phi = tosca.indicator_basis(n, sets).phi_v.copy()
         row, column = data.draw(st.tuples(st.integers(0, len(sets) - 1), st.integers(0, n - 1)))
         if len(sets) > 1 and data.draw(st.booleans()):
             phi[:, column] = 0.0
@@ -670,9 +669,28 @@ class TestGramsByClass:
         else:
             phi[row, column] = 2.0
         basis = tosca.Basis(phi_v=phi)
-        classes, psi = galerkin._classes(basis)
-        assert np.array_equal(classes, np.arange(n)) and psi is phi
+        assert basis.classes is None
         assert_same_grams(tosca.empirical_grams(sample, basis), vertex_grams(sample, basis))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(set_lists(n), walks_on(n), st.just(n))))
+    def test_hand_built_indicator_basis_keeps_the_bits(self, case):
+        # counted per vertex, not per set: the counts are exact integers either way
+        sets, sample, n = case
+        basis = tosca.indicator_basis(n, sets)
+        hand_built = tosca.Basis(phi_v=basis.phi_v.copy())
+        assert hand_built.classes is None
+        assert_same_grams(tosca.empirical_grams(sample, hand_built), tosca.empirical_grams(sample, basis))
+
+    def test_indicator_basis_is_read_only(self):
+        basis = tosca.indicator_basis(5, [[0, 1], [3]])
+        assert basis.classes.tolist() == [0, 0, 2, 1, 2]
+        with pytest.raises(ValueError, match="read-only"):
+            basis.phi_v[0, 2] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            basis.classes[2] = 0
+        with pytest.raises(AttributeError):
+            basis.classes = None
 
 
 def exact_grams(s, mu, basis):

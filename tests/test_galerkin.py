@@ -135,8 +135,9 @@ class TestIndicatorBasis:
             assert type(caught.value) is type(error)
             assert str(caught.value) == str(error)
         else:
-            phi_v = tosca.indicator_basis(n, sets).phi_v
-            assert phi_v.dtype == expected.dtype and np.array_equal(phi_v, expected)
+            basis = tosca.indicator_basis(n, sets)
+            assert basis.phi_v.dtype == expected.dtype and np.array_equal(basis.phi_v, expected)
+            assert np.array_equal(np.eye(len(sets), len(sets) + 1)[:, basis.classes], expected)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sets, expected", [
@@ -312,6 +313,28 @@ class TestPartitionIO:
         tosca.galerkin.write_partition(sets, path)
         back = tosca.galerkin.read_partition(path)
         assert [sorted(group) for group in back] == [[0, 1, 4], [2, 3]]
+
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([[4, 0], np.array([2.0, 3]), range(1, 2)], path)
+        assert path.read_bytes() == b"vertex_index,set_index\n4,0\n0,0\n2,1\n3,1\n1,2\n"
+        assert tosca.galerkin.read_partition(path) == [[4, 0], [2, 3], [1]]
+
+    @pytest.mark.parametrize("sets, error, message", [
+        ([[0, 1], [], [2]], EmptySetError, "set 1 is empty"),
+        ([[0.5]], ToscaError, "vertex 0.5 is not an integer"),
+        ([[0, 1], [1]], OverlappingSetsError, "vertex 1 appears in two sets"),
+        ([[-1]], IndexOutOfRangeError, "vertex -1 outside [0, inf)"),
+    ])
+    def test_sets_indicator_basis_rejects_are_not_written(self, tmp_path, sets, error, message):
+        path = tmp_path / "partition.csv"
+        with pytest.raises(error) as caught:
+            tosca.galerkin.write_partition(sets, path)
+        assert type(caught.value) is error and str(caught.value) == message
+        assert not path.exists()
+        with pytest.raises(error) as caught:
+            tosca.indicator_basis(4, sets)
+        assert type(caught.value) is error
 
     @pytest.mark.parametrize(
         "text,line", [("vertex_index,set_index\n", 1), ("# c\nvertex_index,set_index\n\n", 3), ("", 1)]

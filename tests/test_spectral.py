@@ -211,6 +211,16 @@ class TestFbSpectrum:
         assert np.abs(kappa - spec.kappa).max() < 1e-12
         assert np.abs(phi - spec.phi).max() < 1e-6
 
+    def test_lanczos_triplets_meet_the_unchecked_residual(self, rng, monkeypatch):
+        # only ||m^T u - sigma v|| is checked: ||m v - sigma u|| holds by construction
+        g = random_directed_graph(200, rng, density=0.05)
+        s, mu = fb_setup(g)
+        nu = tosca.image_density(s, mu)
+        m = s.s.multiply(np.sqrt(mu.p)[:, None]).multiply(1.0 / np.sqrt(nu.p)[None, :]).tocsr()
+        monkeypatch.setattr(spectral, "_DENSE_MAX_N", 0)  # a Lanczos answer or an error
+        sigma, u, v = spectral._top_k(m, 8)
+        assert np.linalg.norm(m @ v - u * sigma, axis=0).max() <= 1e-12
+
     def test_nonuniform_mu_matches_dense_f(self, rng):
         g = random_directed_graph(15, rng)
         s = tosca.transition_matrix(g)
