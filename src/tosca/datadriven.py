@@ -275,9 +275,6 @@ def sample_trajectory(
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     rng = np.random.default_rng(seed)
-    if m == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return WalkSample(xs=empty, ys=empty, mode="single_trajectory", seed=seed, n=s.n)
     v = int(_draw_density(_guide_table(start_density.p), rng.random(1))[0])
     rows = s._cumulative_rows
     ends, shift = rows.indptr[1:], np.arange(s.n)

@@ -84,7 +84,7 @@ class ReducedOperator:
     kind: str
 
 
-def _set_of(sets: Sequence[Iterable[int]], n: float) -> dict[int, int]:
+def _set_of(sets: Sequence[Iterable[int]], n: int) -> dict[int, int]:
     """Each vertex's set, checked vertex by vertex in set order (see indicator_basis)."""
     owner: dict[int, int] = {}
     for row, vertices in enumerate(sets):
@@ -94,12 +94,15 @@ def _set_of(sets: Sequence[Iterable[int]], n: float) -> dict[int, int]:
         for v in vertices:
             if not isinstance(v, (int, np.integer)) and not float(v).is_integer():
                 raise _not_an_integer(v)
-            v = int(v)
-            if not 0 <= v < n:
-                raise IndexOutOfRangeError(f"vertex {v} outside [0, {n})")
-            if v in owner:
-                raise OverlappingSetsError(f"vertex {v} appears in two sets")
-            owner[v] = row
+            vertex = int(v)
+            if not 0 <= vertex < n:
+                # a float is named as one beyond 2^53 (1e+300), as in _check_vertices
+                if not isinstance(v, (int, np.integer)) and abs(vertex) >= 2**53:
+                    vertex = float(v)
+                raise IndexOutOfRangeError(f"vertex {vertex} outside [0, {n})")
+            if vertex in owner:
+                raise OverlappingSetsError(f"vertex {vertex} appears in two sets")
+            owner[vertex] = row
     return owner
 
 
@@ -249,7 +252,7 @@ def write_partition(sets: Sequence[Iterable[int]], path) -> None:
     """Partition CSV, one 'vertex_index,set_index' row per vertex in set order.
 
     Sets that ``indicator_basis`` rejects raise its error before the file
-    is opened; only a negative vertex is out of range here.
+    is opened; a vertex is out of range here when negative or beyond int64.
     """
-    rows = np.array(list(_set_of(sets, np.inf).items()), dtype=np.int64)
+    rows = np.array(list(_set_of(sets, 2**63).items()), dtype=np.int64)
     _write_rows(path, rows.reshape(-1, 2).T, head=["vertex_index,set_index"])

@@ -193,14 +193,13 @@ def _aggregate(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int):
 
     ``src`` and ``dst`` are int64 or integer-valued float64 columns in
     [0, n); they are read, not copied, into one int64 key ``src * n + dst``.
-    One stable argsort of the key gathers the weights and is freed; the key
-    is then sorted in place, which gives the bits of the gathered key. One
-    compare of neighbouring keys into a bool buffer marks the first key of
-    each run, and src and dst are decoded from the runs' keys. Without
-    duplicates the sorted key and the gathered weights become the output.
-    Beside the input, at most four m-long arrays are held at once: the key
-    and the gathered weights, with the order, or with the run starts and
-    the run sums.
+    One stable argsort of the key gathers the key, then the weights, and is
+    freed; the inputs are never written. One compare of neighbouring keys
+    into a bool buffer marks the first key of each run, and src and dst are
+    decoded from the runs' keys. Without duplicates the sorted key and the
+    gathered weights become the output. Beside the input, at most three
+    m-long arrays are held while ordering (the order and two of the keys
+    and weights) and four while summing (with the run starts and sums).
 
     Each pair's weights are summed by ``np.add.reduceat`` in their input
     order, which is not strictly left to right: [1e16, 1, 1] sums to 1e16 + 2.
@@ -210,9 +209,9 @@ def _aggregate(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int):
     key = np.multiply(src, n, dtype=np.int64, casting="unsafe")
     np.add(key, dst, out=key, dtype=np.int64, casting="unsafe")
     order = np.argsort(key, kind="stable")
+    key = key[order]
     weight = weight[order]
     del order
-    key.sort()
     first = np.empty(len(key), dtype=bool)
     first[0] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
@@ -709,5 +708,5 @@ def reorder_by_cluster(g: Graph, labels: Sequence[int]) -> tuple[Graph, np.ndarr
     perm = np.argsort(labels, kind="stable")
     inverse = np.empty(g.n, dtype=np.int64)
     inverse[perm] = np.arange(g.n)
-    src, dst, weight = _aggregate(inverse[g.src], inverse[g.dst], g.weight.copy(), g.n)
+    src, dst, weight = _aggregate(inverse[g.src], inverse[g.dst], g.weight, g.n)
     return Graph(n=g.n, src=src, dst=dst, weight=weight, directed=g.directed), perm

@@ -121,11 +121,11 @@ def _top_k(
     not accept, when ARPACK fails, or when a column (value w, left u,
     right v) misses its residual <= tol = _RESIDUAL_TOL: ||m v - w u|| for
     eigenpairs, ||m^T u - w v|| for singular triplets. Triplets come from
-    the SVD of m x with v = x w, so their ||m v - w u|| is rounding by
-    construction and is not checked. The dense solve of
-    m @ I answers those cases, so m may also be a LinearOperator, up to
-    n = _DENSE_MAX_N; above it they raise NotConvergedError naming the
-    ARPACK failure or the largest residual.
+    the SVD of m x with v = x w, descending as the SVD gives them; their
+    ||m v - w u|| is rounding by construction and is not checked. The
+    dense solve of m @ I answers those cases, so m may also be a
+    LinearOperator, up to n = _DENSE_MAX_N; above it they raise
+    NotConvergedError naming the ARPACK failure or the largest residual.
     """
     import scipy.linalg as sla
     import scipy.sparse.linalg as spla
@@ -140,6 +140,8 @@ def _top_k(
         try:
             if symmetric:
                 vals, u = spla.eigsh(m, k=k, which="LA", tol=_ITER_TOL, v0=v0, rng=rng)
+                order = np.argsort(vals)[::-1]
+                vals, u = vals[order], u[:, order]
                 v = u
             else:
                 # the ARPACK steps of svds, which gives its eigsh no generator:
@@ -150,12 +152,10 @@ def _top_k(
                 )
                 x = np.linalg.qr(x)[0]
                 u, vals, vh = sla.svd(op @ x, full_matrices=False, overwrite_a=True)
-                vals, u, v = vals[::-1], u[:, ::-1], (vh[::-1] @ x.T.conj()).T
+                v = (vh @ x.T.conj()).T
         except spla.ArpackError as exc:
             failure = f"ARPACK failed ({exc})"
         else:
-            order = np.argsort(vals)[::-1]
-            vals, u, v = vals[order], u[:, order], v[:, order]
             residual = _residual(m, v, u, vals) if symmetric else _residual(m.T, u, v, vals)
             if residual <= _RESIDUAL_TOL:
                 return vals, u, v

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -10,7 +8,7 @@ from tosca.baselines import _pseudo_inv_sqrt
 from tosca.errors import DegenerateSpectrumError, ZeroDegreeError
 from tosca.spectral import _fix_signs, _top_k
 
-from conftest import random_directed_graph
+from conftest import peak_mib, random_directed_graph
 
 
 def diagonal_block_graph(seed, n_b=50, p=0.8, q=0.1, r_b=4):
@@ -75,15 +73,6 @@ def herm_features(g, k, monkeypatch):
 def projector(cols):
     q, _ = np.linalg.qr(cols)
     return q @ q.T
-
-
-def peak_mib(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 class TestSymmetrize:

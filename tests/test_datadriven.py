@@ -488,6 +488,13 @@ class TestSampleTrajectory:
         assert sample.m == 1
         assert sample.mode == "single_trajectory"
 
+    def test_no_steps(self):
+        _, s, mu = five_vertex_setup()
+        sample = tosca.sample_trajectory(s, mu, 0, seed=4)
+        for walk in (sample.xs, sample.ys):
+            assert walk.dtype == np.int64 and walk.shape == (0,)
+        assert (sample.m, sample.n, sample.mode, sample.seed) == (0, 5, "single_trajectory", 4)
+
     def test_consecutive_pair_structure(self):
         _, s, mu = five_vertex_setup()
         sample = tosca.sample_trajectory(s, mu, 200, seed=3)

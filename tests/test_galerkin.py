@@ -147,9 +147,10 @@ class TestIndicatorBasis:
         ([[0], [Fraction(2, 1)]], [[1, 0, 0, 0], [0, 0, 1, 0]]),
         # beyond int64: checked before any cast, so nothing warns
         ([[2**63, 0.0]], f"vertex {2**63} outside [0, 4)"),
-        ([[1e300]], f"vertex {int(1e300)} outside [0, 4)"),
-        ([np.array([1e19, 1.0])], f"vertex {10**19} outside [0, 4)"),
-    ], ids=["str", "fraction", "fraction-after-int", "2**63", "1e300", "1e19-array"])
+        ([[2**64]], f"vertex {2**64} outside [0, 4)"),
+        ([[1e300]], "vertex 1e+300 outside [0, 4)"),
+        ([np.array([1e19, 1.0])], "vertex 1e+19 outside [0, 4)"),
+    ], ids=["str", "fraction", "fraction-after-int", "2**63", "2**64", "1e300", "1e19-array"])
     def test_inputs_numpy_cannot_join_or_cast(self, sets, expected):
         if isinstance(expected, str):
             with pytest.raises(IndexOutOfRangeError) as caught:
@@ -324,7 +325,11 @@ class TestPartitionIO:
         ([[0, 1], [], [2]], EmptySetError, "set 1 is empty"),
         ([[0.5]], ToscaError, "vertex 0.5 is not an integer"),
         ([[0, 1], [1]], OverlappingSetsError, "vertex 1 appears in two sets"),
-        ([[-1]], IndexOutOfRangeError, "vertex -1 outside [0, inf)"),
+        ([[-1]], IndexOutOfRangeError, f"vertex -1 outside [0, {2**63})"),
+        # beyond int64: rejected before the int64 cast, which would overflow
+        ([[2**63]], IndexOutOfRangeError, f"vertex {2**63} outside [0, {2**63})"),
+        ([[2**64]], IndexOutOfRangeError, f"vertex {2**64} outside [0, {2**63})"),
+        ([[1e300]], IndexOutOfRangeError, f"vertex 1e+300 outside [0, {2**63})"),
     ])
     def test_sets_indicator_basis_rejects_are_not_written(self, tmp_path, sets, error, message):
         path = tmp_path / "partition.csv"
@@ -335,6 +340,13 @@ class TestPartitionIO:
         with pytest.raises(error) as caught:
             tosca.indicator_basis(4, sets)
         assert type(caught.value) is error
+
+    def test_largest_int64_vertex_written(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([[2**63 - 1, 0], [np.int64(2**63 - 2)]], path)
+        assert path.read_bytes() == (
+            b"vertex_index,set_index\n9223372036854775807,0\n0,0\n9223372036854775806,1\n"
+        )
 
     @pytest.mark.parametrize(
         "text,line", [("vertex_index,set_index\n", 1), ("# c\nvertex_index,set_index\n\n", 3), ("", 1)]

@@ -399,6 +399,16 @@ class TestAggregateReference:
     @given(edges=unsorted_edges(), directed=st.booleans())
     @example(edges=(1, np.zeros(3), np.zeros(3), np.array([1e16, 1.0, 1.0])), directed=True)
     @example(edges=(3, np.empty(0), np.empty(0), np.empty(0)), directed=False)
+    # two sorted runs sharing keys 0 and 4, as add_self_loops passes edges and loops
+    @example(edges=(3, np.array([0, 0, 1, 2, 0, 1, 2]), np.array([0, 2, 1, 1, 0, 1, 2]),
+                    np.array([1e16, 0.5, 3.0, 0.1, 1.0, 1.0, 1.0])), directed=True)
+    # a non-increasing key, its repeats summed in input order
+    @example(edges=(3, np.array([2.0, 2.0, 2.0, 1.0, 0.0, 0.0, 0.0]),
+                    np.array([1.0, 1.0, 0.0, 2.0, 1.0, 1.0, 1.0]),
+                    np.array([1.0, 3.0, 0.1, 3.0, 1e16, 1.0, 1.0])), directed=True)
+    # one key throughout
+    @example(edges=(2, np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
+                    np.array([1.0, 1e16, 1.0, 1.0])), directed=True)
     @example(edges=(3, np.array([2, 0, 2, 1]), np.array([0, 2, 1, 2]),
                     np.array([1e16, 1.0, 1.0, 0.5])), directed=False)
     def test_bitwise_equal_to_per_pair_sums(self, edges, directed):

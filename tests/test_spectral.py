@@ -221,6 +221,23 @@ class TestFbSpectrum:
         sigma, u, v = spectral._top_k(m, 8)
         assert np.linalg.norm(m @ v - u * sigma, axis=0).max() <= 1e-12
 
+    def test_lanczos_answers_come_strictly_descending(self, rng, monkeypatch):
+        # the SVD's descending triplets are returned as they come; eigsh's pairs are sorted
+        g = random_directed_graph(200, rng, density=0.05)
+        s, mu = fb_setup(g)
+        nu = tosca.image_density(s, mu)
+        m = s.s.multiply(np.sqrt(mu.p)[:, None]).multiply(1.0 / np.sqrt(nu.p)[None, :]).tocsr()
+        monkeypatch.setattr(spectral, "_DENSE_MAX_N", 0)  # a Lanczos answer or an error
+        sigma, u, v = spectral._top_k(m, 8)
+        assert (np.diff(sigma) < 0).all()
+        assert np.linalg.norm(m.T @ u - v * sigma, axis=0).max() <= spectral._RESIDUAL_TOL
+        assert np.abs(sigma - np.linalg.svd(m.toarray(), compute_uv=False)[:8]).max() < 1e-10
+        sym = ((m + m.T) / 2.0).tocsr()
+        lam, x, _ = spectral._top_k(sym, 8, symmetric=True)
+        assert (np.diff(lam) < 0).all()
+        assert np.linalg.norm(sym @ x - x * lam, axis=0).max() <= spectral._RESIDUAL_TOL
+        assert np.abs(lam - np.linalg.eigvalsh(sym.toarray())[::-1][:8]).max() < 1e-10
+
     def test_nonuniform_mu_matches_dense_f(self, rng):
         g = random_directed_graph(15, rng)
         s = tosca.transition_matrix(g)
