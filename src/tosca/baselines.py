@@ -96,11 +96,14 @@ def herm_cluster(g: Graph, k: int, cfg: KMeansConfig | None = None) -> Clusterin
     do = _pseudo_inv_sqrt(deg.out_degrees)
     di = _pseudo_inv_sqrt(deg.in_degrees)
     a_nn = sp.diags(do) @ g.adjacency @ sp.diags(di)
-    vals, x, _ = _top_k(1j * (a_nn - a_nn.T), (k + 1) // 2, symmetric=True)
+    c = a_nn - a_nn.T
+    degenerate = DegenerateSpectrumError(
+        "skew-symmetric part vanishes; the graph carries no directional information"
+    )
+    if not c.count_nonzero():  # every start vector is "zero" to ARPACK at H = 0
+        raise degenerate
+    vals, x, _ = _top_k(1j * c, (k + 1) // 2, symmetric=True)
     if vals[0] <= _DEGENERATE_TOL:
-        raise DegenerateSpectrumError(
-            "skew-symmetric part vanishes; the graph carries no "
-            "directional information"
-        )
+        raise degenerate
     _fix_signs(x)
     return kmeans(np.stack([x.real, x.imag], axis=2).reshape(g.n, -1), k, cfg)

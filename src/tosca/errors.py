@@ -111,6 +111,6 @@ class DegenerateSpectrumError(ToscaError):
 
 
 class NotConvergedError(ToscaError):
-    """Lanczos missed its residual or failed, and n is too large for the dense solve."""
+    """Lanczos (ARPACK) failed or missed its residual."""
 
     exit_code = EXIT_NUMERICAL

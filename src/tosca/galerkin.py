@@ -92,6 +92,11 @@ def _set_of(sets: Sequence[Iterable[int]], n: int) -> dict[int, int]:
         if not vertices:
             raise EmptySetError(f"set {row} is empty")
         for v in vertices:
+            if isinstance(v, str):  # "2" and long integers exactly, "2.0" and "1e300" as floats
+                try:
+                    v = int(v) if v.strip().lstrip("+-").isdecimal() else float(v)
+                except ValueError:
+                    raise _not_an_integer(v) from None
             if not isinstance(v, (int, np.integer)) and not float(v).is_integer():
                 raise _not_an_integer(v)
             vertex = int(v)
@@ -109,8 +114,9 @@ def _set_of(sets: Sequence[Iterable[int]], n: int) -> dict[int, int]:
 def indicator_basis(n: int, sets: Sequence[Iterable[int]]) -> Basis:
     """0/1 indicator functions of disjoint vertex sets (need not cover).
 
-    Vertices are integer values: 2.0 is vertex 2, and 1.5, nan or inf
-    raise ToscaError. The first offending vertex in set order raises.
+    Vertices are integer values: 2.0 and "2.0" are vertex 2, and 1.5,
+    nan, inf or "x" raise ToscaError. The first offending vertex in set
+    order raises.
     Sets that numpy joins into one numeric array of distinct vertices in
     [0, n), none of them empty, map to their sets in one step; any other
     input goes vertex by vertex, which also names the first fault. The

@@ -12,9 +12,10 @@ F, so the eigenpairs of F and B follow as
     phi = D_mu^{-1/2} u,  psi = D_nu^{-1/2} v.
 
 This keeps the numerics real and stable for directed graphs. Both
-spectra come from restarted Lanczos (ARPACK) with a residual check on
-every returned vector; a dense solve answers only where Lanczos cannot,
-and only up to _DENSE_MAX_N vertices.
+spectra come from restarted Lanczos (ARPACK), started from a seeded
+random vector, with a residual check on every returned vector; a failure
+raises NotConvergedError at any n. A dense solve answers only for
+k >= n - 1, which ARPACK does not accept.
 """
 
 from __future__ import annotations
@@ -43,14 +44,8 @@ __all__ = [
 
 _ITER_TOL = 1e-10
 _ITER_MAXITER_PER_K = 300
-# Largest accepted per-column residual of a Lanczos answer; above it the
-# dense solve is used instead.
+# Largest accepted per-column residual of a Lanczos answer; NotConvergedError above
 _RESIDUAL_TOL = 1e-8
-# Largest n the dense solve is tried at. m @ I and its SVD hold up to four
-# n x n float64 arrays, 0.8 GB each at this n (80 GB each at n = 10^5).
-# The bound keeps the dense answer for graphs of the paper's size, such as
-# add32 (n = 4960) and the 8000-vertex DSBM.
-_DENSE_MAX_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -115,61 +110,56 @@ def _top_k(
     """Top-k (values, left, right) of the square matrix m, descending.
 
     The top singular triplets (sigma, u, v), or for symmetric (real
-    symmetric or complex Hermitian) m the eigenpairs with the largest
-    values (lambda, x, x). Restarted Lanczos (ARPACK, from a fixed start
-    vector) answers unless it cannot: for k >= n - 1, which ARPACK does
-    not accept, when ARPACK fails, or when a column (value w, left u,
-    right v) misses its residual <= tol = _RESIDUAL_TOL: ||m v - w u|| for
-    eigenpairs, ||m^T u - w v|| for singular triplets. Triplets come from
-    the SVD of m x with v = x w, descending as the SVD gives them; their
-    ||m v - w u|| is rounding by construction and is not checked. The
-    dense solve of m @ I answers those cases, so m may also be a
-    LinearOperator, up to n = _DENSE_MAX_N; above it they raise
-    NotConvergedError naming the ARPACK failure or the largest residual.
+    symmetric or complex Hermitian) m the eigenpairs (lambda, x, x) with the
+    largest values. Restarted Lanczos (ARPACK) answers from a seeded random
+    start; the dense solve of m @ I answers only k >= n - 1, which ARPACK
+    does not accept. An ARPACK failure, or a column (value w, left u, right
+    v) that misses its residual <= _RESIDUAL_TOL, raises NotConvergedError.
+    The residual is ||m v - w u|| for eigenpairs and ||m^T u - w v|| for
+    triplets: these come from the SVD of m x with v = x w, descending as it
+    gives them, and meet ||m v - w u|| by construction. m may be a
+    LinearOperator.
     """
     import scipy.linalg as sla
     import scipy.sparse.linalg as spla
 
     n = m.shape[0]
-    failure = f"k = {k} >= n - 1 is outside ARPACK's range"
-    if k < n - 1:
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        # ARPACK draws a fresh vector on every restart; a fixed generator
-        # makes those draws, and so the answer, repeat bit for bit.
-        rng = np.random.default_rng(0)
-        try:
-            if symmetric:
-                vals, u = spla.eigsh(m, k=k, which="LA", tol=_ITER_TOL, v0=v0, rng=rng)
-                order = np.argsort(vals)[::-1]
-                vals, u = vals[order], u[:, order]
-                v = u
-            else:
-                # the ARPACK steps of svds, which gives its eigsh no generator:
-                # eigenvectors x of m^H m, then the SVD of m x
-                op = spla.aslinearoperator(m)
-                _, x = spla.eigsh(
-                    op.H @ op, k, tol=_ITER_TOL**2, maxiter=_ITER_MAXITER_PER_K * k, v0=v0, rng=rng
-                )
-                x = np.linalg.qr(x)[0]
-                u, vals, vh = sla.svd(op @ x, full_matrices=False, overwrite_a=True)
-                v = (vh @ x.T.conj()).T
-        except spla.ArpackError as exc:
-            failure = f"ARPACK failed ({exc})"
+    if k >= n - 1:
+        if symmetric:
+            vals, u = np.linalg.eigh(m @ np.eye(n))
+            u = u[:, ::-1][:, :k]
+            return vals[::-1][:k], u, u
+        u, vals, vt = np.linalg.svd(m @ np.eye(n))
+        return vals[:k], u[:, :k], vt[:k, :].T
+    # The start vector and ARPACK's fresh vector on every restart come from
+    # one fixed generator, so the answer repeats bit for bit.
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n)
+    v0 /= np.linalg.norm(v0)
+    try:
+        if symmetric:
+            vals, u = spla.eigsh(m, k=k, which="LA", tol=_ITER_TOL, v0=v0, rng=rng)
+            order = np.argsort(vals)[::-1]
+            vals, u = vals[order], u[:, order]
+            v = u
         else:
-            residual = _residual(m, v, u, vals) if symmetric else _residual(m.T, u, v, vals)
-            if residual <= _RESIDUAL_TOL:
-                return vals, u, v
-            failure = f"the largest Lanczos residual is {residual:.3g} > {_RESIDUAL_TOL:g}"
-    if n > _DENSE_MAX_N:
+            # the ARPACK steps of svds, which gives its eigsh no generator:
+            # eigenvectors x of m^H m, then the SVD of m x
+            op = spla.aslinearoperator(m)
+            _, x = spla.eigsh(
+                op.H @ op, k, tol=_ITER_TOL**2, maxiter=_ITER_MAXITER_PER_K * k, v0=v0, rng=rng
+            )
+            x = np.linalg.qr(x)[0]
+            u, vals, vh = sla.svd(op @ x, full_matrices=False, overwrite_a=True)
+            v = (vh @ x.T.conj()).T
+    except spla.ArpackError as exc:
+        raise NotConvergedError(f"ARPACK failed ({exc})") from exc
+    residual = _residual(m, v, u, vals) if symmetric else _residual(m.T, u, v, vals)
+    if residual > _RESIDUAL_TOL:
         raise NotConvergedError(
-            f"{failure}, and the dense solve is limited to n <= {_DENSE_MAX_N} (n = {n})"
+            f"the largest Lanczos residual is {residual:.3g} > {_RESIDUAL_TOL:g}"
         )
-    if symmetric:
-        vals, u = np.linalg.eigh(m @ np.eye(n))
-        u = u[:, ::-1][:, :k]
-        return vals[::-1][:k], u, u
-    u, vals, vt = np.linalg.svd(m @ np.eye(n))
-    return vals[:k], u[:, :k], vt[:k, :].T
+    return vals, u, v
 
 
 def fb_spectrum(s: TransitionMatrix, mu: Density, k: int) -> SpectrumResult:

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 import tosca
 from tosca import baselines
 from tosca.baselines import _pseudo_inv_sqrt
-from tosca.errors import DegenerateSpectrumError, ZeroDegreeError
+from tosca.errors import DegenerateSpectrumError, NotConvergedError, ZeroDegreeError
 from tosca.spectral import _fix_signs, _top_k
 
 from conftest import peak_mib, random_directed_graph
@@ -153,9 +153,18 @@ class TestDdbsCluster:
 
 
 class TestHermCluster:
-    def test_symmetric_graph_degenerate(self):
+    def test_symmetric_graph_degenerate(self, monkeypatch):
+        # H = 0: every start vector is "zero" to ARPACK, so it is never asked
         g = tosca.from_edge_list(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], directed=False)
-        with pytest.raises(DegenerateSpectrumError):
+        monkeypatch.setattr(spla, "eigsh", None)
+        with pytest.raises(DegenerateSpectrumError, match="^skew-symmetric part vanishes;"):
+            tosca.herm_cluster(g, 2)
+
+    def test_nearly_symmetric_graph_degenerate(self):
+        # a nonzero skew part of rounding size is caught by its eigenvalue
+        edges = [(0, 1, 1.0), (1, 0, 1.0 + 1e-15), (1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0)]
+        g = tosca.from_edge_list(4, edges)
+        with pytest.raises(DegenerateSpectrumError, match="^skew-symmetric part vanishes;"):
             tosca.herm_cluster(g, 2)
 
     def test_directional_two_block(self):
@@ -236,10 +245,9 @@ class TestHermCluster:
 
 class TestDenseFallback:
     @pytest.mark.parametrize("cluster", [tosca.ddbs_cluster, tosca.herm_cluster])
-    def test_arpack_error_gives_lanczos_labels(self, monkeypatch, cluster):
+    def test_arpack_error_is_not_converged(self, monkeypatch, cluster):
+        # an ARPACK failure is a numerical error, with no dense solve behind it
         g = cyclic_block_graph(0)
-        cfg = tosca.KMeansConfig(seed=0)
-        lanczos = cluster(g, 4, cfg).labels
         calls = []
 
         def failing(m, *args, **kwargs):
@@ -247,7 +255,9 @@ class TestDenseFallback:
             raise spla.ArpackError(-9999)
 
         monkeypatch.setattr(spla, "eigsh", failing)
-        assert np.array_equal(cluster(g, 4, cfg).labels, lanczos)
+        monkeypatch.setattr(np, "eye", None)  # a dense solve would fail on this
+        with pytest.raises(NotConvergedError, match=r"^ARPACK failed \(ARPACK error -9999"):
+            cluster(g, 4, tosca.KMeansConfig(seed=0))
         expected = np.complex128 if cluster is tosca.herm_cluster else np.float64
         assert calls == [expected]
 

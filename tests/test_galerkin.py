@@ -146,16 +146,22 @@ class TestIndicatorBasis:
         ([[Fraction(2, 1)]], [[0, 0, 1, 0]]),
         ([[0], [Fraction(2, 1)]], [[1, 0, 0, 0], [0, 0, 1, 0]]),
         # beyond int64: checked before any cast, so nothing warns
-        ([[2**63, 0.0]], f"vertex {2**63} outside [0, 4)"),
-        ([[2**64]], f"vertex {2**64} outside [0, 4)"),
-        ([[1e300]], "vertex 1e+300 outside [0, 4)"),
-        ([np.array([1e19, 1.0])], "vertex 1e+19 outside [0, 4)"),
-    ], ids=["str", "fraction", "fraction-after-int", "2**63", "2**64", "1e300", "1e19-array"])
+        ([[2**63, 0.0]], IndexOutOfRangeError(f"vertex {2**63} outside [0, 4)")),
+        ([[2**64]], IndexOutOfRangeError(f"vertex {2**64} outside [0, 4)")),
+        ([[1e300]], IndexOutOfRangeError("vertex 1e+300 outside [0, 4)")),
+        ([np.array([1e19, 1.0])], IndexOutOfRangeError("vertex 1e+19 outside [0, 4)")),
+        # a string of decimal digits is read as an exact integer, any other as a float
+        ([["2.0"]], [[0, 0, 1, 0]]),
+        ([["1e300"]], IndexOutOfRangeError("vertex 1e+300 outside [0, 4)")),
+        ([[str(2**64 + 1)]], IndexOutOfRangeError(f"vertex {2**64 + 1} outside [0, 4)")),
+        ([["x"]], ToscaError("vertex x is not an integer")),
+    ], ids=["str", "fraction", "fraction-after-int", "2**63", "2**64", "1e300", "1e19-array",
+            "str-float", "str-1e300", "str-2**64+1", "str-not-a-number"])
     def test_inputs_numpy_cannot_join_or_cast(self, sets, expected):
-        if isinstance(expected, str):
-            with pytest.raises(IndexOutOfRangeError) as caught:
+        if isinstance(expected, ToscaError):
+            with pytest.raises(ToscaError) as caught:
                 tosca.indicator_basis(4, sets)
-            assert str(caught.value) == expected
+            assert type(caught.value) is type(expected) and str(caught.value) == str(expected)
         else:
             assert np.array_equal(tosca.indicator_basis(4, sets).phi_v, expected)
 
@@ -330,6 +336,9 @@ class TestPartitionIO:
         ([[2**63]], IndexOutOfRangeError, f"vertex {2**63} outside [0, {2**63})"),
         ([[2**64]], IndexOutOfRangeError, f"vertex {2**64} outside [0, {2**63})"),
         ([[1e300]], IndexOutOfRangeError, f"vertex 1e+300 outside [0, {2**63})"),
+        ([["1e300"]], IndexOutOfRangeError, f"vertex 1e+300 outside [0, {2**63})"),
+        ([[str(2**63)]], IndexOutOfRangeError, f"vertex {2**63} outside [0, {2**63})"),
+        ([["x"]], ToscaError, "vertex x is not an integer"),
     ])
     def test_sets_indicator_basis_rejects_are_not_written(self, tmp_path, sets, error, message):
         path = tmp_path / "partition.csv"
@@ -340,6 +349,11 @@ class TestPartitionIO:
         with pytest.raises(error) as caught:
             tosca.indicator_basis(4, sets)
         assert type(caught.value) is error
+
+    def test_string_vertices_written(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        tosca.galerkin.write_partition([["2.0", str(2**63 - 1)], ["0"]], path)
+        assert path.read_bytes() == b"vertex_index,set_index\n2,0\n9223372036854775807,0\n0,1\n"
 
     def test_largest_int64_vertex_written(self, tmp_path):
         path = tmp_path / "partition.csv"

@@ -133,9 +133,10 @@ class TestFbSpectrum:
         assert np.abs(kappa - spec.kappa).max() < 1e-9
         assert np.abs(phi - spec.phi).max() < 1e-6
 
-    def test_degenerate_graph_falls_back_to_dense(self, monkeypatch):
-        # two sparse blocks with unit self-loops: most vertices are
-        # isolated, so sigma = 1 is highly degenerate and ARPACK gives up
+    def test_degenerate_graph_is_answered_by_lanczos(self, monkeypatch):
+        # two sparse blocks with unit self-loops: most vertices are isolated,
+        # so sigma = 1 is highly degenerate, where a constant start vector
+        # stalls ARPACK (error 3) and the seeded random one does not
         e = np.full((2, 2), 0.001)
         g = tosca.dsbm_sample(tosca.DSBMParams(r_b=2, n_b=100, e=e, seed=0))
         s, mu = fb_setup(tosca.add_self_loops(g, 1.0))
@@ -150,52 +151,37 @@ class TestFbSpectrum:
                 raise
 
         monkeypatch.setattr(spla, "eigsh", spy)
+        monkeypatch.setattr(np, "eye", None)  # a dense solve would fail on this
         spec = tosca.fb_spectrum(s, mu, 2)
-        assert len(failures) == 1
-        kappa, phi = dense_fb_reference(s, mu, 2)
+        monkeypatch.undo()
+        assert failures == []
+        kappa, _ = dense_fb_reference(s, mu, 2)
         assert np.abs(kappa - spec.kappa).max() < 1e-9
-        assert np.abs(phi - spec.phi).max() < 1e-6
+        # sigma = 1 is many-fold: phi is a basis of its eigenspace, not the dense phi
+        gram = spec.phi.T @ (mu.p[:, None] * spec.phi)
+        assert np.abs(gram - np.eye(2)).max() < 1e-10
+        nu = tosca.image_density(s, mu)
+        m = s.s.multiply(np.sqrt(mu.p)[:, None]).multiply(1.0 / np.sqrt(nu.p)[None, :]).tocsr()
+        u = spec.phi * np.sqrt(mu.p)[:, None]
+        v = spec.psi * np.sqrt(nu.p)[:, None]
+        assert np.linalg.norm(m.T @ u - v * spec.kappa, axis=0).max() <= 1e-8
 
     def test_dense_fallback_is_bounded(self, monkeypatch):
-        # the graph of test_degenerate_graph_falls_back_to_dense, with the
-        # dense bound set below its 200 vertices: no n x n array is formed
-        e = np.full((2, 2), 0.001)
-        g = tosca.dsbm_sample(tosca.DSBMParams(r_b=2, n_b=100, e=e, seed=0))
-        s, mu = fb_setup(tosca.add_self_loops(g, 1.0))
-        monkeypatch.setattr(spectral, "_DENSE_MAX_N", 199)
+        # an ARPACK failure is a numerical error at any n: no n x n array is formed
+        g = random_directed_graph(60, np.random.default_rng(0))
+        s, mu = fb_setup(g)
+
+        def failing(*args, **kwargs):
+            raise spla.ArpackError(-9999)
+
+        monkeypatch.setattr(spla, "eigsh", failing)
         monkeypatch.setattr(np, "eye", None)  # a dense solve would fail on this
         with pytest.raises(NotConvergedError) as caught:
             tosca.fb_spectrum(s, mu, 2)
         assert caught.value.exit_code == 4
-        assert str(caught.value).startswith("ARPACK failed (ARPACK error")
-        assert str(caught.value).endswith("the dense solve is limited to n <= 199 (n = 200)")
+        assert str(caught.value).startswith("ARPACK failed (ARPACK error -9999")
 
     def test_bound_names_the_largest_residual(self, rng, monkeypatch):
-        g = random_directed_graph(60, rng)
-        s, mu = fb_setup(g)
-        eigsh = spla.eigsh
-
-        def perturbed(*args, **kwargs):
-            vals, x = eigsh(*args, **kwargs)
-            return vals, x + 1e-4 * np.roll(x, 1, axis=0)
-
-        monkeypatch.setattr(spla, "eigsh", perturbed)
-        monkeypatch.setattr(spectral, "_DENSE_MAX_N", 59)
-        with pytest.raises(NotConvergedError, match=r"^the largest Lanczos residual is \S+ > 1e-08, "
-                           r"and the dense solve is limited to n <= 59 \(n = 60\)$"):
-            tosca.fb_spectrum(s, mu, 5)
-
-    def test_bound_applies_to_k_outside_arpack(self, monkeypatch):
-        g = three_cycles_graph()
-        s, mu = fb_setup(g)
-        monkeypatch.setattr(spectral, "_DENSE_MAX_N", g.n - 1)
-        with pytest.raises(NotConvergedError, match="k = 11 >= n - 1 is outside ARPACK's range"):
-            tosca.fb_spectrum(s, mu, 11)
-        # at the bound the dense solve still answers
-        monkeypatch.setattr(spectral, "_DENSE_MAX_N", g.n)
-        assert tosca.fb_spectrum(s, mu, 11).k == 11
-
-    def test_inaccurate_lanczos_answer_is_replaced(self, rng, monkeypatch):
         g = random_directed_graph(60, rng)
         s, mu = fb_setup(g)
         eigsh = spla.eigsh
@@ -206,28 +192,32 @@ class TestFbSpectrum:
             return vals, x + 1e-4 * np.roll(x, 1, axis=0)
 
         monkeypatch.setattr(spla, "eigsh", perturbed)
-        spec = tosca.fb_spectrum(s, mu, 5)
-        kappa, phi = dense_fb_reference(s, mu, 5)
-        assert np.abs(kappa - spec.kappa).max() < 1e-12
-        assert np.abs(phi - spec.phi).max() < 1e-6
+        monkeypatch.setattr(np, "eye", None)  # a dense solve would fail on this
+        with pytest.raises(NotConvergedError, match=r"^the largest Lanczos residual is \S+ > 1e-08$"):
+            tosca.fb_spectrum(s, mu, 5)
 
-    def test_lanczos_triplets_meet_the_unchecked_residual(self, rng, monkeypatch):
+    def test_bound_applies_to_k_outside_arpack(self, monkeypatch):
+        # k = 11 >= n - 1 on 12 vertices: ARPACK is never asked
+        g = three_cycles_graph()
+        s, mu = fb_setup(g)
+        monkeypatch.setattr(spla, "eigsh", None)
+        assert tosca.fb_spectrum(s, mu, 11).k == 11
+
+    def test_lanczos_triplets_meet_the_unchecked_residual(self, rng):
         # only ||m^T u - sigma v|| is checked: ||m v - sigma u|| holds by construction
         g = random_directed_graph(200, rng, density=0.05)
         s, mu = fb_setup(g)
         nu = tosca.image_density(s, mu)
         m = s.s.multiply(np.sqrt(mu.p)[:, None]).multiply(1.0 / np.sqrt(nu.p)[None, :]).tocsr()
-        monkeypatch.setattr(spectral, "_DENSE_MAX_N", 0)  # a Lanczos answer or an error
         sigma, u, v = spectral._top_k(m, 8)
         assert np.linalg.norm(m @ v - u * sigma, axis=0).max() <= 1e-12
 
-    def test_lanczos_answers_come_strictly_descending(self, rng, monkeypatch):
+    def test_lanczos_answers_come_strictly_descending(self, rng):
         # the SVD's descending triplets are returned as they come; eigsh's pairs are sorted
         g = random_directed_graph(200, rng, density=0.05)
         s, mu = fb_setup(g)
         nu = tosca.image_density(s, mu)
         m = s.s.multiply(np.sqrt(mu.p)[:, None]).multiply(1.0 / np.sqrt(nu.p)[None, :]).tocsr()
-        monkeypatch.setattr(spectral, "_DENSE_MAX_N", 0)  # a Lanczos answer or an error
         sigma, u, v = spectral._top_k(m, 8)
         assert (np.diff(sigma) < 0).all()
         assert np.linalg.norm(m.T @ u - v * sigma, axis=0).max() <= spectral._RESIDUAL_TOL
