@@ -19,7 +19,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .errors import DegeneratePointsError, EmptySubsetError, check_k
-from .graph import Graph, _check_vertices, _non_integer, _not_an_integer, transition_matrix
+from .graph import Graph, _check_vertices, _first_non_number, _non_integer, _not_an_integer, transition_matrix
 from .operators import Density, forward_backward, uniform_density
 from .spectral import SpectrumResult, fb_spectrum
 
@@ -304,9 +304,16 @@ def coherence_score(g: Graph, mu: Density | None, subset: Iterable[int]) -> floa
     Averages the in-set row mass of F over the set; 1 means every
     forward-backward path starting inside stays inside: 1_A^T F 1_A / |A|,
     with F applied as a sparse product. Vertices are integer values: 2.0
-    is vertex 2, and the first of 0.5, nan or inf raises ToscaError.
+    and "2" are vertex 2; "x", else the first of 0.5, nan or inf, raises
+    ToscaError.
     """
-    values = np.fromiter(subset, dtype=np.float64)
+    vertices = list(subset)
+    try:
+        values = np.fromiter(vertices, dtype=np.float64)
+    except (TypeError, ValueError):
+        if (bad := _first_non_number(vertices)) is None:
+            raise
+        raise _not_an_integer(bad[1]) from None
     bad = _non_integer(values)
     if bad.any():
         raise _not_an_integer(values[np.argmax(bad)])

@@ -26,17 +26,15 @@ pairs by a branchless fixed-step search inside every walker's row at
 once, and a trajectory by ``bisect_right`` within rows of flat Python lists.
 Pairs and trajectories take their uniforms in blocks of ``_WALK_CHUNK``
 from the seed's one stream, so no m-long array of uniforms is held.
-The Grams are counted per basis class. With Phi = psi[:, c] for a
-vertex -> class map c, C the sparse matrix of class pair counts from one
-sort of the pairs, and v_x, v_y its row and column sums (the visits),
+For an indicator basis with vertex -> set map c (``Basis.classes``, r
+for a vertex in no set), the Grams count steps between sets: with C the
+(r + 1) x (r + 1) bincount of the keys c[x] (r + 1) + c[y],
 
-    Gxx = psi diag(v_x) psi^T / m,  Gxy = psi C psi^T / m.
+    Gxx = diag(C 1)[:r, :r] / m,  Gyy = diag(C^T 1)[:r, :r] / m,  Gxy = C[:r, :r] / m,
 
-For an indicator basis c is the set map it keeps (``Basis.classes``):
-each vertex's set, or one more class with a zero column when it is in
-none, so C is (r + 1) x (r + 1) and no r x n product is formed; the
-counts are exact integers, so these are the gathered sums above, bit for
-bit. Any other basis keeps one class per vertex: psi = Phi, C is n x n.
+the sums above, bit for bit, since the counts are exact integers. Any
+other basis counts the pairs per vertex in a sparse n x n matrix N:
+Gxx = Phi diag(N 1) Phi^T / m, Gxy = Phi N Phi^T / m.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Literal, NamedTuple, get_args
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -66,9 +64,6 @@ from .graph import (
 )
 from .operators import Density, _check_density_length
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 __all__ = [
     "WalkSample",
     "EmpiricalGrams",
@@ -81,8 +76,7 @@ __all__ = [
     "read_walks",
 ]
 
-_WALK_CHUNK = 1 << 16  # walk draws per block of uniforms
-_KEY_CHUNK = 1 << 16  # pairs per block of class gathers
+_WALK_CHUNK = 1 << 16  # walk draws per block of uniforms, pairs per block of counts
 
 SampleMode = Literal["independent_pairs", "single_trajectory"]
 _SAMPLE_MODES = get_args(SampleMode)
@@ -266,10 +260,10 @@ def sample_trajectory(
 
     The walk searches two flat Python lists built from S's cumulative
     rows (see ``TransitionMatrix``) on every call and freed when it
-    returns: vertex v's cums and neighbours sit at [lo[v], hi[v]), and its
-    last neighbour again at hi[v]. So a step is one ``bisect_right``
-    (searchsorted's side="right") within the row and one index, the
-    fallback at or above the row total included.
+    returns: vertex v's cums and neighbours sit at [lo[v], last[v]], in
+    CSR order. So a step is one ``bisect_right`` over all of row v's cums
+    but the last, and one index: searchsorted's side="right" in the row,
+    a uniform past those cums landing on the last neighbour, the fallback.
     """
     _check_density_length(start_density, s.n)
     if m < 0:
@@ -277,17 +271,15 @@ def sample_trajectory(
     rng = np.random.default_rng(seed)
     v = int(_draw_density(_guide_table(start_density.p), rng.random(1))[0])
     rows = s._cumulative_rows
-    ends, shift = rows.indptr[1:], np.arange(s.n)
     # One float object per distinct cum, shared by every slot that holds it:
     # rows with equal probabilities (on an unweighted graph, all rows of one
     # degree) share their cums, and the walk reads a few hundred floats
-    # instead of one per stored entry. The None at hi[v] is never searched.
+    # instead of one per stored entry.
     values, inverse = np.unique(rows.cum, return_inverse=True)
-    cums = np.insert(np.array(values.tolist(), dtype=object)[inverse], ends, None).tolist()
+    cums = np.array(values.tolist(), dtype=object)[inverse].tolist()
     # One int object per vertex, likewise.
-    vertices = np.arange(s.n).astype(object)
-    neighbours = vertices[np.insert(rows.indices, ends, rows.indices[ends - 1])].tolist()
-    lo, hi = (rows.indptr[:-1] + shift).tolist(), (ends + shift).tolist()
+    neighbours = np.arange(s.n).astype(object)[rows.indices].tolist()
+    lo, last = rows.indptr[:-1].tolist(), (rows.indptr[1:] - 1).tolist()
     walk = np.empty(m + 1, dtype=np.int64)
     walk[0] = v
     # The uniforms come in chunks, one stream as from rng.random(m), so no
@@ -295,53 +287,19 @@ def sample_trajectory(
     for start in range(1, m + 1, _WALK_CHUNK):
         us = rng.random(min(_WALK_CHUNK, m + 1 - start)).tolist()
         walk[start : start + len(us)] = [
-            v := neighbours[bisect_right(cums, u, lo[v], hi[v])] for u in us
+            v := neighbours[bisect_right(cums, u, lo[v], last[v])] for u in us
         ]
     return WalkSample(
         xs=walk[:-1], ys=walk[1:], mode="single_trajectory", seed=seed, n=s.n
     )
 
 
-def _pair_counts(
-    xs: np.ndarray, ys: np.ndarray, classes: np.ndarray, k: int
-) -> sp.csr_matrix:
-    """The k x k matrix C[a, b] = #{i : classes[xs[i]] = a, classes[ys[i]] = b}
-    of m >= 1 pairs of vertices, for a vertex -> class map into [0, k).
-
-    From one sort of the int64 keys a k + b, formed in one buffer: the
-    distinct keys, their run lengths as float counts, and row starts from
-    a bincount of their rows. The same indptr, indices and data, dtypes
-    included, as ``csr_matrix((ones(m), (classes[xs], classes[ys])))``,
-    without its per-row sorts.
-    """
-    import scipy.sparse as sp
-
-    # The keys are formed and sorted in one m-long buffer: the classes of
-    # ys are gathered in blocks, not as a second m-long array.
-    keys = classes.take(xs)
-    keys *= k
-    for lo in range(0, len(keys), _KEY_CHUNK):
-        keys[lo : lo + _KEY_CHUNK] += classes.take(ys[lo : lo + _KEY_CHUNK])
-    keys.sort()
-    new = np.empty(len(keys), dtype=bool)  # where a run of equal keys starts
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=len(keys)).astype(np.float64)
-    rows, columns = np.divmod(keys[starts], k)
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
-    return sp.csr_matrix((counts, columns, indptr), shape=(k, k))
-
-
 def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
     """Empirical covariance matrices of the basis evaluated on the walk.
 
-    Counted per basis class (``basis.classes``), from the class pair
-    counts C (``_pair_counts``, one sort of the m pairs) and its row and
-    column sums v_x, v_y, the visits: Gxx = psi diag(v_x) psi^T / m and
-    Gxy = psi C psi^T / m, as in the module docstring. An indicator basis
-    has r + 1 classes, any other basis one per vertex. Memory is O(m + r n).
+    Read off the class pair counts of an indicator basis, counted in
+    blocks of ``_WALK_CHUNK`` pairs, in O(r^2) memory; any other basis
+    counts per vertex, in O(m + r n). See the module docstring.
     """
     if sample.m == 0:
         raise EmptySampleError("cannot estimate from an empty sample")
@@ -350,16 +308,26 @@ def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
     _check_vertices(xs, n, "walk vertex")
     _check_vertices(ys, n, "walk vertex")
     if basis.classes is None:
-        classes, psi = np.arange(n), basis.phi_v
-    else:
-        classes, psi = basis.classes, np.eye(basis.r, basis.r + 1)
-    k = psi.shape[1]
-    counts = _pair_counts(xs, ys, classes, k)
-    ones = np.ones(k)
+        import scipy.sparse as sp
+
+        phi, counts = basis.phi_v, sp.csr_matrix((np.ones(m), (xs, ys)), shape=(n, n))
+        return EmpiricalGrams(
+            gxx=(phi * (counts @ np.ones(n))) @ phi.T / m,
+            gyy=(phi * (counts.T @ np.ones(n))) @ phi.T / m,
+            gxy=phi @ (counts @ phi.T) / m,
+            m=m,
+        )
+    classes, k = basis.classes, basis.r + 1
+    counts = np.zeros((k, k), dtype=np.int64)  # the last row and column: vertices in no set
+    for lo in range(0, m, _WALK_CHUNK):
+        keys = classes.take(xs[lo : lo + _WALK_CHUNK])
+        keys *= k
+        keys += classes.take(ys[lo : lo + _WALK_CHUNK])
+        counts += np.bincount(keys, minlength=k * k).reshape(k, k)
     return EmpiricalGrams(
-        gxx=(psi * (counts @ ones)) @ psi.T / m,
-        gyy=(psi * (counts.T @ ones)) @ psi.T / m,
-        gxy=psi @ (counts @ psi.T) / m,
+        gxx=np.diag(counts.sum(1)[:-1]) / m,
+        gyy=np.diag(counts.sum(0)[:-1]) / m,
+        gxy=counts[:-1, :-1] / m,
         m=m,
     )
 

@@ -233,25 +233,40 @@ _BLOCK = 1 << 16  # rows checked, or formatted and written, at a time
 _TRIPLE = np.dtype([("src", np.float64), ("dst", np.float64), ("weight", np.float64)])
 
 
-def _three_values(rows: Iterable, rejected: list[int]) -> Iterator[tuple]:
+def _three_values(rows: Iterable, stop: list[tuple[int, tuple]]) -> Iterator[tuple]:
     """Each row as a tuple, up to the first row that is not three values.
 
-    That row ends the rows, and its length goes to ``rejected``; a row that
+    That row ends the rows, and its index and values go to ``stop``, as do
+    those of the row being read if the reader closes the rows. A row that
     is not a sequence counts as one value, and so does a string, which
     "012" would otherwise make (0, 1, 2.0). No reference to a row is kept
     past its ``yield``, so a ``zip`` of columns refills one tuple for every
     row instead of allocating m of them (the tuple of a tuple is itself).
     """
-    for row in rows:
+    for index, row in enumerate(rows):
         try:
             values = (row,) if isinstance(row, (str, bytes)) else tuple(row)
         except TypeError:
             values = (row,)
         if len(values) != 3:
-            rejected.append(len(values))
+            stop.append((index, values))
             return
-        yield values
+        try:
+            yield values
+        except GeneratorExit:
+            stop.append((index, values))
+            raise
         del row, values
+
+
+def _first_non_number(values: Iterable) -> tuple[int, object] | None:
+    """The index and value of the first of ``values`` that is no float ("x"), if any."""
+    for index, value in enumerate(values):
+        try:
+            np.float64(value)
+        except (TypeError, ValueError):
+            return index, value
+    return None
 
 
 def from_edge_list(
@@ -267,20 +282,29 @@ def from_edge_list(
     are summed. For undirected graphs each edge is materialized in both
     directions with identical accumulated weight. Errors, in this order:
 
-    - a row that is not three values raises ToscaError naming its index
-      and length;
+    - a row that is not three values, or a value that is no number ("x"),
+      raises ToscaError naming the row's index and its length or value;
     - vertices are integer values: 2.0 is vertex 2, and the first of 0.5,
       nan or inf in row order, src before dst, raises ToscaError;
     - a negative ``n``, or a vertex outside [0, n) (named as given, 1e+300
       too), raises IndexOutOfRangeError; all src are checked before dst;
     - a weight that is not positive and finite raises NonPositiveWeightError.
     """
-    rejected: list[int] = []
-    arr = np.fromiter(_three_values(triples, rejected), dtype=_TRIPLE)
-    if rejected:
-        s = "" if rejected[0] == 1 else "s"
+    stop: list[tuple[int, tuple]] = []
+    rows = _three_values(triples, stop)
+    try:
+        arr = np.fromiter(rows, dtype=_TRIPLE)
+    except (TypeError, ValueError):  # on a value that is no number, "x"
+        rows.close()  # hands the row being read to stop
+        index, values = stop[0] if stop else (0, ())
+        if (bad := _first_non_number(values)) is None:  # the rows raised, or a value is a sequence
+            raise
+        raise ToscaError(f"edge row {index} has {_TRIPLE.names[bad[0]]} {bad[1]!r}, not a number") from None
+    if stop:
+        index, values = stop[0]
+        s = "" if len(values) == 1 else "s"
         raise ToscaError(
-            f"edge row {len(arr)} has {rejected[0]} value{s}, not a (src, dst, weight) triple"
+            f"edge row {index} has {len(values)} value{s}, not a (src, dst, weight) triple"
         )
     arr = arr.view(np.float64).reshape(-1, 3)
     for lo in range(0, len(arr), _BLOCK):

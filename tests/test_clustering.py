@@ -802,6 +802,8 @@ class TestCoherenceScore:
 
     @pytest.mark.parametrize("subset, bad", [
         ([0.5], "0.5"), ([1, np.nan], "nan"), ([5, np.inf], "inf"), (np.array([2.0, -0.5]), "-0.5"),
+        # strings that are no numbers, from a list or a one-shot iterator
+        (["x"], "x"), ([0, "y", 0.5], "y"), (iter(["2", "1e"]), "1e"),
     ])
     def test_non_integer_vertex_rejected(self, subset, bad):
         # checked before the range check, in the given order
@@ -823,6 +825,7 @@ class TestCoherenceScore:
     def test_integer_valued_floats_name_vertices(self):
         g = three_cycles_graph()
         assert tosca.coherence_score(g, None, [0.0, 1.0, 2]) == tosca.coherence_score(g, None, {0, 1, 2})
+        assert tosca.coherence_score(g, None, ["0", "1.0", 2]) == tosca.coherence_score(g, None, {0, 1, 2})
 
     def test_matches_dense_forward_backward(self, rng):
         for _ in range(5):

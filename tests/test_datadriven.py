@@ -319,52 +319,6 @@ def scipy_pair_counts(xs, ys, n):
     return sp.csr_matrix((np.ones(len(xs)), (xs, ys)), shape=(n, n))
 
 
-@st.composite
-def pair_lists(draw):
-    """m >= 1 pairs on n vertices, drawn from a few rows so that rows repeat
-    pairs and others hold none, as int32 or int64 arrays."""
-    n = draw(st.integers(1, 40))
-    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
-    pairs = draw(st.lists(
-        st.tuples(st.sampled_from(rows), st.integers(0, n - 1)), min_size=1, max_size=80,
-    ))
-    dtype = draw(st.sampled_from([np.int32, np.int64]))
-    xs, ys = (np.array(column, dtype=dtype) for column in zip(*pairs))
-    return xs, ys, n
-
-
-class TestPairCounts:
-    @settings(max_examples=200, deadline=None)
-    @given(pair_lists(), st.data())
-    def test_equals_scipy_coo_to_csr(self, pairs, data):
-        xs, ys, n = pairs
-        # each vertex its own class, or a map of vertices into fewer classes
-        classes = data.draw(st.one_of(
-            st.just(np.arange(n)),
-            st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(np.array),
-        ))
-        k = int(classes.max()) + 1 + data.draw(st.integers(0, 2))  # unused classes too
-        counts = datadriven._pair_counts(xs, ys, classes, k)
-        expected = scipy_pair_counts(classes[xs], classes[ys], k)
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(counts, name), getattr(expected, name)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-
-    def test_one_pair_and_benchmark_size(self):
-        counts = datadriven._pair_counts(np.array([3]), np.array([1]), np.arange(5), 5)
-        assert counts.indptr.tolist() == [0, 0, 0, 0, 1, 1]
-        assert counts.indices.tolist() == [1] and counts.data.tolist() == [1.0]
-        s = tosca.transition_matrix(sparse_graph(8000, 20))
-        sample = tosca.sample_pairs(s, tosca.uniform_density(8000), 500_000, 3)
-        # one class per vertex, and 64 blocks of 125: keys formed across chunks
-        for classes, k in ((np.arange(8000), 8000), (np.arange(8000) // 125, 64)):
-            counts = datadriven._pair_counts(sample.xs, sample.ys, classes, k)
-            expected = scipy_pair_counts(classes[sample.xs], classes[sample.ys], k)
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(counts, name), getattr(expected, name))
-
-
 class TestMemory:
     BOUND_MIB = 32.0
 
@@ -399,13 +353,14 @@ class TestMemory:
         assert peak_mib(tosca.empirical_grams, sample, basis) < self.BOUND_MIB
 
     def test_grams_peak_at_benchmark_size(self):
-        # Counting per vertex peaked at 10.5 MiB here; per class the int64
-        # keys, formed in one buffer, set a peak of about 4.5 MiB. Two more
-        # m-long int64 gathers of the classes would take it past the bound.
+        # Counted per set, in blocks of _WALK_CHUNK pairs, the peak is about
+        # 1.0 MiB here: one block's keys and bincount. One sort of all m
+        # int64 keys into a sparse count matrix peaked at about 4.5 MiB,
+        # counting per vertex at 10.5 MiB.
         s = tosca.transition_matrix(sparse_graph(8000, 20))
         sample = tosca.sample_pairs(s, tosca.uniform_density(8000), 500_000, seed=3)
         basis = tosca.indicator_basis(8000, np.arange(8000).reshape(64, 125))
-        assert peak_mib(tosca.empirical_grams, sample, basis) < 10.5
+        assert peak_mib(tosca.empirical_grams, sample, basis) < 2.0
 
 
 def one_shot_pairs(s, mu, m, seed):
@@ -588,13 +543,16 @@ class TestEmpiricalGrams:
 
 
 def gather_grams(sample, basis):
-    """Grams from the basis gathered at every walk position (r x m)."""
-    phi_x = basis.phi_v[:, sample.xs]
-    phi_y = basis.phi_v[:, sample.ys]
-    m = sample.m
-    return tosca.EmpiricalGrams(
-        gxx=phi_x @ phi_x.T / m, gyy=phi_y @ phi_y.T / m, gxy=phi_x @ phi_y.T / m, m=m
-    )
+    """Grams from the basis gathered at every walk position, r x 2^16 at a time."""
+    r, m = basis.r, sample.m
+    gxx, gyy, gxy = np.zeros((r, r)), np.zeros((r, r)), np.zeros((r, r))
+    for lo in range(0, m, 1 << 16):
+        phi_x = basis.phi_v[:, sample.xs[lo : lo + (1 << 16)]]
+        phi_y = basis.phi_v[:, sample.ys[lo : lo + (1 << 16)]]
+        gxx += phi_x @ phi_x.T
+        gyy += phi_y @ phi_y.T
+        gxy += phi_x @ phi_y.T
+    return tosca.EmpiricalGrams(gxx=gxx / m, gyy=gyy / m, gxy=gxy / m, m=m)
 
 
 def vertex_grams(sample, basis):
@@ -619,10 +577,14 @@ def assert_same_grams(got, want):
 
 @st.composite
 def walks_on(draw, n):
-    """m >= 1 pairs of vertices in [0, n)."""
+    """m >= 1 pairs of vertices in [0, n), as int32 or int64 arrays."""
     m = draw(st.integers(1, 60))
-    xs, ys = (draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)) for _ in range(2))
-    return tosca.WalkSample(xs=np.array(xs), ys=np.array(ys), mode="independent_pairs", seed=0)
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    xs, ys = (
+        np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=dtype)
+        for _ in range(2)
+    )
+    return tosca.WalkSample(xs=xs, ys=ys, mode="independent_pairs", seed=0)
 
 
 @st.composite
@@ -688,6 +650,23 @@ class TestGramsByClass:
         hand_built = tosca.Basis(phi_v=basis.phi_v.copy())
         assert hand_built.classes is None
         assert_same_grams(tosca.empirical_grams(sample, hand_built), tosca.empirical_grams(sample, basis))
+
+    def test_one_pair_and_benchmark_size(self):
+        # per set and, hand-built, per vertex; at the benchmark size the
+        # 5e5 pairs span several blocks of _WALK_CHUNK
+        one = tosca.WalkSample(xs=np.array([3]), ys=np.array([1]), mode="independent_pairs", seed=0)
+        grams = tosca.empirical_grams(one, tosca.indicator_basis(5, [[i] for i in range(5)]))
+        assert np.flatnonzero(grams.gxy).tolist() == [16] and grams.gxy[3, 1] == 1.0
+        assert np.diag(grams.gxx).tolist() == [0, 0, 0, 1, 0]
+        assert np.diag(grams.gyy).tolist() == [0, 1, 0, 0, 0]
+        s = tosca.transition_matrix(sparse_graph(8000, 20))
+        many = tosca.sample_pairs(s, tosca.uniform_density(8000), 500_000, 3)
+        for sample, basis in ((one, tosca.indicator_basis(5, [[i] for i in range(5)])),
+                              (many, tosca.indicator_basis(8000, np.arange(8000).reshape(64, 125)))):
+            for counted in (basis, tosca.Basis(phi_v=basis.phi_v.copy())):
+                grams = tosca.empirical_grams(sample, counted)
+                assert_same_grams(grams, gather_grams(sample, basis))
+                assert_same_grams(grams, vertex_grams(sample, basis))
 
     def test_indicator_basis_is_read_only(self):
         basis = tosca.indicator_basis(5, [[0, 1], [3]])

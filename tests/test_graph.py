@@ -122,6 +122,8 @@ class TestFromEdgeList:
     def test_integer_valued_floats_name_vertices(self):
         g = tosca.from_edge_list(3, [(2.0, 1, 1.0), (0, np.float64(2.0), 1.0)])
         assert g.edge_multiset() == {(2, 1): 1.0, (0, 2): 1.0}
+        g = tosca.from_edge_list(3, [("2", "1", "1.0"), (b"0", "2.0", " 2.5 ")])  # numeric strings
+        assert g.edge_multiset() == {(2, 1): 1.0, (0, 2): 2.5}
 
     @pytest.mark.parametrize("triples, message", [
         ([(0, 1), (2, 0), (1, 2)], "edge row 0 has 2 values, not a (src, dst, weight) triple"),
@@ -138,6 +140,22 @@ class TestFromEdgeList:
     ], ids=["pairs", "four_tuple", "ragged", "ragged_longer", "empty_row", "flat_numbers",
             "generator", "two_columns", "string_row", "bytes_row"])
     def test_misaligned_rows_rejected(self, triples, message):
+        with pytest.raises(ToscaError) as caught:
+            tosca.from_edge_list(3, triples)
+        assert type(caught.value) is ToscaError
+        assert caught.value.exit_code == 3
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("triples, message", [
+        ([("x", "1", 1.0)], "edge row 0 has src 'x', not a number"),
+        ([(0, 1, 1.0), (0, "y", 1.0)], "edge row 1 has dst 'y', not a number"),
+        ([(0, 1, "w")], "edge row 0 has weight 'w', not a number"),
+        (((0, 1, 1.0) if i < 4 else ("0", "q", 1.0) for i in range(9)),
+         "edge row 4 has dst 'q', not a number"),
+        # in row order, before a later short row
+        ([(0, 1, 1.0), (b"", 1, 1.0), (2, 0)], "edge row 1 has src b'', not a number"),
+    ], ids=["src", "dst", "weight", "generator", "before_short_row"])
+    def test_value_that_is_no_number_rejected(self, triples, message):
         with pytest.raises(ToscaError) as caught:
             tosca.from_edge_list(3, triples)
         assert type(caught.value) is ToscaError
