@@ -319,6 +319,48 @@ def scipy_pair_counts(xs, ys, n):
     return sp.csr_matrix((np.ones(len(xs)), (xs, ys)), shape=(n, n))
 
 
+@st.composite
+def pair_lists(draw):
+    """m >= 1 pairs on n vertices, drawn from a few rows so that rows repeat
+    pairs and others hold none, as int32 or int64 arrays."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(rows), st.integers(0, n - 1)), min_size=1, max_size=80,
+    ))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    xs, ys = (np.array(column, dtype=dtype) for column in zip(*pairs))
+    return xs, ys, n
+
+
+class TestPairCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists(), st.data())
+    def test_equals_scipy_coo_to_csr(self, pairs, data):
+        # the class pair counts an indicator basis reads its Grams from
+        xs, ys, n = pairs
+        # each vertex its own class, or a map of vertices into fewer classes
+        classes = data.draw(st.one_of(
+            st.just(np.arange(n)),
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(np.array),
+        ))
+        used = np.unique(classes)
+        r = data.draw(st.integers(0, len(used)))  # the other classes: vertices in no set
+        basis = tosca.indicator_basis(n, [np.flatnonzero(classes == c) for c in used[:r]])
+        relabel = np.full(n, r)
+        for i, c in enumerate(used[:r]):
+            relabel[classes == c] = i
+        assert np.array_equal(basis.classes, relabel)
+        sample = tosca.WalkSample(xs=xs, ys=ys, mode="independent_pairs", seed=0)
+        grams = tosca.empirical_grams(sample, basis)
+        counts = scipy_pair_counts(relabel[xs], relabel[ys], r + 1).toarray()
+        m = len(xs)
+        for got, want in ((grams.gxy, counts[:-1, :-1]), (grams.gxx, np.diag(counts.sum(1)[:-1])),
+                          (grams.gyy, np.diag(counts.sum(0)[:-1]))):
+            assert got.dtype == want.dtype and got.shape == (r, r)
+            assert got.tobytes() == (want / m).tobytes()
+
+
 class TestMemory:
     BOUND_MIB = 32.0
 
