@@ -6,10 +6,11 @@ Usage, from the root of a checkout:
 
 Samples the DSBM graph of 32 blocks of 3125 vertices (p_in = 0.004,
 q = 1e-4, seed 7; about 2.2M edges), writes it as a Matrix Market file
-and as the TSV edge list that ``tosca generate`` writes by default, then
-reports for ``read_matrix_market`` and ``read_edge_list`` on those files
-and for ``add_self_loops`` on the graph they return: the median and the
-range of REPEATS untraced calls, and the tracemalloc peak of one more call.
+and as the TSV edge list that ``tosca generate`` writes by default, plus a
+copy of each file with one blank line appended, then reports for
+``read_matrix_market`` and ``read_edge_list`` on those four files and for
+``add_self_loops`` on the graph they return: the median and the range of
+REPEATS untraced calls, and the tracemalloc peak of one more call.
 Pointing PYTHONPATH at another checkout's ``src`` measures that checkout on
 the same files.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import tempfile
 import time
@@ -63,14 +65,21 @@ def main() -> None:
         tosca.write_matrix_market(g, mtx)
         tosca.write_edge_list(g, tsv)
         del g
-        read = measure(tosca.read_matrix_market, mtx)
-        read_tsv = measure(tosca.read_edge_list, tsv)
+        blank = {}  # each file with one trailing blank line
+        for path in (mtx, tsv):
+            blank[path] = path.with_name(f"{path.stem}-blank{path.suffix}")
+            shutil.copyfile(path, blank[path])
+            with open(blank[path], "a") as fh:
+                fh.write("\n")
+        results = {
+            "read_matrix_market": measure(tosca.read_matrix_market, mtx),
+            "read_edge_list": measure(tosca.read_edge_list, tsv),
+            "read_matrix_market_trailing_blank": measure(tosca.read_matrix_market, blank[mtx]),
+            "read_edge_list_trailing_blank": measure(tosca.read_edge_list, blank[tsv]),
+        }
         g = tosca.read_matrix_market(mtx)
-    loops = measure(tosca.add_self_loops, g, 1.0)
-    print(json.dumps({
-        "n": g.n, "entries": g.num_edges, "numpy": np.__version__,
-        "read_matrix_market": read, "read_edge_list": read_tsv, "add_self_loops": loops,
-    }))
+    results["add_self_loops"] = measure(tosca.add_self_loops, g, 1.0)
+    print(json.dumps({"n": g.n, "entries": g.num_edges, "numpy": np.__version__, **results}))
 
 
 if __name__ == "__main__":

@@ -76,7 +76,7 @@ __all__ = [
     "read_walks",
 ]
 
-_WALK_CHUNK = 1 << 16  # walk draws per block of uniforms, pairs per block of counts
+_WALK_CHUNK = 1 << 16  # walk draws per block of uniforms; the fewest pairs per block of counts
 
 SampleMode = Literal["independent_pairs", "single_trajectory"]
 _SAMPLE_MODES = get_args(SampleMode)
@@ -298,8 +298,9 @@ def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
     """Empirical covariance matrices of the basis evaluated on the walk.
 
     Read off the class pair counts of an indicator basis, counted in
-    blocks of ``_WALK_CHUNK`` pairs, in O(r^2) memory; any other basis
-    counts per vertex, in O(m + r n). See the module docstring.
+    blocks of ``_WALK_CHUNK`` pairs or, when the (r + 1)^2 count table is
+    larger, of as many pairs as it has cells, in O(r^2) memory; any other
+    basis counts per vertex, in O(m + r n). See the module docstring.
     """
     if sample.m == 0:
         raise EmptySampleError("cannot estimate from an empty sample")
@@ -319,17 +320,17 @@ def empirical_grams(sample: WalkSample, basis: Basis) -> EmpiricalGrams:
         )
     classes, k = basis.classes, basis.r + 1
     counts = np.zeros((k, k), dtype=np.int64)  # the last row and column: vertices in no set
-    for lo in range(0, m, _WALK_CHUNK):
-        keys = classes.take(xs[lo : lo + _WALK_CHUNK])
+    block = max(_WALK_CHUNK, k * k)  # each bincount spans no fewer pairs than it has bins
+    for lo in range(0, m, block):
+        keys = classes.take(xs[lo : lo + block])
         keys *= k
-        keys += classes.take(ys[lo : lo + _WALK_CHUNK])
+        keys += classes.take(ys[lo : lo + block])
         counts += np.bincount(keys, minlength=k * k).reshape(k, k)
-    return EmpiricalGrams(
-        gxx=np.diag(counts.sum(1)[:-1]) / m,
-        gyy=np.diag(counts.sum(0)[:-1]) / m,
-        gxy=counts[:-1, :-1] / m,
-        m=m,
-    )
+    del keys
+    out_visits, in_visits = counts.sum(1)[:-1], counts.sum(0)[:-1]
+    gxy = counts[:-1, :-1] / m
+    del counts  # so that the table and the three Grams are never held at once
+    return EmpiricalGrams(gxx=np.diag(out_visits / m), gyy=np.diag(in_visits / m), gxy=gxy, m=m)
 
 
 def estimated_operators(

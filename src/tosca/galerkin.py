@@ -92,12 +92,13 @@ def _set_of(sets: Sequence[Iterable[int]], n: int) -> dict[int, int]:
         if not vertices:
             raise EmptySetError(f"set {row} is empty")
         for v in vertices:
-            if isinstance(v, str):  # "2" and long integers exactly, "2.0" and "1e300" as floats
-                try:
+            try:
+                if isinstance(v, str):  # "2" and long integers exactly, "2.0" and "1e300" as floats
                     v = int(v) if v.strip().lstrip("+-").isdecimal() else float(v)
-                except ValueError:
-                    raise _not_an_integer(v) from None
-            if not isinstance(v, (int, np.integer)) and not float(v).is_integer():
+                integral = isinstance(v, (int, np.integer)) or float(v).is_integer()
+            except (TypeError, ValueError):  # "x", None, 1j, [1, 2]
+                integral = False
+            if not integral:
                 raise _not_an_integer(v)
             vertex = int(v)
             if not 0 <= vertex < n:
@@ -115,8 +116,8 @@ def indicator_basis(n: int, sets: Sequence[Iterable[int]]) -> Basis:
     """0/1 indicator functions of disjoint vertex sets (need not cover).
 
     Vertices are integer values: 2.0 and "2.0" are vertex 2, and 1.5,
-    nan, inf or "x" raise ToscaError. The first offending vertex in set
-    order raises.
+    nan, inf, "x", None or [1, 2] raise ToscaError. The first offending
+    vertex in set order raises.
     Sets that numpy joins into one numeric array of distinct vertices in
     [0, n), none of them empty, map to their sets in one step; any other
     input goes vertex by vertex, which also names the first fault. The
@@ -218,7 +219,7 @@ def read_partition(path, n: int | None = None) -> list[list[int]]:
     header = "vertex_index,set_index"
     rows = _read_rows(path, (np.int64, np.int64), sep=",", header=header, shape=f"expected '{header}'")
     rows.check()
-    if not len(rows.lines):
+    if not len(rows.columns[0]):
         raise ParseError("no partition rows", max(1, rows.line_count))
     vertex, group = rows.columns
     rows.check(
@@ -239,7 +240,7 @@ def read_labels(path) -> np.ndarray:
     header = "vertex_index,label"
     rows = _read_rows(path, (np.int64, np.int64), sep=",", header=header, shape=f"expected '{header}'")
     rows.check()
-    if not len(rows.lines):
+    if not len(rows.columns[0]):
         raise ParseError("no label rows", max(1, rows.line_count))
     vertex, label = rows.columns
     n = len(vertex)

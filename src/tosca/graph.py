@@ -10,9 +10,9 @@ import lzma
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -260,10 +260,10 @@ def _three_values(rows: Iterable, stop: list[tuple[int, tuple]]) -> Iterator[tup
 
 
 def _first_non_number(values: Iterable) -> tuple[int, object] | None:
-    """The index and value of the first of ``values`` that is no float ("x"), if any."""
+    """The index and value of the first of ``values`` that ``float`` rejects ("x", None, [1, 2]), if any."""
     for index, value in enumerate(values):
         try:
-            np.float64(value)
+            float(value)
         except (TypeError, ValueError):
             return index, value
     return None
@@ -282,8 +282,9 @@ def from_edge_list(
     are summed. For undirected graphs each edge is materialized in both
     directions with identical accumulated weight. Errors, in this order:
 
-    - a row that is not three values, or a value that is no number ("x"),
-      raises ToscaError naming the row's index and its length or value;
+    - a row that is not three values, or a value that is no number ("x",
+      [1, 2]), raises ToscaError naming the row's index and its length or
+      value; None reads as nan, but is named in a row with such a value;
     - vertices are integer values: 2.0 is vertex 2, and the first of 0.5,
       nan or inf in row order, src before dst, raises ToscaError;
     - a negative ``n``, or a vertex outside [0, n) (named as given, 1e+300
@@ -297,7 +298,7 @@ def from_edge_list(
     except (TypeError, ValueError):  # on a value that is no number, "x"
         rows.close()  # hands the row being read to stop
         index, values = stop[0] if stop else (0, ())
-        if (bad := _first_non_number(values)) is None:  # the rows raised, or a value is a sequence
+        if (bad := _first_non_number(values)) is None:  # the rows raised
             raise
         raise ToscaError(f"edge row {index} has {_TRIPLE.names[bad[0]]} {bad[1]!r}, not a number") from None
     if stop:
@@ -390,13 +391,29 @@ def _shift_weights(values: np.ndarray) -> np.ndarray:
 
 
 class _Rows(NamedTuple):
-    """A text table, read up to its first malformed line (its ``fault``)."""
+    """A text table, read up to its first malformed line (its ``fault``).
+
+    Its rows are the first lines from line ``first`` on that ``is_row`` keeps.
+    Only faults name lines, so ``lines`` and ``line_count`` read the file when asked.
+    """
 
     columns: list[np.ndarray]  # one array per column
-    lines: Sequence[int]  # the 1-based line of each row
     comments: list[tuple[int, str]]  # (line, text after the mark) per comment line
     fault: ParseError | None
-    line_count: int  # lines in the file
+    path: str | Path
+    first: int  # the line of the first row
+    is_row: Callable[[str], bool]  # False for a blank, header or comment line
+
+    @property
+    def lines(self) -> list[int]:  # the 1-based line of each row
+        with open(self.path) as fh:
+            kept = (number for number, line in enumerate(fh, 1) if number >= self.first and self.is_row(line))
+            return list(islice(kept, len(self.columns[0]) if self.columns else 0))
+
+    @property
+    def line_count(self) -> int:  # the lines in the file
+        with open(self.path) as fh:
+            return sum(1 for _ in fh)
 
     def fault_at(self, bad: np.ndarray, message: Callable[[int], str]) -> ParseError | None:
         """A ParseError at the first row flagged in ``bad``, worded by ``message(row)``."""
@@ -415,23 +432,6 @@ class _Rows(NamedTuple):
         """The rows as one (rows, columns) array, (0, 1) without rows."""
         self.check()
         return np.column_stack(self.columns) if self.columns else np.empty((0, 1))
-
-
-_COUNT_CHUNK = 1 << 20  # characters read at a time to count lines
-
-
-def _count_lines(fh: TextIO) -> int:
-    """The lines from ``fh``'s position on, as ``readlines`` splits them; it keeps the position.
-
-    The text is read in chunks, with universal newlines as for ``readlines``:
-    each line ends in a newline, except a last one without it.
-    """
-    pos = fh.tell()
-    count, last = 0, "\n"
-    for chunk in iter(lambda: fh.read(_COUNT_CHUNK), ""):
-        count, last = count + chunk.count("\n"), chunk
-    fh.seek(pos)
-    return count + (not last.endswith("\n"))
 
 
 def _read_rows(
@@ -456,32 +456,36 @@ def _read_rows(
 
     The lines before the first row are read one at a time; that row and
     the rest of the file go to one ``np.loadtxt`` call (``_load_rows``),
-    which reads them from the path with numpy's chunked reader. When it
-    rejects them, or skips a line (it returns fewer rows than a count of
-    the file's lines), a line parser reads on from that row and stops at
-    the first fault, to the same arrays. No list of the file's lines is
-    held.
+    which reads them from the path with numpy's chunked reader. Its rows
+    are taken as they come: the lines it skips are blank. When it rejects
+    the block, a line parser reads on from that row and stops at the first
+    fault, to the same arrays. Neither path holds the file's lines or
+    numbers the rows; ``_Rows.lines`` numbers them when a fault asks.
     """
+
+    def text_of(line: str) -> str:  # stripped, cut at an inline comment; "" for a header line
+        stripped = (line.split(comment, 1)[0] if inline else line).strip()
+        return "" if stripped == header else stripped
+
+    def is_row(line: str) -> bool:  # the skip rule, by which _Rows numbers the rows
+        return (text := text_of(line)) != "" and not text.startswith(comment)
+
     with open(path) as fh:
-        for _ in range(start):
-            fh.readline()
-        line_count = start + _count_lines(fh)
         fixed = isinstance(types, tuple)
         width = len(types) if fixed else None
-        rows, lines, comments = [], [], []  # as in _Rows; rows as lists of values
-        fault, number = None, start  # ``number``: the line just read
-        for text in iter(fh.readline, ""):
-            number += 1
-            stripped = (text.split(comment, 1)[0] if inline else text).strip()
-            if not stripped or stripped == header:
+        rows, comments = [], []  # as in _Rows; rows as lists of values
+        fault, first = None, 0  # ``first``: the line of the first row, 0 before it
+        for number, line in enumerate(islice(fh, start, None), start + 1):
+            stripped = text_of(line)
+            if not stripped:
                 continue
             if stripped.startswith(comment):
                 comments.append((number, stripped[len(comment):]))
                 continue
-            if not lines:  # the first row
-                columns = _load_rows(path, number - 1, line_count - number + 1, types, sep)
+            if not first:
+                first, columns = number, _load_rows(path, number - 1, types, sep)
                 if columns is not None:
-                    return _Rows(columns, range(number, line_count + 1), comments, None, line_count)
+                    return _Rows(columns, comments, None, path, first, is_row)
             fields = stripped.split(sep)
             if fixed and len(fields) != width:
                 fault = ParseError(shape.format(width=width, found=len(fields)), number)
@@ -496,23 +500,22 @@ def _read_rows(
                 fault = ParseError(shape.format(width=width, found=len(row)), number)
                 break
             rows.append(row)
-            lines.append(number)
     types = types if fixed else (types,) * (width or 0)
     columns = [np.array([row[c] for row in rows], dtype=t) for c, t in enumerate(types)]
-    return _Rows(columns, lines, comments, fault, line_count)
+    return _Rows(columns, comments, fault, path, first, is_row)
 
 
 def _load_rows(
-    path: str | Path, skip: int, count: int, types: tuple[type, ...] | type, sep: str | None
+    path: str | Path, skip: int, types: tuple[type, ...] | type, sep: str | None
 ) -> list[np.ndarray] | None:
-    """``_read_rows``'s columns for the ``count`` lines of the file at ``path``
-    after its first ``skip``, from one ``np.loadtxt``.
+    """``_read_rows``'s columns for the lines of the file at ``path`` after
+    its first ``skip``, from one ``np.loadtxt``.
 
-    None when ``np.loadtxt`` rejects the lines (with comments off, any
-    comment or header line among them) or skips one (a blank line), and so
-    returns other than ``count`` rows. numpy opens names ending in .gz,
-    .bz2 or .xz as compressed files; on a plain file that fails, and the
-    line parser reads it.
+    None when ``np.loadtxt`` rejects the lines: with comments off, any
+    comment or header line among them. Every line it skips is one that
+    ``str.strip`` leaves empty, which the line parser skips too. numpy
+    opens names ending in .gz, .bz2 or .xz as compressed files; on a plain
+    file that fails, and the line parser reads it.
     """
     fixed = isinstance(types, tuple)
     dtype = np.dtype([(f"c{i}", t) for i, t in enumerate(types)] if fixed else types)
@@ -525,8 +528,6 @@ def _load_rows(
                 ndmin=1 if fixed else 2,
             )
     except (ValueError, OSError, EOFError, lzma.LZMAError, Warning):
-        return None
-    if len(table) != count:
         return None
     return [np.ascontiguousarray(table[name]) for name in dtype.names] if fixed else list(table.T)
 

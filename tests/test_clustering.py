@@ -804,6 +804,8 @@ class TestCoherenceScore:
         ([0.5], "0.5"), ([1, np.nan], "nan"), ([5, np.inf], "inf"), (np.array([2.0, -0.5]), "-0.5"),
         # strings that are no numbers, from a list or a one-shot iterator
         (["x"], "x"), ([0, "y", 0.5], "y"), (iter(["2", "1e"]), "1e"),
+        # values that float() rejects, though np.float64 takes them
+        ([0, [1, 2]], "[1, 2]"), ([np.array([2.0])], "[2.]"),
     ])
     def test_non_integer_vertex_rejected(self, subset, bad):
         # checked before the range check, in the given order

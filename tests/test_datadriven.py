@@ -404,6 +404,16 @@ class TestMemory:
         basis = tosca.indicator_basis(8000, np.arange(8000).reshape(64, 125))
         assert peak_mib(tosca.empirical_grams, sample, basis) < 2.0
 
+    def test_grams_peak_with_a_thousand_sets(self):
+        # A 1001 x 1001 count table is 7.6 MiB. Counted in one block of all
+        # m pairs, and freed before the Grams are formed, the peak is about
+        # 22.9 MiB. Blocks of 2^16 pairs, each adding a fresh table, with
+        # the table held beside the three Grams, peaked at about 30.9 MiB.
+        s = tosca.transition_matrix(sparse_graph(8000, 20))
+        sample = tosca.sample_pairs(s, tosca.uniform_density(8000), 500_000, seed=3)
+        basis = tosca.indicator_basis(8000, np.arange(8000).reshape(1000, 8))
+        assert peak_mib(tosca.empirical_grams, sample, basis) < 26.0
+
 
 def one_shot_pairs(s, mu, m, seed):
     """``sample_pairs`` with all m starts, then all m steps, drawn at once."""

@@ -155,8 +155,14 @@ class TestIndicatorBasis:
         ([["1e300"]], IndexOutOfRangeError("vertex 1e+300 outside [0, 4)")),
         ([[str(2**64 + 1)]], IndexOutOfRangeError(f"vertex {2**64 + 1} outside [0, 4)")),
         ([["x"]], ToscaError("vertex x is not an integer")),
+        # values that float() rejects
+        ([[0, [1, 2]]], ToscaError("vertex [1, 2] is not an integer")),
+        ([[np.array([2.0])]], ToscaError("vertex [2.] is not an integer")),
+        ([[None]], ToscaError("vertex None is not an integer")),
+        ([[1 + 0j]], ToscaError("vertex (1+0j) is not an integer")),
     ], ids=["str", "fraction", "fraction-after-int", "2**63", "2**64", "1e300", "1e19-array",
-            "str-float", "str-1e300", "str-2**64+1", "str-not-a-number"])
+            "str-float", "str-1e300", "str-2**64+1", "str-not-a-number", "list", "array", "none",
+            "complex"])
     def test_inputs_numpy_cannot_join_or_cast(self, sets, expected):
         if isinstance(expected, ToscaError):
             with pytest.raises(ToscaError) as caught:
@@ -339,6 +345,10 @@ class TestPartitionIO:
         ([["1e300"]], IndexOutOfRangeError, f"vertex 1e+300 outside [0, {2**63})"),
         ([[str(2**63)]], IndexOutOfRangeError, f"vertex {2**63} outside [0, {2**63})"),
         ([["x"]], ToscaError, "vertex x is not an integer"),
+        ([[[1, 2]]], ToscaError, "vertex [1, 2] is not an integer"),
+        ([[np.array([2.0])]], ToscaError, "vertex [2.] is not an integer"),
+        ([[None]], ToscaError, "vertex None is not an integer"),
+        ([[1 + 0j]], ToscaError, "vertex (1+0j) is not an integer"),
     ])
     def test_sets_indicator_basis_rejects_are_not_written(self, tmp_path, sets, error, message):
         path = tmp_path / "partition.csv"

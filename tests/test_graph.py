@@ -154,7 +154,12 @@ class TestFromEdgeList:
          "edge row 4 has dst 'q', not a number"),
         # in row order, before a later short row
         ([(0, 1, 1.0), (b"", 1, 1.0), (2, 0)], "edge row 1 has src b'', not a number"),
-    ], ids=["src", "dst", "weight", "generator", "before_short_row"])
+        # values that float() rejects, though np.float64 takes them
+        ([(0, [1, 2], 1.0)], "edge row 0 has dst [1, 2], not a number"),
+        ([(0, 1, 1.0), (np.array([2.0]), 1, 1.0)], "edge row 1 has src array([2.]), not a number"),
+        # None alone reads as nan; in a row with a value that is no number, it is named
+        ([(None, "x", 1.0)], "edge row 0 has src None, not a number"),
+    ], ids=["src", "dst", "weight", "generator", "before_short_row", "list", "array", "none_before_str"])
     def test_value_that_is_no_number_rejected(self, triples, message):
         with pytest.raises(ToscaError) as caught:
             tosca.from_edge_list(3, triples)
@@ -864,6 +869,70 @@ class TestLineParserEquivalence:
         assert len(loaded) == 1 and loaded[0] is not None
         assert_same_result(fast, forced_line_parser_outcome(read, path))
 
+    @pytest.mark.parametrize("name", sorted(TABLE_FORMATS) + ["mm"])
+    def test_blank_lines_after_the_first_row_take_one_call(self, tmp_path, name):
+        # numpy skips the blank lines and the rows are taken as it returns
+        # them; where fields split on whitespace, whitespace-only lines too
+        read = tosca.read_matrix_market if name == "mm" else TABLE_FORMATS[name][0]
+        text = {
+            "mm": MM_GENERAL + "3 3 3\n1 2 0.5\n\n \t\n2 3 1.5\n\x0c\n3 1 2.0\n\xa0\n",
+            "tsv": "# n=3 directed=1\n0\t1\t0.5\n\n\n2\t0\t1.5\n\n",
+            "walks": "x,y\n0,1\n\n2,0\n\n",
+            "labels": "vertex_index,label\n1,0\n\n0,1\n\n2,1\n",
+            "partition": "vertex_index,set_index\n0,1\n\n2,0\n1,1\n\n",
+            "partition-n": "vertex_index,set_index\n0,1\n\n\n2,0\n",
+            "mu": "0.25\n \n0.25\n\x0b\n0.5\n\u3000\n",
+            "probs": "0.5,0.1\n\n0.2,0.5\n\n",
+        }[name]
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        fast, loaded = outcome_and_loads(read, path)
+        assert len(loaded) == 1 and loaded[0] is not None
+        assert not isinstance(fast, tuple)
+        assert_same_result(fast, forced_line_parser_outcome(read, path))
+
+    @pytest.mark.parametrize("read, text, line, message", [
+        (tosca.read_matrix_market, MM_GENERAL + "3 3 3\n1 2 0.5\n\n \n2 3 1.5\n\x0c\n4 1 2.0\n\n",
+         8, "index (4, 1) outside 1..3"),
+        (tosca.read_edge_list, "# n=3\n0\t1\t0.5\n\n\n2\t3\t1.5\n\n", 5, "vertex 3 outside [0, 3)"),
+    ], ids=["mm-index", "tsv-vertex"])
+    def test_fault_after_blank_lines_names_its_line(self, tmp_path, read, text, line, message):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        fast, loaded = outcome_and_loads(read, path)
+        assert len(loaded) == 1 and loaded[0] is not None
+        assert fast == forced_line_parser_outcome(read, path) == (ParseError, f"line {line}: {message}", line)
+
+    @pytest.mark.parametrize("read, text", [
+        (tosca.galerkin.read_labels, "# seed=4\nvertex_index,label\n1,0\n\n0,1\n2,1\n"),
+        (tosca.galerkin.read_partition, "vertex_index,set_index\n0,1\n\n2,0\n1,1\n"),
+        # a comment after the first row: the line parser reads the rows
+        (tosca.galerkin.read_partition, "vertex_index,set_index\n0,1\n# c\n2,0\n"),
+        (tosca.read_matrix_market, MM_GENERAL + "% c\n3 3 2\n1 2 0.5\n\n2 3 1.5\n"),
+    ], ids=["labels", "partition", "partition-line-parser", "mm"])
+    def test_clean_reads_number_no_lines(self, tmp_path, monkeypatch, read, text):
+        def numbered(rows):
+            raise AssertionError("a clean read numbered its rows")
+
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        monkeypatch.setattr(graph_module._Rows, "lines", property(numbered))
+        monkeypatch.setattr(graph_module._Rows, "line_count", property(numbered))
+        read(path)
+
+
+def outcome_and_loads(read, path):
+    """``outcome(read, path)``, and what each ``_load_rows`` call in it returned."""
+    load, loaded = graph_module._load_rows, []
+
+    def spy(*args):
+        loaded.append(load(*args))
+        return loaded[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_load_rows", spy)
+        return outcome(read, path), loaded
+
 
 MM_SYMMETRIC_HEAD = ["%%MatrixMarket matrix coordinate real symmetric", "% seed=1", "3 3 2"]
 
@@ -903,7 +972,9 @@ def streamed_file(draw, name):
     odd = st.lists(st.sampled_from(sum(columns, []) + ODD), max_size=4).map(" ".join)
     preamble = draw(st.lists(st.sampled_from(extra + ["", " "]), max_size=3))
     rows = draw(st.lists(st.one_of(row, row, row, odd), max_size=5))
-    after_first = draw(st.sampled_from([[], [""], ["  "], [extra[0]], ["x"]]))
+    after_first = draw(st.sampled_from(
+        [[], [""], ["  "], ["\x0c"], ["\x0b"], ["\x1c"], ["\xa0"], ["\u3000"], [extra[0]], ["x"]]
+    ))
     lines = preamble + rows[:1] + (after_first if rows else []) + rows[1:]
     head = MM_SYMMETRIC_HEAD if name == "mm" else []
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
