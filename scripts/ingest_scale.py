@@ -7,8 +7,9 @@ Usage, from the root of a checkout:
 Samples the DSBM graph of 32 blocks of 3125 vertices (p_in = 0.004,
 q = 1e-4, seed 7; about 2.2M edges), writes it as a Matrix Market file
 and as the TSV edge list that ``tosca generate`` writes by default, plus a
-copy of each file with one blank line appended, then reports for
-``read_matrix_market`` and ``read_edge_list`` on those four files and for
+copy of each file with one blank line appended and one with a comment line
+in the middle of its rows, then reports for ``read_matrix_market`` and
+``read_edge_list`` on those six files and for
 ``add_self_loops`` on the graph they return: the median and the range of
 REPEATS untraced calls, and the tracemalloc peak of one more call.
 Pointing PYTHONPATH at another checkout's ``src`` measures that checkout on
@@ -24,6 +25,7 @@ import statistics
 import tempfile
 import time
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -66,16 +68,26 @@ def main() -> None:
         tosca.write_edge_list(g, tsv)
         del g
         blank = {}  # each file with one trailing blank line
-        for path in (mtx, tsv):
+        comment = {}  # each file with one comment line halfway through its lines
+        for path, mark in ((mtx, "%"), (tsv, "#")):
             blank[path] = path.with_name(f"{path.stem}-blank{path.suffix}")
             shutil.copyfile(path, blank[path])
             with open(blank[path], "a") as fh:
                 fh.write("\n")
+            comment[path] = path.with_name(f"{path.stem}-comment{path.suffix}")
+            with open(path) as src, open(comment[path], "w") as dst:
+                half = sum(1 for _ in src) // 2
+                src.seek(0)
+                dst.writelines(islice(src, half))
+                dst.write(f"{mark} c\n")
+                dst.writelines(src)
         results = {
             "read_matrix_market": measure(tosca.read_matrix_market, mtx),
             "read_edge_list": measure(tosca.read_edge_list, tsv),
             "read_matrix_market_trailing_blank": measure(tosca.read_matrix_market, blank[mtx]),
             "read_edge_list_trailing_blank": measure(tosca.read_edge_list, blank[tsv]),
+            "read_matrix_market_mid_comment": measure(tosca.read_matrix_market, comment[mtx]),
+            "read_edge_list_mid_comment": measure(tosca.read_edge_list, comment[tsv]),
         }
         g = tosca.read_matrix_market(mtx)
     results["add_self_loops"] = measure(tosca.add_self_loops, g, 1.0)

@@ -77,9 +77,7 @@ def _resolve_mu(spec: str | None, g: Graph) -> Density:
     if spec == "stationary":
         return stationary_density(g)
     # One mass per line, or all masses on one line; '#' starts a comment.
-    rows = graph_io._read_rows(
-        spec, np.float64, inline=True, entry="cannot parse numbers in '{text}'"
-    )
+    rows = graph_io._read_rows(spec, np.float64, entry="cannot parse numbers in '{text}'")
     table = rows.table()
     bad = ~np.isfinite(table)
     rows.check(rows.fault_at(bad.any(axis=1), lambda k: f"non-finite mass {table[k][bad[k]][0]}"))

@@ -18,7 +18,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import DegeneratePointsError, EmptySubsetError, check_k
+from .errors import DegeneratePointsError, EmptySubsetError, IndexOutOfRangeError, check_k
 from .graph import Graph, _check_vertices, _first_non_number, _non_integer, _not_an_integer, transition_matrix
 from .operators import Density, forward_backward, uniform_density
 from .spectral import SpectrumResult, fb_spectrum
@@ -310,9 +310,11 @@ def coherence_score(g: Graph, mu: Density | None, subset: Iterable[int]) -> floa
     vertices = list(subset)
     try:
         values = np.fromiter(vertices, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         if (bad := _first_non_number(vertices)) is None:
             raise
+        if bad[2]:  # 10**400: a number, and beyond any vertex count
+            raise IndexOutOfRangeError(f"vertex index {bad[1]} outside [0, {g.n})") from None
         raise _not_an_integer(bad[1]) from None
     bad = _non_integer(values)
     if bad.any():

@@ -12,7 +12,7 @@ operators. Estimated operators follow as compositions
     K_r = Gxx^-1 Gxy,  T_r = Gyy^-1 Gyx,  F_r = K_r T_r,  B_r = T_r K_r.
 
 The limit of F_r is K_r T_r, whose eigenvalues lie at or below those of
-the Galerkin projection of F; finite-sample estimates are biased upward.
+the Galerkin projection of F; estimates scatter about it with no established sign.
 
 Sampling draws uniforms from numpy's PCG64 generator, so all draws are
 reproducible from the seed alone. Each step is an inverse-CDF lookup

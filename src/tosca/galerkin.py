@@ -96,6 +96,8 @@ def _set_of(sets: Sequence[Iterable[int]], n: int) -> dict[int, int]:
                 if isinstance(v, str):  # "2" and long integers exactly, "2.0" and "1e300" as floats
                     v = int(v) if v.strip().lstrip("+-").isdecimal() else float(v)
                 integral = isinstance(v, (int, np.integer)) or float(v).is_integer()
+            except OverflowError:  # Fraction(10**400): a number, and beyond any n
+                raise IndexOutOfRangeError(f"vertex {v} outside [0, {n})") from None
             except (TypeError, ValueError):  # "x", None, 1j, [1, 2]
                 integral = False
             if not integral:

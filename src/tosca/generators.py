@@ -153,9 +153,7 @@ def read_prob_matrix(path) -> np.ndarray:
     '#' starts a comment; a malformed entry or a ragged row raises
     ParseError with its line.
     """
-    e = _read_rows(
-        path, np.float64, sep=",", inline=True, entry="cannot parse numbers in '{text}'"
-    ).table()
+    e = _read_rows(path, np.float64, sep=",", entry="cannot parse numbers in '{text}'").table()
     if e.shape[0] != e.shape[1]:
         raise ToscaError(f"probability matrix must be square, got {e.shape}")
     return e

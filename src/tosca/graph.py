@@ -10,7 +10,7 @@ import lzma
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -259,13 +259,16 @@ def _three_values(rows: Iterable, stop: list[tuple[int, tuple]]) -> Iterator[tup
         del row, values
 
 
-def _first_non_number(values: Iterable) -> tuple[int, object] | None:
-    """The index and value of the first of ``values`` that ``float`` rejects ("x", None, [1, 2]), if any."""
+def _first_non_number(values: Iterable) -> tuple[int, object, bool] | None:
+    """The index and value of the first of ``values`` that ``float`` rejects ("x", None, [1, 2], 10**400),
+    if any, and whether it is a number beyond float's range."""
     for index, value in enumerate(values):
         try:
             float(value)
+        except OverflowError:
+            return index, value, True
         except (TypeError, ValueError):
-            return index, value
+            return index, value, False
     return None
 
 
@@ -289,18 +292,25 @@ def from_edge_list(
       nan or inf in row order, src before dst, raises ToscaError;
     - a negative ``n``, or a vertex outside [0, n) (named as given, 1e+300
       too), raises IndexOutOfRangeError; all src are checked before dst;
-    - a weight that is not positive and finite raises NonPositiveWeightError.
+    - a weight that is not positive and finite raises NonPositiveWeightError;
+      10**400 raises as soon as its row is read, as a vertex out of range or a non-finite weight.
     """
     stop: list[tuple[int, tuple]] = []
     rows = _three_values(triples, stop)
     try:
         arr = np.fromiter(rows, dtype=_TRIPLE)
-    except (TypeError, ValueError):  # on a value that is no number, "x"
+    except (TypeError, ValueError, OverflowError):  # on a value that is no number, "x", or 10**400
         rows.close()  # hands the row being read to stop
         index, values = stop[0] if stop else (0, ())
         if (bad := _first_non_number(values)) is None:  # the rows raised
             raise
-        raise ToscaError(f"edge row {index} has {_TRIPLE.names[bad[0]]} {bad[1]!r}, not a number") from None
+        column, value, huge = bad
+        if huge and column < 2:
+            raise IndexOutOfRangeError(f"vertex index {value} outside [0, {n})") from None
+        if huge:
+            raise NonPositiveWeightError(f"edge ({values[0]}, {values[1]}) has weight {value}; weights must be "
+                                         "positive and finite") from None
+        raise ToscaError(f"edge row {index} has {_TRIPLE.names[column]} {value!r}, not a number") from None
     if stop:
         index, values = stop[0]
         s = "" if len(values) == 1 else "s"
@@ -393,21 +403,21 @@ def _shift_weights(values: np.ndarray) -> np.ndarray:
 class _Rows(NamedTuple):
     """A text table, read up to its first malformed line (its ``fault``).
 
-    Its rows are the first lines from line ``first`` on that ``is_row`` keeps.
+    Its rows are the first lines from line ``first`` on that ``text_of`` keeps.
     Only faults name lines, so ``lines`` and ``line_count`` read the file when asked.
     """
 
     columns: list[np.ndarray]  # one array per column
-    comments: list[tuple[int, str]]  # (line, text after the mark) per comment line
+    comments: list[tuple[int, str]]  # (line, text after the mark) per comment line before the first row
     fault: ParseError | None
     path: str | Path
     first: int  # the line of the first row
-    is_row: Callable[[str], bool]  # False for a blank, header or comment line
+    text_of: Callable[[str], str]  # a line's row text: "" for a blank, header or comment line
 
     @property
     def lines(self) -> list[int]:  # the 1-based line of each row
         with open(self.path) as fh:
-            kept = (number for number, line in enumerate(fh, 1) if number >= self.first and self.is_row(line))
+            kept = (number for number, line in enumerate(fh, 1) if number >= self.first and self.text_of(line))
             return list(islice(kept, len(self.columns[0]) if self.columns else 0))
 
     @property
@@ -439,7 +449,6 @@ def _read_rows(
     types: tuple[type, ...] | type,
     sep: str | None = None,
     comment: str = "#",
-    inline: bool = False,
     header: str | None = None,
     start: int = 0,
     shape: str = "expected {width} values like the first row, found {found}",
@@ -449,87 +458,76 @@ def _read_rows(
 
     The file's first ``start`` lines are passed over. ``types`` holds each
     column's numpy type; one type reads as many columns as the first row
-    has. Skipped: blank and ``header`` lines, and comments (lines starting
-    with ``comment``, or with ``inline`` the text from it on). The first
+    has. The text from ``comment`` to the end of a line is a comment, and
+    lines left blank by that cut and ``header`` lines are skipped. The first
     other line that is no row of the types is the fault, worded by
     ``shape`` (field count) or ``entry``.
 
     The lines before the first row are read one at a time; that row and
     the rest of the file go to one ``np.loadtxt`` call (``_load_rows``),
     which reads them from the path with numpy's chunked reader. Its rows
-    are taken as they come: the lines it skips are blank. When it rejects
-    the block, a line parser reads on from that row and stops at the first
-    fault, to the same arrays. Neither path holds the file's lines or
-    numbers the rows; ``_Rows.lines`` numbers them when a fault asks.
+    are taken as they come: the lines it skips are blank after the cut.
+    When it rejects the block, a line parser reads on from that row and
+    stops at the first fault, to the same arrays. Neither path holds the
+    file's lines or numbers the rows; ``_Rows.lines`` does when a fault asks.
     """
 
-    def text_of(line: str) -> str:  # stripped, cut at an inline comment; "" for a header line
-        stripped = (line.split(comment, 1)[0] if inline else line).strip()
-        return "" if stripped == header else stripped
-
-    def is_row(line: str) -> bool:  # the skip rule, by which _Rows numbers the rows
-        return (text := text_of(line)) != "" and not text.startswith(comment)
+    def text_of(line: str) -> str:  # the skip rule, by which _Rows numbers the rows
+        text = line.split(comment, 1)[0].strip()
+        return "" if text == header else text
 
     with open(path) as fh:
-        fixed = isinstance(types, tuple)
-        width = len(types) if fixed else None
         rows, comments = [], []  # as in _Rows; rows as lists of values
         fault, first = None, 0  # ``first``: the line of the first row, 0 before it
         for number, line in enumerate(islice(fh, start, None), start + 1):
-            stripped = text_of(line)
-            if not stripped:
+            text = text_of(line)
+            if not text:
+                if not first and (stripped := line.strip()).startswith(comment):
+                    comments.append((number, stripped[len(comment):]))
                 continue
-            if stripped.startswith(comment):
-                comments.append((number, stripped[len(comment):]))
-                continue
+            fields = text.split(sep)
             if not first:
-                first, columns = number, _load_rows(path, number - 1, types, sep)
+                first = number
+                types = types if isinstance(types, tuple) else (types,) * len(fields)
+                columns = _load_rows(path, number - 1, types, sep, comment)
                 if columns is not None:
-                    return _Rows(columns, comments, None, path, first, is_row)
-            fields = stripped.split(sep)
-            if fixed and len(fields) != width:
-                fault = ParseError(shape.format(width=width, found=len(fields)), number)
+                    return _Rows(columns, comments, None, path, first, text_of)
+            if len(fields) != len(types):
+                fault = ParseError(shape.format(width=len(types), found=len(fields)), number)
                 break
             try:
-                row = [t(f) for t, f in zip(types if fixed else repeat(types), fields)]
+                rows.append([t(f) for t, f in zip(types, fields)])
             except (ValueError, OverflowError):
-                fault = ParseError(entry.format(text=stripped), number)
+                fault = ParseError(entry.format(text=text), number)
                 break
-            width = width or len(row)
-            if len(row) != width:
-                fault = ParseError(shape.format(width=width, found=len(row)), number)
-                break
-            rows.append(row)
-    types = types if fixed else (types,) * (width or 0)
+    types = types if isinstance(types, tuple) else ()  # a one-type table without rows has no columns
     columns = [np.array([row[c] for row in rows], dtype=t) for c, t in enumerate(types)]
-    return _Rows(columns, comments, fault, path, first, is_row)
+    return _Rows(columns, comments, fault, path, first, text_of)
 
 
 def _load_rows(
-    path: str | Path, skip: int, types: tuple[type, ...] | type, sep: str | None
+    path: str | Path, skip: int, types: tuple[type, ...], sep: str | None, comment: str
 ) -> list[np.ndarray] | None:
-    """``_read_rows``'s columns for the lines of the file at ``path`` after
-    its first ``skip``, from one ``np.loadtxt``.
+    """``_read_rows``' columns for the lines of the file at ``path`` after
+    its first ``skip``, from one ``np.loadtxt`` that cuts lines at ``comment``.
 
-    None when ``np.loadtxt`` rejects the lines: with comments off, any
-    comment or header line among them. Every line it skips is one that
-    ``str.strip`` leaves empty, which the line parser skips too. numpy
-    opens names ending in .gz, .bz2 or .xz as compressed files; on a plain
-    file that fails, and the line parser reads it.
+    None when ``np.loadtxt`` rejects the lines, such as a header line
+    among them. Every line it skips is one that ``str.strip`` leaves
+    empty after the cut, which the line parser skips too. numpy opens
+    names ending in .gz, .bz2 or .xz as compressed files; on a plain file
+    that fails, and the line parser reads it.
     """
-    fixed = isinstance(types, tuple)
-    dtype = np.dtype([(f"c{i}", t) for i, t in enumerate(types)] if fixed else types)
+    dtype = np.dtype([(f"c{i}", t) for i, t in enumerate(types)])
     try:
         with warnings.catch_warnings():
             # an empty block warns; any warning means "let the line parser decide"
             warnings.simplefilter("error")
             table = np.loadtxt(  # a Path, as numpy fetches a name that parses as a URL
-                Path(path), dtype=dtype, delimiter=sep, comments=None, skiprows=skip,
-                ndmin=1 if fixed else 2,
+                Path(path), dtype=dtype, delimiter=sep, comments=comment, skiprows=skip, ndmin=1
             )
     except (ValueError, OSError, EOFError, lzma.LZMAError, Warning):
         return None
-    return [np.ascontiguousarray(table[name]) for name in dtype.names] if fixed else list(table.T)
+    return [np.ascontiguousarray(table[name]) for name in dtype.names]
 
 
 def _write_rows(
@@ -693,7 +691,7 @@ def write_matrix_market(
 def read_edge_list(path: str | Path, n: int | None = None, directed: bool = True) -> Graph:
     """Read a TSV edge list (src, dst, weight per line, 0-based).
 
-    Comment lines starting with '#' are skipped; a '# n=<count>' header
+    '#' starts a comment; a '# n=<count>' comment before the first row
     fixes the vertex count (otherwise max index + 1 is used). A negative
     vertex, one >= a fixed count, or a nan or infinite weight raises
     ParseError with its line; a file with no vertices raises

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -817,7 +818,12 @@ class TestCoherenceScore:
         assert caught.value.exit_code == 3
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("subset, bad", [([1e300], "1e+300"), ([0, 2**70], "1.1805916207174113e+21")])
+    @pytest.mark.parametrize("subset, bad", [
+        ([1e300], "1e+300"), ([0, 2**70], "1.1805916207174113e+21"),
+        # numbers beyond float's range are named as given
+        pytest.param([0, 10**400], str(10**400), id="int-beyond-float"),
+        pytest.param([Fraction(10**400)], str(10**400), id="fraction-beyond-float"),
+    ])
     def test_huge_vertex_named_not_cast(self, subset, bad):
         g = tosca.from_edge_list(3, [(i, (i + 1) % 3, 1.0) for i in range(3)])
         with pytest.raises(IndexOutOfRangeError) as caught:

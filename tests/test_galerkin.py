@@ -160,9 +160,11 @@ class TestIndicatorBasis:
         ([[np.array([2.0])]], ToscaError("vertex [2.] is not an integer")),
         ([[None]], ToscaError("vertex None is not an integer")),
         ([[1 + 0j]], ToscaError("vertex (1+0j) is not an integer")),
+        # beyond float's range, named as given
+        ([[Fraction(10**400)]], IndexOutOfRangeError(f"vertex {10**400} outside [0, 4)")),
     ], ids=["str", "fraction", "fraction-after-int", "2**63", "2**64", "1e300", "1e19-array",
             "str-float", "str-1e300", "str-2**64+1", "str-not-a-number", "list", "array", "none",
-            "complex"])
+            "complex", "fraction-beyond-float"])
     def test_inputs_numpy_cannot_join_or_cast(self, sets, expected):
         if isinstance(expected, ToscaError):
             with pytest.raises(ToscaError) as caught:
@@ -349,6 +351,8 @@ class TestPartitionIO:
         ([[np.array([2.0])]], ToscaError, "vertex [2.] is not an integer"),
         ([[None]], ToscaError, "vertex None is not an integer"),
         ([[1 + 0j]], ToscaError, "vertex (1+0j) is not an integer"),
+        pytest.param([[Fraction(10**400)]], IndexOutOfRangeError, f"vertex {10**400} outside [0, {2**63})",
+                     id="fraction-beyond-float"),
     ])
     def test_sets_indicator_basis_rejects_are_not_written(self, tmp_path, sets, error, message):
         path = tmp_path / "partition.csv"

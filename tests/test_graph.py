@@ -60,7 +60,7 @@ class TestFromEdgeList:
         with pytest.raises(NonPositiveWeightError):
             tosca.from_edge_list(2, [(0, 1, -2.0)])
 
-    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, pytest.param(10**400, id="int-beyond-float")])
     def test_non_finite_weight(self, weight):
         with pytest.raises(NonPositiveWeightError, match="positive and finite"):
             tosca.from_edge_list(2, [(0, 1, 1.0), (1, 0, weight)])
@@ -111,6 +111,10 @@ class TestFromEdgeList:
         ([(0, 1, 1.0), (-1e19, 2, 1.0)], "vertex index -1e+19 outside [0, 3)"),
         # all src are checked before any dst, as for int64 arrays
         ([(0, 1e300, 1.0), (5.0, 1, 1.0)], "vertex index 5 outside [0, 3)"),
+        # ints beyond float's range are named as given
+        pytest.param([(0, 10**400, 1.0)], f"vertex index {10**400} outside [0, 3)", id="int-beyond-float"),
+        pytest.param([(0, 1, 1.0), (-10**400, 2, 1.0)], f"vertex index {-10**400} outside [0, 3)",
+                     id="negative-int-beyond-float"),
     ])
     def test_huge_vertex_named_before_the_cast(self, triples, message):
         with warnings.catch_warnings():
@@ -765,10 +769,11 @@ ODD = ["1.0", "1e0", "x", "#", "%", "1_0", "", "99999999999999999999", "٣"]
 
 @st.composite
 def table_line(draw, columns, seps, extra, width=None):
-    """Mostly rows of ``columns`` tokens, with blank, ``extra`` and malformed lines.
+    """Mostly rows of ``columns`` tokens, with blank, ``extra`` and malformed lines;
+    rows and malformed lines may end in an inline comment.
 
     ``width`` (min, max) draws rows of that many tokens from the first
-    column with an optional inline comment, for files without fixed columns.
+    column, for files without fixed columns.
     """
     kind = draw(st.sampled_from(["row"] * 6 + ["blank", "extra", "odd"]))
     if kind == "blank":
@@ -782,7 +787,7 @@ def table_line(draw, columns, seps, extra, width=None):
     else:
         tokens = [draw(st.sampled_from(column)) for column in columns]
     line = draw(st.sampled_from(["", " "])) + draw(st.sampled_from(seps)).join(tokens)
-    return line + (draw(st.sampled_from(["", " # c", "#"])) if width is not None else "")
+    return line + draw(st.sampled_from(["", " # c", "#"]))
 
 
 def _read_mu(path):
@@ -906,8 +911,8 @@ class TestLineParserEquivalence:
     @pytest.mark.parametrize("read, text", [
         (tosca.galerkin.read_labels, "# seed=4\nvertex_index,label\n1,0\n\n0,1\n2,1\n"),
         (tosca.galerkin.read_partition, "vertex_index,set_index\n0,1\n\n2,0\n1,1\n"),
-        # a comment after the first row: the line parser reads the rows
-        (tosca.galerkin.read_partition, "vertex_index,set_index\n0,1\n# c\n2,0\n"),
+        # a header line after the first row: the line parser reads the rows
+        (tosca.galerkin.read_partition, "vertex_index,set_index\n0,1\nvertex_index,set_index\n2,0\n"),
         (tosca.read_matrix_market, MM_GENERAL + "% c\n3 3 2\n1 2 0.5\n\n2 3 1.5\n"),
     ], ids=["labels", "partition", "partition-line-parser", "mm"])
     def test_clean_reads_number_no_lines(self, tmp_path, monkeypatch, read, text):
@@ -919,6 +924,65 @@ class TestLineParserEquivalence:
         monkeypatch.setattr(graph_module._Rows, "lines", property(numbered))
         monkeypatch.setattr(graph_module._Rows, "line_count", property(numbered))
         read(path)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_FORMATS) + ["mm"])
+    def test_comment_lines_after_the_first_row_take_one_call(self, tmp_path, name):
+        # numpy cuts each line at the mark, as the line parser does
+        read = tosca.read_matrix_market if name == "mm" else TABLE_FORMATS[name][0]
+        text = {
+            "mm": MM_GENERAL + "3 3 3\n1 2 0.5\n% c\n2 3 1.5\n%\n3 1 2.0\n% end\n",
+            "tsv": "# n=3 directed=1\n0\t1\t0.5\n# c\n2\t0\t1.5\n#\n",
+            "walks": "x,y\n0,1\n# seed=2\n2,0\n# c\n",
+            "labels": "vertex_index,label\n1,0\n# c\n0,1\n#\n2,1\n",
+            "partition": "vertex_index,set_index\n0,1\n# c\n2,0\n1,1\n# c\n",
+            "partition-n": "vertex_index,set_index\n0,1\n# c\n#\n2,0\n",
+            "mu": "0.25\n# c\n0.25\n #c\n0.5\n# end\n",
+            "probs": "0.5,0.1\n# c\n0.2,0.5\n#\n",
+        }[name]
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        fast, loaded = outcome_and_loads(read, path)
+        assert len(loaded) == 1 and loaded[0] is not None
+        assert not isinstance(fast, tuple)
+        assert_same_result(fast, forced_line_parser_outcome(read, path))
+
+    @pytest.mark.parametrize("read, text, clean", [
+        (tosca.read_matrix_market, MM_GENERAL + "3 3 2\n1 2 0.5 % c\n2 3 1.5%\n",
+         MM_GENERAL + "3 3 2\n1 2 0.5\n2 3 1.5\n"),
+        (tosca.read_edge_list, "0\t1\t0.5 # note\n1\t2\t1.5#\n", "0\t1\t0.5\n1\t2\t1.5\n"),
+        (tosca.read_walks, "x,y\n0,1 # c\n2,0\n", "x,y\n0,1\n2,0\n"),
+        (tosca.galerkin.read_labels, "vertex_index,label\n1,0 # c\n0,1#c\n", "vertex_index,label\n1,0\n0,1\n"),
+        (tosca.galerkin.read_partition, "0,1 # c\n2,0\n", "0,1\n2,0\n"),
+    ], ids=["mm", "tsv", "walks", "labels", "partition"])
+    def test_inline_comment_after_a_fixed_width_row(self, tmp_path, read, text, clean):
+        path, clean_path = tmp_path / "t.txt", tmp_path / "clean.txt"
+        path.write_text(text)
+        clean_path.write_text(clean)
+        fast, loaded = outcome_and_loads(read, path)
+        assert len(loaded) == 1 and loaded[0] is not None
+        assert not isinstance(fast, tuple)
+        assert_same_result(fast, outcome(read, clean_path))
+        assert_same_result(fast, forced_line_parser_outcome(read, path))
+
+    @pytest.mark.parametrize("read, text, n", [
+        (tosca.read_edge_list, "0\t1\t1.0\n# n=5\n1\t0\t1.0\n", 2),
+        (tosca.read_walks, "x,y\n0,1\n# n=1 seed=9\n1,0\n", None),
+    ], ids=["tsv", "walks"])
+    def test_settings_after_the_first_row_are_not_read(self, tmp_path, read, text, n):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        fast = outcome(read, path)
+        assert fast.n == n and getattr(fast, "seed", 0) == 0
+        assert_same_result(fast, forced_line_parser_outcome(read, path))
+
+    def test_row_of_another_width_is_a_field_count_fault(self, tmp_path):
+        # a one-type table takes its width from the first row; a row of another
+        # width is that fault even when one of its fields is no number
+        path = tmp_path / "t.txt"
+        path.write_text("0.5,0.1\n0.2,x,0.3\n")
+        read = tosca.generators.read_prob_matrix
+        message = "line 2: expected 2 values like the first row, found 3"
+        assert outcome(read, path) == forced_line_parser_outcome(read, path) == (ParseError, message, 2)
 
 
 def outcome_and_loads(read, path):
@@ -953,7 +1017,7 @@ STREAM_FORMATS = {
         [VERTEX, VERTEX], [","], ["x,y", "# seed=2", "#"],
     ),
     "floats": (
-        {"types": np.float64, "inline": True},
+        {"types": np.float64},
         [VALUE, VALUE], [" ", "  "], ["# c", " # c"],
     ),
 }
