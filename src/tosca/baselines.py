@@ -17,7 +17,7 @@ from .clustering import Clustering, KMeansConfig, kmeans
 from .errors import DegenerateSpectrumError, ZeroDegreeError, check_k
 from .graph import Graph, degree_info
 from .operators import _product
-from .spectral import _fix_signs, _top_k
+from .spectral import _fix_signs, _scaled, _top_k
 
 if TYPE_CHECKING:
     import scipy.sparse.linalg as spla
@@ -90,12 +90,10 @@ def herm_cluster(g: Graph, k: int, cfg: KMeansConfig | None = None) -> Clusterin
     span the planes of the singular-vector pairs [u_j, v_j] of C.
     """
     check_k(k, g.n)
-    import scipy.sparse as sp
-
     deg = degree_info(g)
     do = _pseudo_inv_sqrt(deg.out_degrees)
     di = _pseudo_inv_sqrt(deg.in_degrees)
-    a_nn = sp.diags(do) @ g.adjacency @ sp.diags(di)
+    a_nn = _scaled(do, g.adjacency, di)
     c = a_nn - a_nn.T
     degenerate = DegenerateSpectrumError(
         "skew-symmetric part vanishes; the graph carries no directional information"

@@ -97,6 +97,28 @@ def _fix_signs(phi: np.ndarray, *others: np.ndarray) -> None:
         phi[pivot, j] = np.abs(phi[pivot, j])
 
 
+def _scaled(a: np.ndarray, x: sp.spmatrix, b: np.ndarray) -> sp.csr_matrix:
+    """diag(a) x diag(b) as a new CSR matrix that shares x's index arrays.
+
+    Its values are (a_i x_ij) b_j; for a canonical x (sorted, no
+    duplicates) they are the bits, and its indices the order, of scipy's
+    sparse product of x with diagonal matrices, on the left and then on
+    the right. Like that product it drops the entries that come out 0, and
+    only then copies the index arrays. x is not written.
+    """
+    import scipy.sparse as sp
+
+    x = x.tocsr()
+    data = np.repeat(a, np.diff(x.indptr))
+    data *= x.data
+    data *= b[x.indices]
+    if data.all():
+        return sp.csr_matrix((data, x.indices, x.indptr), shape=x.shape)
+    scaled = sp.csr_matrix((data, x.indices.copy(), x.indptr.copy()), shape=x.shape)
+    scaled.eliminate_zeros()
+    return scaled
+
+
 def _residual(m, v: np.ndarray, u: np.ndarray, vals: np.ndarray) -> float:
     """max over columns j of ||m v_j - vals_j u_j||, the difference formed in one buffer."""
     r = m @ v
@@ -109,9 +131,9 @@ def _top_k(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-k (values, left, right) of the square matrix m, descending.
 
-    The top singular triplets (sigma, u, v), or for symmetric (real
-    symmetric or complex Hermitian) m the eigenpairs (lambda, x, x) with the
-    largest values. Restarted Lanczos (ARPACK) answers from a seeded random
+    The top singular triplets (sigma, u, v) of a real m, or for symmetric
+    (real symmetric or complex Hermitian) m the eigenpairs (lambda, x, x)
+    with the largest values. Restarted Lanczos (ARPACK) answers from a seeded random
     start; the dense solve of m @ I answers only k >= n - 1, which ARPACK
     does not accept. An ARPACK failure, or a column (value w, left u, right
     v) that misses its residual <= _RESIDUAL_TOL, raises NotConvergedError.
@@ -130,7 +152,8 @@ def _top_k(
             u = u[:, ::-1][:, :k]
             return vals[::-1][:k], u, u
         u, vals, vt = np.linalg.svd(m @ np.eye(n))
-        return vals[:k], u[:, :k], vt[:k, :].T
+        # a compact copy of u's columns, since fb_spectrum scales them in place
+        return vals[:k], u[:, :k].copy(), vt[:k, :].T
     # The start vector and ARPACK's fresh vector on every restart come from
     # one fixed generator, so the answer repeats bit for bit.
     rng = np.random.default_rng(0)
@@ -144,17 +167,20 @@ def _top_k(
             v = u
         else:
             # the ARPACK steps of svds, which gives its eigsh no generator:
-            # eigenvectors x of m^H m, then the SVD of m x
-            op = spla.aslinearoperator(m)
+            # eigenvectors x of m^T m, then the SVD of m x. m.T is a view of
+            # m's arrays, so the Gram product holds no copy of m.
+            mt = m.T
+            gram = spla.LinearOperator((n, n), matvec=lambda y: mt @ (m @ y), dtype=m.dtype)
             _, x = spla.eigsh(
-                op.H @ op, k, tol=_ITER_TOL**2, maxiter=_ITER_MAXITER_PER_K * k, v0=v0, rng=rng
+                gram, k, tol=_ITER_TOL**2, maxiter=_ITER_MAXITER_PER_K * k, v0=v0, rng=rng
             )
             x = np.linalg.qr(x)[0]
-            u, vals, vh = sla.svd(op @ x, full_matrices=False, overwrite_a=True)
-            v = (vh @ x.T.conj()).T
+            u, vals, vh = sla.svd(m @ x, full_matrices=False, overwrite_a=True)
+            v = (vh @ x.T).T
+            del x
     except spla.ArpackError as exc:
         raise NotConvergedError(f"ARPACK failed ({exc})") from exc
-    residual = _residual(m, v, u, vals) if symmetric else _residual(m.T, u, v, vals)
+    residual = _residual(m, v, u, vals) if symmetric else _residual(mt, u, v, vals)
     if residual > _RESIDUAL_TOL:
         raise NotConvergedError(
             f"the largest Lanczos residual is {residual:.3g} > {_RESIDUAL_TOL:g}"
@@ -167,15 +193,12 @@ def fb_spectrum(s: TransitionMatrix, mu: Density, k: int) -> SpectrumResult:
     check_k(k, s.n)
     nu = _positive_image(s, mu)
 
-    import scipy.sparse as sp
-
     sqrt_mu = np.sqrt(mu.p)
     inv_sqrt_nu = 1.0 / np.sqrt(nu.p)
-    m = sp.diags(sqrt_mu) @ s.s @ sp.diags(inv_sqrt_nu)
-    sigma, u, v = _top_k(m, k)
+    sigma, phi, psi = _top_k(_scaled(sqrt_mu, s.s, inv_sqrt_nu), k)
     kappa = np.clip(sigma, 0.0, 1.0)
-    phi = u / sqrt_mu[:, None]
-    psi = v * inv_sqrt_nu[:, None]
+    phi /= sqrt_mu[:, None]
+    psi *= inv_sqrt_nu[:, None]
     _fix_signs(phi, psi)
     return SpectrumResult(kappa=kappa, lam=kappa**2, phi=phi, psi=psi)
 
@@ -195,7 +218,7 @@ def koopman_spectrum(g: Graph, k: int, lazy: bool = False) -> KoopmanSpectrum:
     if lazy:
         s = lazy_chain(s)
     sqrt_pi = np.sqrt(pi.p)
-    sym = sp.diags(sqrt_pi) @ s.s @ sp.diags(1.0 / sqrt_pi)
+    sym = _scaled(sqrt_pi, s.s, 1.0 / sqrt_pi)
     vals, vecs, _ = _top_k(sp.csr_matrix((sym + sym.T) / 2.0), k, symmetric=True)
     vectors = vecs / sqrt_pi[:, None]
     _fix_signs(vectors)

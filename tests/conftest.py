@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,22 @@ def two_triangles_graph(self_loops: float = 1.0) -> tosca.Graph:
                (3, 4, 1.0), (4, 5, 1.0), (5, 3, 1.0), (2, 3, 0.01)]
     g = tosca.from_edge_list(6, triples)
     return tosca.add_self_loops(g, self_loops) if self_loops else g
+
+
+def one_way_blocks_graph() -> tosca.Graph:
+    """Four DSBM blocks of 30 vertices, dense one-way links i -> i+1 (mod 4), unit self-loops.
+
+    The fixed small directed graph (seed 3, about 2400 edges) on which
+    output bits are pinned.
+    """
+    e = 0.05 * np.ones((4, 4)) + 0.45 * np.roll(np.eye(4), 1, axis=1)
+    g = tosca.dsbm_sample(tosca.DSBMParams(r_b=4, n_b=30, e=e, seed=3))
+    return tosca.add_self_loops(g, 1.0)
+
+
+def sha256(a: np.ndarray) -> str:
+    """Hex SHA-256 of an array's bytes in C order."""
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
 def random_directed_graph(

@@ -8,7 +8,7 @@ from tosca.baselines import _pseudo_inv_sqrt
 from tosca.errors import DegenerateSpectrumError, NotConvergedError, ZeroDegreeError
 from tosca.spectral import _fix_signs, _top_k
 
-from conftest import peak_mib, random_directed_graph
+from conftest import one_way_blocks_graph, peak_mib, random_directed_graph, sha256
 
 
 def diagonal_block_graph(seed, n_b=50, p=0.8, q=0.1, r_b=4):
@@ -241,6 +241,14 @@ class TestHermCluster:
             pivot = int(np.argmax(np.abs(x[:, j])))
             assert x[pivot, j].imag == 0.0
             assert x[pivot, j].real > 0.0
+
+
+class TestPinnedBits:
+    def test_herm_cluster(self):
+        # SHA-256 of the labels' bytes and the exact inertia on one fixed graph
+        clustering = tosca.herm_cluster(one_way_blocks_graph(), 4)
+        assert sha256(clustering.labels) == "78f1ec498a32fdee0604504e83496745340a0f7e5deaebed48b7fa45f5022fb1"
+        assert clustering.inertia.hex() == "0x1.0cd9bcce9d952p+0"
 
 
 class TestDenseFallback:

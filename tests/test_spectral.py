@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tosca
 from tosca import spectral
@@ -16,8 +19,11 @@ from tosca.errors import (
 from tosca.spectral import _fix_signs
 
 from conftest import (
+    one_way_blocks_graph,
+    peak_mib,
     random_directed_graph,
     random_undirected_graph,
+    sha256,
     three_cycles_graph,
     two_triangles_graph,
 )
@@ -248,6 +254,81 @@ class TestFbSpectrum:
             tosca.fb_spectrum(s, mu, 13)
         with pytest.raises(KOutOfRangeError):
             tosca.fb_spectrum(s, mu, 0)
+
+
+@st.composite
+def scaling_cases(draw):
+    """(a, x, b): a canonical CSR x, some stored values 0, and row and column factors.
+
+    Magnitudes up to 1e100 keep every a_i x_ij b_j finite.
+    """
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    values = st.floats(-1e100, 1e100)
+    dense = draw(arrays(np.float64, (rows, cols), elements=values))
+    i, j = np.nonzero(draw(arrays(np.bool_, (rows, cols))))
+    x = sp.csr_matrix((dense[i, j], (i, j)), shape=(rows, cols))
+    a = draw(arrays(np.float64, rows, elements=values))
+    b = draw(arrays(np.float64, cols, elements=values))
+    return a, x, b
+
+
+class TestScaled:
+    @settings(max_examples=300, deadline=None)
+    @given(scaling_cases())
+    def test_bits_of_the_diagonal_products(self, case):
+        a, x, b = case
+        assert x.has_canonical_format
+        want = (sp.diags(a) @ x) @ sp.diags(b)
+        got = spectral._scaled(a, x, b)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_shares_the_index_arrays_and_writes_nothing(self, rng):
+        s, mu = fb_setup(random_directed_graph(40, rng))
+        before = s.s.copy()
+        m = spectral._scaled(np.sqrt(mu.p), s.s, np.full(s.n, 2.0))
+        assert np.shares_memory(m.indices, s.s.indices) and np.shares_memory(m.indptr, s.s.indptr)
+        assert not np.shares_memory(m.data, s.s.data)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(s.s, name).tobytes() == getattr(before, name).tobytes()
+
+
+class TestPinnedBits:
+    """SHA-256 of the output bytes on one fixed graph: a moved last bit shows here."""
+
+    def test_fb_spectrum(self):
+        spec = tosca.fb_spectrum(*fb_setup(one_way_blocks_graph()), 6)
+        assert {name: sha256(getattr(spec, name)) for name in ("kappa", "lam", "phi", "psi")} == {
+            "kappa": "c9addab49d5ee84d9ad09c4244d6a4ccab3e473de479445c91ab11cd60528cb5",
+            "lam": "38192f11d4a391fcb85577605d4e0a48be519f5d96c9170ad2a5fb93c1e3f64b",
+            "phi": "1d37cef0545b2e69b8c61abef4b2fe93728e243aecb5e7ef21516373278ac12a",
+            "psi": "181963a217aa90524cf2d13fd40a46721c67baa9a2f2058001c54d5f83c12122",
+        }
+
+    @pytest.mark.parametrize(
+        "lazy, values, vectors",
+        [
+            (False, "79ad42672c476a33c199709692c24d90f46bfb3ed607e022b0f7f1137694045a", "df0f71606b3f69922e899f17d1002cfebf0220907a0e17dfadf34c6bdad53db7"),
+            (True, "22f0ee2d2cd8dcb904544659f8f2846301dd9e24a17a6b125e097ffee1de260b", "f39796a5e87a32c15f5a9a0e8d1461657ade83c253313c9d861be202a0924d95"),
+        ],
+    )
+    def test_koopman_spectrum(self, lazy, values, vectors):
+        g = one_way_blocks_graph()
+        sym = tosca.from_edge_list(g.n, np.column_stack([g.src, g.dst, g.weight]), directed=False)
+        spec = tosca.koopman_spectrum(sym, 5, lazy=lazy)
+        assert (sha256(spec.values), sha256(spec.vectors)) == (values, vectors)
+
+
+class TestMemory:
+    def test_fb_spectrum_holds_no_second_copy_of_m(self):
+        # n = 8000 and about 170k stored entries, a cli-dsbm-8k graph: a CSC
+        # copy of M held through the Lanczos run took the peak to 14.4 MiB
+        probs = np.full((32, 32), 0.001)
+        np.fill_diagonal(probs, 0.05)
+        g = tosca.dsbm_sample(tosca.DSBMParams(r_b=32, n_b=250, e=probs, seed=3100))
+        s, mu = fb_setup(tosca.add_self_loops(g, 1.0))
+        assert 160_000 < s.s.nnz < 180_000
+        assert peak_mib(tosca.fb_spectrum, s, mu, 32) < 13.4
 
 
 class TestFixSigns:
