@@ -47,6 +47,7 @@ from typing import Literal, NamedTuple, get_args
 import numpy as np
 
 from .errors import (
+    EmptyMatrixError,
     EmptySampleError,
     LengthMismatchError,
     SingularGramError,
@@ -343,6 +344,8 @@ def estimated_operators(
     invertible without distorting well-conditioned ones.
     """
     r = grams.gxx.shape[0]
+    if not r:
+        raise EmptyMatrixError("the Grams are 0 x 0: the basis has no functions")
     if ridge is None:
         ridge = 1e-10 * np.trace(grams.gxx) / r
     if not 0.0 <= ridge < np.inf:

@@ -1,24 +1,25 @@
 """Galerkin projection of operators onto basis subspaces.
 
-A basis of r functions on the vertices, stored as the rows of an
-r x n matrix, turns an operator matrix L into the reduced r x r matrix
-L_r = G0^-1 G1 with G0 = Phi D Phi^T and G1 = Phi D L Phi^T, where D is
-the diagonal of the operator's reference density and L is applied to the
-basis as a sparse product, at O(nnz r). Eigenpairs of L_r lift back to
-vertex functions through the basis.
-
-An ``indicator_basis`` keeps the vertex -> set map it builds its rows
-from as ``classes``, by which ``datadriven`` counts the walk Grams.
+A basis of r functions on the vertices, the rows of an r x n matrix Phi,
+turns an operator matrix L into the reduced r x r matrix L_r = G0^-1 G1
+with G0 = Phi D Phi^T and G1 = Phi D L Phi^T, where D is the diagonal of
+the operator's reference density. L's sparse factors multiply Phi, at
+O(nnz r); eigenpairs of L_r lift back to vertex functions through Phi.
+An ``indicator_basis`` keeps only its vertex -> set map, ``classes``, by
+which ``datadriven`` counts the walk Grams, and its Phi is sparse: it
+forms no dense r x n or n x r array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    EmptyMatrixError,
     EmptySetError,
     IndexOutOfRangeError,
     OverlappingSetsError,
@@ -53,24 +54,52 @@ _MEASURE = {"K": "mu", "P": "mu", "F": "mu", "T": "nu", "B": "nu"}
 _SELF_ADJOINT_KINDS = frozenset({"F", "B"})
 
 
-@dataclass(frozen=True)
 class Basis:
     """Rows are basis functions evaluated on all vertices (r x n).
 
-    An ``indicator_basis`` keeps its vertex -> set map, r for a vertex in
-    no set, as ``classes``; both arrays are read-only. Others have None.
+    ``phi_v`` is kept as a float array; one that is not 2-d, is complex or
+    holds nan or inf raises ToscaError. An ``indicator_basis`` keeps only
+    its vertex -> set map, r for a vertex in no set, as ``classes`` and
+    forms ``phi_v`` on first read; both are read-only. Others have None.
     """
 
-    phi_v: np.ndarray
-    classes: np.ndarray | None = field(default=None, init=False)
+    _classes = None
 
-    @property
-    def r(self) -> int:
-        return self.phi_v.shape[0]
+    def __init__(self, phi_v: np.ndarray):
+        phi_v = np.asarray(phi_v)
+        if phi_v.ndim != 2 or phi_v.dtype.kind not in "biuf":
+            raise ToscaError(f"a basis is a 2-d real array, got {phi_v.dtype} of shape {phi_v.shape}")
+        if not np.isfinite(phi_v).all():
+            raise ToscaError("basis holds nan or inf")
+        self._phi_v = phi_v.astype(np.float64, copy=False)
+        self._r, self._n = phi_v.shape
 
-    @property
-    def n(self) -> int:
-        return self.phi_v.shape[1]
+    phi_v = property(lambda self: self._phi_v)
+    classes = property(lambda self: self._classes)
+    r = property(lambda self: self._r)
+    n = property(lambda self: self._n)
+
+    def _rows(self):
+        """Phi as project multiplies it: phi_v, or sparse for an indicator basis."""
+        return self.phi_v
+
+
+class _Indicators(Basis):
+    """The indicators of sets 0..r-1 of a read-only vertex -> set map, as sparse rows."""
+
+    def __init__(self, classes: np.ndarray, r: int):
+        self._classes, self._r, self._n = classes, r, len(classes)
+
+    @cached_property
+    def _phi_v(self) -> np.ndarray:
+        phi_v = np.eye(self.r, self.r + 1)[:, self.classes]
+        phi_v.flags.writeable = False
+        return phi_v
+
+    def _rows(self):
+        import scipy.sparse as sp
+
+        return sp.eye_array(self.r, self.r + 1, format="csc")[:, self.classes].tocsr()
 
 
 @dataclass(frozen=True)
@@ -140,34 +169,39 @@ def indicator_basis(n: int, sets: Sequence[Iterable[int]]) -> Basis:
     else:
         owner = _set_of(sets, n)
         classes[list(owner)] = list(owner.values())
-    phi_v = np.zeros((r, n))
-    covered = np.flatnonzero(classes < r)
-    phi_v[classes[covered], covered] = 1.0
-    phi_v.flags.writeable = classes.flags.writeable = False
-    basis = Basis(phi_v=phi_v)
-    object.__setattr__(basis, "classes", classes)  # frozen, and not an argument
-    return basis
+    classes.flags.writeable = False
+    return _Indicators(classes, r)
 
 
 def project(op: OperatorMatrix, basis: Basis) -> ReducedOperator:
     """Project an operator matrix onto the span of the basis.
 
     Raises SingularGram when the basis is rank-deficient under the
-    reference measure (condition number >= 1e12); no pseudo-inverse
-    fallback is attempted.
+    reference measure (condition number >= 1e12), with no pseudo-inverse
+    fallback, and EmptyMatrixError when it has no functions.
     """
     if op.kind not in _MEASURE:
         raise ToscaError(f"cannot project operator of kind {op.kind!r}")
     density = op.mu if _MEASURE[op.kind] == "mu" else op.nu
     if density is None:
         raise ToscaError(f"operator of kind {op.kind!r} carries no densities")
-    if basis.n != op.linear.shape[0]:
-        raise ToscaError(
-            f"basis is on {basis.n} vertices, operator on {op.linear.shape[0]}"
-        )
-    weighted = basis.phi_v * density.p[None, :]
-    g0 = weighted @ basis.phi_v.T
-    g1 = weighted @ (op.linear @ basis.phi_v.T)
+    if basis.n != density.n:
+        raise ToscaError(f"basis is on {basis.n} vertices, operator on {density.n}")
+    if not basis.r:
+        raise EmptyMatrixError("the basis has no functions")
+    import scipy.sparse as sp
+
+    # the first half of [D, *L's factors] multiplies Phi from the right and the rest
+    # Phi^T from the left, so each side holds one of S and S^T; the r x r products
+    # are sparse for a sparse Phi and dense for a dense one, and csr_array takes both
+    chain = [sp.diags_array(f) if isinstance(f, np.ndarray) else f for f in (density.p, *op.factors)]
+    half = (len(chain) + 1) // 2
+    phi = basis._rows()
+    weighted = phi @ chain[0]
+    g0 = sp.csr_array(weighted @ phi.T).toarray()
+    left = reduce(lambda x, f: x @ f, chain[1:half], weighted)
+    right = reduce(lambda x, f: f @ x, reversed(chain[half:]), phi.T)
+    g1 = sp.csr_array(left @ right).toarray()
     eigvals = np.linalg.eigvalsh((g0 + g0.T) / 2.0)
     if eigvals[0] <= 0.0 or eigvals[-1] / eigvals[0] >= GRAM_CONDITION_LIMIT:
         raise SingularGramError(
@@ -201,7 +235,7 @@ def reduced_eigenfunctions(
         vals, xi = vals[order], xi[:, order]
         if np.abs(vals.imag).max(initial=0.0) < 1e-10:
             vals, xi = vals.real, xi.real
-    funcs = red.basis.phi_v.T @ xi[:, :k]
+    funcs = red.basis._rows().T @ xi[:, :k]
     return vals[:k], funcs
 
 

@@ -10,9 +10,9 @@ density mu and its image nu = S^T mu, the operator matrices
     B = T K                    (one step backward, one step forward)
 
 together with the covariance matrices C_xx = D_mu, C_yy = D_nu and
-C_xy = D_mu S. Each is a product of S, S^T and diagonals, applied factor
-by factor at O(nnz) per vector; ``.m`` forms the dense matrix, the
-small-n reference, on first read.
+C_xy = D_mu S. Each keeps its product of S, S^T and diagonals as
+``factors``, applied factor by factor at O(nnz) per vector; ``.m`` forms
+the dense matrix, the small-n reference, on first read.
 """
 
 from __future__ import annotations
@@ -94,12 +94,16 @@ def _check_density_length(mu: Density, n: int) -> None:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Operator ``linear`` with its kind and reference densities; ``m`` is dense, on first read."""
+    """The product of ``factors`` with its kind and densities; ``linear`` and dense ``m`` on first read."""
 
     kind: OperatorKind
-    linear: spla.LinearOperator
+    factors: tuple[sp.spmatrix | np.ndarray, ...]
     mu: Density | None = None
     nu: Density | None = None
+
+    @cached_property
+    def linear(self) -> spla.LinearOperator:
+        return _product(*self.factors)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -146,30 +150,30 @@ def _positive_image(s: TransitionMatrix, mu: Density) -> Density:
 def koopman(s: TransitionMatrix, mu: Density | None = None) -> OperatorMatrix:
     """K = S; attach a density when a weighted projection is intended."""
     nu = image_density(s, mu) if mu is not None else None
-    return OperatorMatrix(kind="K", linear=_product(s.s), mu=mu, nu=nu)
+    return OperatorMatrix(kind="K", factors=(s.s,), mu=mu, nu=nu)
 
 
 def perron_frobenius(s: TransitionMatrix, mu: Density | None = None) -> OperatorMatrix:
     nu = image_density(s, mu) if mu is not None else None
-    return OperatorMatrix(kind="P", linear=_product(s.s.T), mu=mu, nu=nu)
+    return OperatorMatrix(kind="P", factors=(s.s.T,), mu=mu, nu=nu)
 
 
 def reweighted(s: TransitionMatrix, mu: Density) -> OperatorMatrix:
     """T = D_nu^-1 S^T D_mu; row-stochastic for strictly positive mu, nu."""
     nu = _positive_image(s, mu)
-    return OperatorMatrix(kind="T", linear=_product(1.0 / nu.p, s.s.T, mu.p), mu=mu, nu=nu)
+    return OperatorMatrix(kind="T", factors=(1.0 / nu.p, s.s.T, mu.p), mu=mu, nu=nu)
 
 
 def forward_backward(s: TransitionMatrix, mu: Density) -> OperatorMatrix:
     """F = K T = S D_nu^-1 S^T D_mu."""
     nu = _positive_image(s, mu)
-    return OperatorMatrix(kind="F", linear=_product(s.s, 1.0 / nu.p, s.s.T, mu.p), mu=mu, nu=nu)
+    return OperatorMatrix(kind="F", factors=(s.s, 1.0 / nu.p, s.s.T, mu.p), mu=mu, nu=nu)
 
 
 def backward_forward(s: TransitionMatrix, mu: Density) -> OperatorMatrix:
     """B = T K = D_nu^-1 S^T D_mu S."""
     nu = _positive_image(s, mu)
-    return OperatorMatrix(kind="B", linear=_product(1.0 / nu.p, s.s.T, mu.p, s.s), mu=mu, nu=nu)
+    return OperatorMatrix(kind="B", factors=(1.0 / nu.p, s.s.T, mu.p, s.s), mu=mu, nu=nu)
 
 
 def covariance_matrices(
@@ -177,9 +181,9 @@ def covariance_matrices(
 ) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """C_xx = diag(mu), C_yy = diag(nu), C_xy = D_mu S."""
     nu = image_density(s, mu)
-    cxx = OperatorMatrix(kind="Cxx", linear=_product(mu.p), mu=mu, nu=nu)
-    cyy = OperatorMatrix(kind="Cyy", linear=_product(nu.p), mu=mu, nu=nu)
-    cxy = OperatorMatrix(kind="Cxy", linear=_product(mu.p, s.s), mu=mu, nu=nu)
+    cxx = OperatorMatrix(kind="Cxx", factors=(mu.p,), mu=mu, nu=nu)
+    cyy = OperatorMatrix(kind="Cyy", factors=(nu.p,), mu=mu, nu=nu)
+    cxy = OperatorMatrix(kind="Cxy", factors=(mu.p, s.s), mu=mu, nu=nu)
     return cxx, cyy, cxy
 
 

@@ -980,3 +980,15 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().endswith("[]")
         assert '"nmv": 0.025' in proc.stdout
+        # operators from saved walks: the indicator basis is its class map alone
+        (tmp_path / "w.csv").write_text(
+            "# mode=independent_pairs seed=0 n=40\nx,y\n" + "".join(f"{i},{(i + 1) % 40}\n" for i in range(40))
+        )
+        (tmp_path / "p.csv").write_text(
+            "vertex_index,set_index\n" + "".join(f"{i},{i // 20}\n" for i in range(40))
+        )
+        estimate = "tosca.cli.main(['estimate', '--walks', 'w.csv', '--basis', 'p.csv', '-o', 'est.json'])"
+        proc = run_python(scipy_left_loaded(estimate), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().endswith("[]")
+        assert json.loads((tmp_path / "est.json").read_text())["r"] == 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import tosca
 from tosca.errors import (
+    EmptyMatrixError,
     EmptySetError,
     IndexOutOfRangeError,
     KOutOfRangeError,
@@ -16,7 +17,7 @@ from tosca.errors import (
     ToscaError,
 )
 
-from conftest import example_block_matrix, random_directed_graph, three_cycles_graph
+from conftest import example_block_matrix, peak_mib, random_directed_graph, three_cycles_graph
 
 
 def fb_operator(g, mu=None):
@@ -179,6 +180,43 @@ class TestIndicatorBasis:
         assert basis.phi_v[:, 2].sum() == 0
 
 
+def dense_rows_held(basis):
+    """Whether the basis holds an r x n array."""
+    return any(np.shape(value) == (basis.r, basis.n) for value in vars(basis).values())
+
+
+class TestBasis:
+    def test_hand_built_keeps_its_array(self):
+        phi = np.arange(6.0).reshape(2, 3)
+        basis = tosca.Basis(phi_v=phi)
+        assert basis.phi_v is phi and basis.classes is None and (basis.r, basis.n) == (2, 3)
+
+    def test_array_like_converted(self):
+        basis = tosca.Basis(phi_v=[[1, 0, 2], [0, 1, 0]])
+        assert basis.phi_v.dtype == np.float64 and basis.phi_v.tolist() == [[1, 0, 2], [0, 1, 0]]
+
+    @pytest.mark.parametrize("phi_v, message", [
+        (np.ones(3), "a basis is a 2-d real array, got float64 of shape (3,)"),
+        (np.ones((1, 2, 3)), "a basis is a 2-d real array, got float64 of shape (1, 2, 3)"),
+        (np.ones((2, 3)) * 1j, "a basis is a 2-d real array, got complex128 of shape (2, 3)"),
+        ([["a", "b"]], "a basis is a 2-d real array, got <U1 of shape (1, 2)"),
+        ([[0.0, np.nan]], "basis holds nan or inf"),
+        ([[0.0, 1.0], [-np.inf, 1.0]], "basis holds nan or inf"),
+    ], ids=["1-d", "3-d", "complex", "strings", "nan", "inf"])
+    def test_rejected_at_construction(self, phi_v, message):
+        with pytest.raises(ToscaError) as caught:
+            tosca.Basis(phi_v=phi_v)
+        assert type(caught.value) is ToscaError and str(caught.value) == message
+
+    def test_indicator_rows_formed_when_read(self):
+        basis = tosca.indicator_basis(5, [[0, 1], [3]])
+        assert not dense_rows_held(basis)
+        assert basis.phi_v.tolist() == [[1, 1, 0, 0, 0], [0, 0, 0, 1, 0]]
+        assert basis.phi_v is basis.phi_v and dense_rows_held(basis)
+        with pytest.raises(AttributeError):
+            basis.phi_v = np.zeros((2, 5))
+
+
 class TestProject:
     def test_full_indicator_basis_reproduces_operator(self):
         g = three_cycles_graph()
@@ -246,6 +284,20 @@ class TestProject:
         oracle = np.sort(np.linalg.eigvals(op.m).real)[::-1][:3]
         assert np.abs(np.sort(vals.real)[::-1] - oracle).max() < 1e-10
 
+    @pytest.mark.parametrize("basis", [tosca.indicator_basis(12, []), tosca.Basis(phi_v=np.ones((0, 12)))],
+                             ids=["indicator", "dense"])
+    def test_empty_basis_rejected(self, basis):
+        with pytest.raises(EmptyMatrixError, match="^the basis has no functions$"):
+            tosca.project(fb_operator(three_cycles_graph()), basis)
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_basis_estimates_nothing(self):
+        s = tosca.transition_matrix(three_cycles_graph())
+        sample = tosca.sample_pairs(s, tosca.uniform_density(12), 100, 0)
+        grams = tosca.empirical_grams(sample, tosca.indicator_basis(12, []))
+        with pytest.raises(EmptyMatrixError, match=r"^the Grams are 0 x 0: the basis has no functions$"):
+            tosca.estimated_operators(grams)
+
     def test_densityless_operator_rejected(self):
         g = three_cycles_graph()
         op = tosca.koopman(tosca.transition_matrix(g))
@@ -282,6 +334,15 @@ class TestReducedEigenfunctions:
         xi_b = np.array([0.5, -3.0, 2.0])
         lift = lambda xi: red.basis.phi_v.T @ xi
         assert np.array_equal(lift(xi_a + xi_b), lift(xi_a) + lift(xi_b))
+
+    def test_vertex_in_no_set_lifts_to_zero(self):
+        g = three_cycles_graph()
+        basis = tosca.indicator_basis(12, [range(0, 4), [4, 6, 7], range(8, 12)])
+        vals, funcs = tosca.reduced_eigenfunctions(tosca.project(fb_operator(g), basis), 3)
+        assert np.array_equal(funcs[5], np.zeros(3)) and not np.signbit(funcs[5]).any()
+        covered = np.delete(np.arange(12), 5)
+        xi = funcs[[0, 4, 8]]
+        assert np.array_equal(funcs[covered], xi[basis.classes[covered]])
 
     def test_reduced_eigenvalues_in_unit_interval(self, rng):
         # Rayleigh-Ritz values of the contraction stay in [0, 1]
@@ -487,3 +548,37 @@ def test_projection_forms_no_n_by_n_array():
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert "m" not in op.__dict__
     assert abs(vals[0] - 1.0) < 1e-12
+
+
+def out_edge_graph(n_b, blocks, seed=0):
+    """Blocks of n_b vertices; each vertex has 20 out-edges drawn from its own
+    block and 2 drawn from the whole graph, repeats summed."""
+    n = n_b * blocks
+    rng = np.random.default_rng(seed)
+    src = np.repeat(np.arange(n), 22).reshape(n, 22)
+    dst = src // n_b * n_b + rng.integers(0, n_b, (n, 22))
+    dst[:, 20:] = rng.integers(0, n, (n, 2))
+    return tosca.from_edge_list(n, np.column_stack([src.ravel(), dst.ravel(), np.ones(src.size)]))
+
+
+def test_indicator_projection_forms_no_r_by_n_array():
+    # n = 2e4, r = 400: a dense basis alone would take 61 MiB, a dense n x r product as much
+    n_b, r = 50, 400
+    g = out_edge_graph(n_b, r)
+    op = tosca.forward_backward(tosca.transition_matrix(g), tosca.uniform_density(g.n))
+    sets = np.arange(g.n).reshape(r, n_b)
+    small = three_cycles_graph()  # load the solver modules before tracing
+    tosca.reduced_eigenfunctions(
+        tosca.project(fb_operator(small), tosca.indicator_basis(12, [range(6), range(6, 12)])), 2
+    )
+    assert peak_mib(tosca.indicator_basis, g.n, sets) < 4.0
+    basis = tosca.indicator_basis(g.n, sets)
+    tracemalloc.start()
+    try:
+        vals, funcs = tosca.reduced_eigenfunctions(tosca.project(op, basis), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert not dense_rows_held(basis)
+    assert abs(vals[0] - 1.0) < 1e-12 and funcs.shape == (g.n, 8)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tosca
@@ -321,6 +321,28 @@ def dense_references(s, mu, nu):
     }
 
 
+def assert_grams_match_dense_product(ops, refs, basis):
+    """project's G0 and G1 for every projectable kind against the dense formula, to 1e-12 relative."""
+    phi = basis.phi_v
+    for kind in ("K", "P", "T", "F", "B"):
+        d = (ops[kind].nu if kind in ("T", "B") else ops[kind].mu).p
+        red = tosca.project(ops[kind], basis)
+        g0, g1 = (phi * d) @ phi.T, (phi * d) @ refs[kind] @ phi.T
+        assert np.abs(red.g0 - g0).max() <= 1e-12 * np.abs(g0).max(), kind
+        assert np.abs(red.g1 - g1).max() <= 1e-12 * np.abs(g1).max(), kind
+
+
+@st.composite
+def walk_setups(draw, directed=True):
+    """A graph on n <= 12 vertices with unit self-loops, its S and a strictly positive mu."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    triples = draw(st.lists(st.tuples(vertex, vertex, st.floats(0.1, 10.0)), max_size=3 * n))
+    g = tosca.add_self_loops(tosca.from_edge_list(n, triples, directed=directed), 1.0)
+    masses = draw(arrays(np.float64, n, elements=st.floats(0.01, 1.0)))
+    return g, tosca.transition_matrix(g), tosca.Density(masses / masses.sum())
+
+
 class TestSparseProductReference:
     """Operators are sparse products; ``.m`` and projections match dense numpy."""
 
@@ -348,29 +370,26 @@ class TestSparseProductReference:
                 assert not np.signbit(op.m).any(), kind
 
     def test_projection_grams_match_dense_product(self, setup, rng):
+        # a dense random basis, and an indicator basis with vertex 0 in no set
         s, mu, ops = setup
         refs = dense_references(s, mu, ops["F"].nu)
-        phi = rng.standard_normal((4, s.n))
-        basis = tosca.Basis(phi_v=phi)
-        for kind in ("K", "P", "T", "F", "B"):
-            op = ops[kind]
-            d = (op.nu if kind in ("T", "B") else op.mu).p
-            red = tosca.project(op, basis)
-            g0, g1 = (phi * d) @ phi.T, (phi * d) @ refs[kind] @ phi.T
-            assert np.abs(red.g0 - g0).max() <= 1e-12 * np.abs(g0).max(), kind
-            assert np.abs(red.g1 - g1).max() <= 1e-12 * np.abs(g1).max(), kind
-            assert "m" not in op.__dict__
+        indicators = tosca.indicator_basis(s.n, np.array_split(rng.permutation(np.arange(1, s.n)), 4))
+        assert indicators.classes[0] == 4
+        for basis in (tosca.Basis(phi_v=rng.standard_normal((4, s.n))), indicators):
+            assert_grams_match_dense_product(ops, refs, basis)
+        assert not any("m" in op.__dict__ or "linear" in op.__dict__ for op in ops.values())
 
-
-@st.composite
-def walk_setups(draw, directed=True):
-    """A graph on n <= 12 vertices with unit self-loops, its S and a strictly positive mu."""
-    n = draw(st.integers(1, 12))
-    vertex = st.integers(0, n - 1)
-    triples = draw(st.lists(st.tuples(vertex, vertex, st.floats(0.1, 10.0)), max_size=3 * n))
-    g = tosca.add_self_loops(tosca.from_edge_list(n, triples, directed=directed), 1.0)
-    masses = draw(arrays(np.float64, n, elements=st.floats(0.01, 1.0)))
-    return g, tosca.transition_matrix(g), tosca.Density(masses / masses.sum())
+    @settings(max_examples=60, deadline=None)
+    @given(setup=walk_setups(), data=st.data())
+    def test_indicator_projection_matches_dense_product(self, setup, data):
+        # partitions that need not cover the vertices, on graphs with non-uniform mu
+        _, s, mu = setup
+        ops = all_operators(s, mu)
+        refs = dense_references(s, mu, ops["F"].nu)
+        classes = data.draw(arrays(np.int64, s.n, elements=st.integers(0, s.n)))
+        sets = [np.flatnonzero(classes == c) for c in np.unique(classes[classes < s.n])]
+        assume(sets)
+        assert_grams_match_dense_product(ops, refs, tosca.indicator_basis(s.n, sets))
 
 
 class TestNorthStarProperties:
