@@ -19,11 +19,22 @@ reproducible from the seed alone. Each step is an inverse-CDF lookup
 inside the walker's row of S, over cumulative row sums kept in the CSR
 layout of S: O(nnz) memory whatever the degrees. They are built on the
 first draw from an S and kept with it, so the samples of one chain
-share them. Every draw is ``searchsorted(cum, u, side="right")`` with a
-fallback to the last entry, found three ways with the same result: start
-vertices through a guide table over the density's cumsum, independent
-pairs by a branchless fixed-step search inside every walker's row at
-once, and a trajectory by ``bisect_right`` within rows of flat Python lists.
+share them. The draw rule, with u uniform in [0, 1):
+
+- from a row of S holding d equal positive probabilities, or a density
+  whose d support masses are equal, entry min(floor(u d), d - 1): the
+  cells are the exact intervals [k/d, (k + 1)/d), whatever the row's
+  total: a hand-built row of equal entries that do not sum to 1 is drawn
+  uniformly;
+- from any other row or density, entry ``searchsorted(cum, u, side="right")``,
+  or the last entry when u is at or above the floating total.
+
+Which rule a row takes is read from its stored values alone, once, when
+the cumulative rows (``even``) or a density's guide table are built.
+Start vertices from other densities are found through a guide table over
+the density's cumsum, the searched steps of independent pairs by a
+branchless fixed-step search inside those walkers' rows at once, and
+those of a trajectory by ``bisect_right`` within rows of flat Python lists.
 Pairs and trajectories take their uniforms in blocks of ``_WALK_CHUNK``
 from the seed's one stream, so no m-long array of uniforms is held.
 For an indicator basis with vertex -> set map c (``Basis.classes``, r
@@ -162,7 +173,8 @@ class _GuideTable(NamedTuple):
 
     ``cum`` is the cumsum of the masses of the ``support``; bucket b of the
     guide table (Chen & Asau, 1974) has its run of cums at ``first[b]``
-    through ``last[b]``, at most ``width`` long.
+    through ``last[b]``, at most ``width`` long. ``even`` is the size of
+    the support when its masses are all equal, and 0 otherwise.
     """
 
     support: np.ndarray
@@ -170,6 +182,7 @@ class _GuideTable(NamedTuple):
     first: np.ndarray
     last: np.ndarray
     width: int
+    even: int
 
 
 def _guide_table(p: np.ndarray) -> _GuideTable:
@@ -180,33 +193,40 @@ def _guide_table(p: np.ndarray) -> _GuideTable:
     within u's bucket's run of cums or the first cum after it.
     """
     support = np.flatnonzero(p)
-    cum = np.cumsum(p[support])
+    masses = p[support]
+    cum = np.cumsum(masses)
     size = len(cum)
     # first[b] counts the cums in buckets below b; bucket b's run ends at
     # the first cum past it, or at the last cum.
     first = np.searchsorted(_bucket(cum, size), np.arange(size + 1))
     last = np.minimum(first[1:], size - 1)
     width = int((last - first[:-1]).max()) + 1
-    return _GuideTable(support, cum, first[:-1], last, width)
+    even = size if masses.min() == masses.max() else 0
+    return _GuideTable(support, cum, first[:-1], last, width, even)
 
 
 def _draw_density(table: _GuideTable, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws from a probability vector, onto its support only.
 
-    Draw i is ``support[searchsorted(cum, u[i], side="right")]``; a draw at
-    or above the floating total takes the last support vertex. Only u[i]'s
+    On a support of d equal masses, draw i is
+    ``support[min(floor(u[i] d), d - 1)]``, u[i]'s bucket. Otherwise it is
+    ``support[searchsorted(cum, u[i], side="right")]``, and a draw at or
+    above the floating total takes the last support vertex. Only u[i]'s
     bucket's run of cums is searched, by ``_first_above``. A skewed density
     may put many cums into one bucket; the search stays logarithmic in the
     largest run.
     """
+    if table.even:
+        return table.support.take(_bucket(u, table.even))
     b = _bucket(u, len(table.cum))
     k = _first_above(table.cum, table.first.take(b), table.last.take(b), u, table.width)
     return table.support.take(k)
 
 
 def _row_width(rows: _CumulativeRows) -> int:
-    """The largest count of stored entries in a row: ``_draw_in_rows``'s width."""
-    return int(np.diff(rows.indptr).max())
+    """The largest count of stored entries in a row that is searched, one
+    with unequal probabilities, or 1: ``_draw_in_rows``'s width."""
+    return int(np.diff(rows.indptr)[rows.even == 0].max(initial=1))
 
 
 def _draw_in_rows(
@@ -214,15 +234,24 @@ def _draw_in_rows(
 ) -> np.ndarray:
     """One walk step for every walker: ys[i] is drawn from row v[i] with u[i].
 
-    ys[i] is the column of ``searchsorted(cum[lo:hi], u[i], side="right")``
-    inside row v[i]'s stored entries ``lo:hi``, falling back to the row's
-    last stored neighbour at or above its total: ``_first_above`` on every
-    walker's row at once, in as many fixed steps as the largest degree,
-    ``width = _row_width(rows)``, needs.
+    In a row of d = ``even[v[i]]`` equal probabilities, ys[i] is the
+    column of entry min(floor(u[i] d), d - 1) of the row. In any other row,
+    stored entries ``lo:hi``, it is the column of
+    ``searchsorted(cum[lo:hi], u[i], side="right")``, falling back to the
+    row's last stored neighbour at or above its total: ``_first_above`` on
+    those walkers' rows at once, in as many fixed steps as the largest
+    degree of such a row, ``width = _row_width(rows)``, needs.
     """
-    last = rows.indptr[1:].take(v)
+    d = rows.even.take(v)
+    k = (u * d).astype(np.int64)
+    d -= 1
+    np.minimum(k, d, out=k)  # < 0 where d was 0: those walkers are searched below
+    lo = rows.indptr.take(v)
+    k += lo
+    searched = np.flatnonzero(d < 0)
+    last = rows.indptr[1:].take(v.take(searched))
     last -= 1
-    k = _first_above(rows.cum, rows.indptr.take(v), last, u, width)
+    k[searched] = _first_above(rows.cum, lo.take(searched), last, u.take(searched), width)
     return rows.indices.take(k)
 
 
@@ -259,12 +288,15 @@ def sample_trajectory(
 ) -> WalkSample:
     """One walk of m steps; consecutive positions form the (x, y) pairs.
 
-    The walk searches two flat Python lists built from S's cumulative
-    rows (see ``TransitionMatrix``) on every call and freed when it
-    returns: vertex v's cums and neighbours sit at [lo[v], last[v]], in
-    CSR order. So a step is one ``bisect_right`` over all of row v's cums
-    but the last, and one index: searchsorted's side="right" in the row,
-    a uniform past those cums landing on the last neighbour, the fallback.
+    The walk reads flat Python lists built from S's cumulative rows (see
+    ``TransitionMatrix``) on every call and freed when it returns: vertex
+    v's cums and neighbours sit at [lo[v], last[v]], in CSR order. From a
+    row of d = even[v] equal probabilities a step is one index,
+    ``neighbours[lo[v] + int(u * d)]``, with no clamp: int(u d) <= d - 1
+    for every u < 1 and d < 2^53. From any other row it is one
+    ``bisect_right`` over all of row v's cums but the last, and one index:
+    searchsorted's side="right" in the row, a uniform past those cums
+    landing on the last neighbour, the fallback.
     """
     _check_density_length(start_density, s.n)
     if m < 0:
@@ -272,15 +304,18 @@ def sample_trajectory(
     rng = np.random.default_rng(seed)
     v = int(_draw_density(_guide_table(start_density.p), rng.random(1))[0])
     rows = s._cumulative_rows
-    # One float object per distinct cum, shared by every slot that holds it:
-    # rows with equal probabilities (on an unweighted graph, all rows of one
-    # degree) share their cums, and the walk reads a few hundred floats
-    # instead of one per stored entry.
-    values, inverse = np.unique(rows.cum, return_inverse=True)
-    cums = np.array(values.tolist(), dtype=object)[inverse].tolist()
-    # One int object per vertex, likewise.
+    # Float objects only in the rows that are searched: a row of equal
+    # probabilities is stepped by index, and its slots hold None. On an
+    # unweighted graph with unit self-loops that is nearly every row.
+    searched = np.repeat(rows.even == 0, np.diff(rows.indptr))
+    cums = np.full(len(rows.cum), None, dtype=object)
+    cums[searched] = rows.cum[searched]
+    cums = cums.tolist()
+    # One int object per vertex, shared by every slot that holds it.
     neighbours = np.arange(s.n).astype(object)[rows.indices].tolist()
     lo, last = rows.indptr[:-1].tolist(), (rows.indptr[1:] - 1).tolist()
+    # d as a float, so that u * d multiplies two floats; the product is the same.
+    even = rows.even.astype(np.float64).tolist()
     walk = np.empty(m + 1, dtype=np.int64)
     walk[0] = v
     # The uniforms come in chunks, one stream as from rng.random(m), so no
@@ -288,7 +323,9 @@ def sample_trajectory(
     for start in range(1, m + 1, _WALK_CHUNK):
         us = rng.random(min(_WALK_CHUNK, m + 1 - start)).tolist()
         walk[start : start + len(us)] = [
-            v := neighbours[bisect_right(cums, u, lo[v], last[v])] for u in us
+            v := neighbours[lo[v] + int(u * d)] if (d := even[v])
+            else neighbours[bisect_right(cums, u, lo[v], last[v])]
+            for u in us
         ]
     return WalkSample(
         xs=walk[:-1], ys=walk[1:], mode="single_trajectory", seed=seed, n=s.n

@@ -103,12 +103,15 @@ class _CumulativeRows(NamedTuple):
     stored probabilities in column order, and ``indices`` holds their
     columns. Adding the unstored zeros changes no partial sum, so these
     are the values of the dense row cumsum at the stored columns, bit for
-    bit.
+    bit. ``even[v]`` is row v's count of stored entries when they all hold
+    the same positive probability, and 0 otherwise: such a row is drawn
+    from by its entry index, with no search over its cums.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     cum: np.ndarray
+    even: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,12 @@ class TransitionMatrix:
 
     The CSR cumulative rows that both walk samplers search are built from
     ``s`` on the first draw and kept for the life of this object: ``nnz``
-    floats and ``n + 1`` int64 row starts, the columns being ``s``'s own.
-    Beside the 2.0 MiB of ``s`` at n = 8000 with 168k stored entries they
-    hold 1.3 MiB; beside the 27 MiB of ``s`` at n = 10^5 with 2.3M
-    entries, 18 MiB. ``s`` is not to be changed in place.
+    floats, ``n + 1`` int64 row starts and ``n`` int64 counts of the rows
+    with equal probabilities, the columns being ``s``'s own. Beside the
+    2.0 MiB of ``s`` at n = 8000 with 168k stored entries they hold
+    1.4 MiB; beside the 27 MiB of ``s`` at n = 10^5 with 2.3M entries,
+    19 MiB. A row with no stored entry raises ``DanglingVertexError`` when
+    they are built. ``s`` is not to be changed in place.
     """
 
     s: sp.csr_matrix
@@ -139,16 +144,22 @@ class TransitionMatrix:
             csr = csr.copy()
             csr.sum_duplicates()
         indptr = csr.indptr.astype(np.int64)
+        degree = np.diff(indptr)
+        if (degree == 0).any():
+            raise DanglingVertexError(int(np.argmax(degree == 0)))
         cum = csr.data.astype(np.float64)  # a copy: the cumsum runs in place
+        # A row is even when its least and largest entries are equal and > 0
+        # (a nan makes both nan).
+        least = np.minimum.reduceat(cum, indptr[:-1])
+        even = np.where((least == np.maximum.reduceat(cum, indptr[:-1])) & (least > 0.0), degree, 0)
         # Position j of every row with more than j entries in one vectorised
         # step: O(nnz) work in max-degree steps, with no padding to max degree.
-        degree = np.diff(indptr)
         order = np.argsort(degree, kind="stable")
         degree, starts = degree[order], indptr[:-1][order]
         for j in range(1, int(degree[-1]) if len(degree) else 0):
             pos = starts[np.searchsorted(degree, j, side="right") :] + j
             cum[pos] += cum[pos - 1]
-        return _CumulativeRows(indptr=indptr, indices=csr.indices, cum=cum)
+        return _CumulativeRows(indptr=indptr, indices=csr.indices, cum=cum, even=even)
 
 
 def _check_vertices(vertices: np.ndarray, n: int, what: str = "vertex index") -> None:
@@ -539,7 +550,10 @@ def _write_rows(
     ``_read_rows`` reads back bit for bit. Each distinct value is formatted
     once, keyed by its bits, so -0.0, 0.0 and nan keep their own text;
     integers by numpy's cast to bytes, which writes ``str``'s digits with no
-    Python object per value. The rows are bytes, not strings: per block of
+    Python object per value. An integer column whose values span a range no
+    longer than the column is formatted from that whole range, each value
+    found at its offset from the least, with no sort; any other column from
+    its distinct values. The rows are bytes, not strings: per block of
     rows, every column's texts are gathered from a NUL-padded ``S`` table
     into one uint8 array, one row per line, with ``sep`` and newline bytes
     between the fields, and one mask drops the padding.
@@ -548,7 +562,11 @@ def _write_rows(
     for column in map(np.asarray, columns):
         floats = column.dtype.kind == "f"
         column = column.astype(np.float64 if floats else np.int64, copy=False)
-        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if floats or not len(column) or int(column.max()) - int(column.min()) >= len(column):
+            keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        else:
+            keys = np.arange(int(column.min()), int(column.max()) + 1, dtype=np.int64)
+            inverse = column - keys[0]
         if floats:
             table = np.array(list(map("{:.17g}".format, keys.view(np.float64).tolist())), dtype=bytes)
         else:  # numpy's cast writes str's digits, with no Python object per value

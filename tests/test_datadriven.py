@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import tosca
 from tosca import datadriven
 from tosca.errors import (
+    DanglingVertexError,
     EmptySampleError,
     IndexOutOfRangeError,
     LengthMismatchError,
@@ -201,9 +202,44 @@ def kernel_uniforms(data, stored):
     return np.r_[random, stored, 0.0, np.nextafter(1.0, 0.0)]
 
 
+def step_rule(s):
+    """The draw rule of one walk step on S, per walker: from a row of d
+    equal positive probabilities, entry min(floor(u d), d - 1); from any
+    other row, searchsorted(cum, u, side="right") with the last-entry
+    fallback. Read from S's own stored values, not from its cumulative rows."""
+    csr = s.s.copy()
+    csr.sum_duplicates()
+
+    def step(v, u):
+        lo, hi = csr.indptr[v], csr.indptr[v + 1]
+        probs = csr.data[lo:hi]
+        if probs.min() == probs.max() > 0.0:
+            k = int(u * len(probs))
+        else:
+            k = np.searchsorted(np.cumsum(probs), u, side="right")
+        return int(csr.indices[lo + min(k, len(probs) - 1)])
+
+    return step
+
+
+def density_rule(p, u):
+    """The draw rule from a probability vector: support[min(floor(u d), d - 1)]
+    on a support of d equal masses, else support[searchsorted(cum, u,
+    side="right")] with the last-support fallback."""
+    support = np.flatnonzero(p)
+    masses = p[support]
+    if masses.min() == masses.max():
+        k = int(u * len(support))
+    else:
+        k = np.searchsorted(np.cumsum(masses), u, side="right")
+    return int(support[min(k, len(support) - 1)])
+
+
 class TestDrawKernels:
-    """Each kernel equals a per-walker searchsorted(..., side="right") with
-    the last-neighbour (last-support) fallback."""
+    """Each kernel follows the draw rule (``step_rule``, ``density_rule``):
+    in rows and densities of unequal probabilities, a per-walker
+    searchsorted(..., side="right") with the last-neighbour (last-support)
+    fallback."""
 
     @settings(max_examples=200, deadline=None)
     @given(weighted_rows(), st.data())
@@ -211,11 +247,8 @@ class TestDrawKernels:
         rows = s._cumulative_rows
         u = kernel_uniforms(data, rows.cum)
         v = np.asarray(data.draw(st.lists(st.integers(0, s.n - 1), min_size=len(u), max_size=len(u))))
-        expected = []
-        for x, ux in zip(v, u):
-            lo, hi = rows.indptr[x], rows.indptr[x + 1]
-            k = np.searchsorted(rows.cum[lo:hi], ux, side="right")
-            expected.append(rows.indices[lo + min(k, hi - lo - 1)])
+        step = step_rule(s)
+        expected = [step(x, ux) for x, ux in zip(v, u)]
         width = datadriven._row_width(rows)
         assert datadriven._draw_in_rows(rows, v, u, width).tolist() == expected
 
@@ -225,11 +258,10 @@ class TestDrawKernels:
         rows = s._cumulative_rows
         u = kernel_uniforms(data, rows.cum)
         start = data.draw(st.integers(0, s.n - 1))
+        step = step_rule(s)
         v, expected = start, []
         for ux in u:
-            lo, hi = rows.indptr[v], rows.indptr[v + 1]
-            k = np.searchsorted(rows.cum[lo:hi], ux, side="right")
-            v = rows.indices[lo + min(k, hi - lo - 1)]
+            v = step(v, ux)
             expected.append(v)
         at_start = tosca.Density(np.eye(s.n)[start])
         with pytest.MonkeyPatch.context() as patch:
@@ -244,10 +276,7 @@ class TestDrawKernels:
         support = np.flatnonzero(p)
         cum = np.cumsum(p[support])
         u = kernel_uniforms(data, cum)
-        expected = [
-            support[min(np.searchsorted(cum, ux, side="right"), len(support) - 1)]
-            for ux in u
-        ]
+        expected = [density_rule(p, ux) for ux in u]
         assert datadriven._draw_density(datadriven._guide_table(p), u).tolist() == expected
 
     def test_many_masses_in_one_bucket(self):
@@ -259,6 +288,199 @@ class TestDrawKernels:
         u = np.r_[cum[:-1], np.nextafter(cum[:-1], 0.0), np.linspace(0.0, 1.0, 50, endpoint=False)]
         expected = np.minimum(np.searchsorted(cum, u, side="right"), 199)
         assert np.array_equal(datadriven._draw_density(datadriven._guide_table(p), u), expected)
+
+
+def boundary_uniforms(d):
+    """The uniforms at the cell edges k/d of d equal probabilities and just
+    below them: k/d for k < d, nextafter(k/d, 0) for 0 < k <= d, so 0 and
+    nextafter(1, 0) among them."""
+    edges = np.arange(d + 1) / d
+    return np.r_[edges[:-1], np.nextafter(edges[1:], 0.0)]
+
+
+def hubs_and_leaves(top):
+    """S on hubs h = 1..top (vertex h - 1) and their leaves: hub h steps to
+    each of its own h leaves with probability 1/h; a leaf of hub h steps
+    back to it or on to hub h + 1, 1/2 each (a leaf of the last hub only
+    back). Returns S and the first leaf of every hub."""
+    import scipy.sparse as sp
+
+    d = np.arange(1, top + 1)
+    first_leaf = top + np.r_[0, np.cumsum(d)[:-1]]
+    n = top + int(d.sum())
+    hub_of_leaf = np.repeat(np.arange(top), d)
+    on = hub_of_leaf < top - 1
+    leaf_degree = 1 + on
+    indptr = np.r_[0, np.cumsum(np.r_[d, leaf_degree])]
+    leaf_rows = np.c_[hub_of_leaf, hub_of_leaf + 1][np.c_[np.ones_like(on), on]]
+    indices = np.r_[np.arange(top, n), leaf_rows]
+    data = np.concatenate([np.repeat(1.0 / d, d), np.repeat(1.0 / leaf_degree, leaf_degree)])
+    s = tosca.TransitionMatrix(s=sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+    return s, first_leaf
+
+
+class TestEqualProbabilityRows:
+    """From a row or density of d equal probabilities a draw takes entry
+    min(floor(u d), d - 1), with no search; every other row or density is
+    searched as before."""
+
+    TOP = 1000
+
+    def test_even_counts_rows_of_equal_positive_probabilities(self):
+        import scipy.sparse as sp
+
+        rows = [[0.25, 0.25, 0.25, 0.25], [0.5, 0.25, 0.25], [1.0], [0.0, 0.5, 0.5],
+                [np.nan, np.nan], [0.3, 0.3], [0.5, 0.0, 0.5]]
+        indptr = np.r_[0, np.cumsum([len(r) for r in rows])]
+        indices = np.concatenate([np.arange(len(r)) for r in rows])
+        s = tosca.TransitionMatrix(
+            s=sp.csr_matrix((np.concatenate(rows), indices, indptr), shape=(7, 7))
+        )
+        assert s._cumulative_rows.even.tolist() == [4, 0, 1, 0, 0, 2, 0]
+        assert s._cumulative_rows.even.dtype == np.int64
+        # [0.3, 0.3] sums to 0.6 but is drawn uniformly: u = 0.35 takes
+        # entry 0, where its cums 0.3, 0.6 would give entry 1
+        rows = s._cumulative_rows
+        got = datadriven._draw_in_rows(rows, np.array([5, 5]), np.array([0.35, 0.65]), 1)
+        assert got.tolist() == [0, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_rows())
+    def test_even_is_read_from_the_stored_values(self, s):
+        csr = s.s.copy()
+        csr.sum_duplicates()
+        expected = [
+            len(r) if r.min() == r.max() > 0.0 else 0
+            for r in np.split(csr.data, csr.indptr[1:-1])
+        ]
+        assert s._cumulative_rows.even.tolist() == expected
+
+    def test_index_of_the_largest_uniform_is_the_last_entry(self):
+        # int(u d) <= d - 1 for every u < 1: the trajectory does not clamp
+        top = np.nextafter(1.0, 0.0)
+        d = np.r_[np.arange(1, 10**6 + 1), [2**k + j for k in range(20, 53) for j in (-1, 1)]]
+        assert np.array_equal((top * d.astype(np.float64)).astype(np.int64), d - 1)
+        # Python floats, as the trajectory multiplies them
+        assert all(int(top * float(x)) == x - 1 for x in d[::999].tolist() + d[-66:].tolist())
+
+    def test_in_rows_at_every_cell_edge(self):
+        s, first_leaf = hubs_and_leaves(self.TOP)
+        rows = s._cumulative_rows
+        assert rows.even[: self.TOP].tolist() == list(range(1, self.TOP + 1))
+        d = np.repeat(np.arange(1, self.TOP + 1), 2 * np.arange(1, self.TOP + 1))
+        u = np.concatenate([boundary_uniforms(k) for k in range(1, self.TOP + 1)])
+        expected = first_leaf[d - 1] + np.minimum((u * d).astype(np.int64), d - 1)
+        got = datadriven._draw_in_rows(rows, d - 1, u, datadriven._row_width(rows))
+        assert np.array_equal(got, expected)
+
+    def test_trajectory_at_every_cell_edge(self, monkeypatch):
+        # hub d's leaves step back with 0.25 and on with 0.75
+        s, first_leaf = hubs_and_leaves(self.TOP)
+        uniforms, expected = [0.5], []
+        for d in range(1, self.TOP + 1):
+            u = boundary_uniforms(d)
+            back = np.full(len(u), 0.25)
+            back[-1] = 0.75
+            uniforms += np.c_[u, back].ravel().tolist()
+            hubs = np.full(len(u), d - 1)
+            hubs[-1] = min(d, self.TOP - 1)
+            leaves = first_leaf[d - 1] + np.minimum((u * d).astype(np.int64), d - 1)
+            expected += np.c_[leaves, hubs].ravel().tolist()
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ListRng(uniforms))
+        at_first_hub = tosca.Density(np.r_[1.0, np.zeros(s.n - 1)])
+        walk = tosca.sample_trajectory(s, at_first_hub, len(uniforms) - 1)
+        assert walk.xs[0] == 0
+        assert walk.ys.tolist() == expected
+
+    def test_density_at_every_cell_edge(self):
+        for d in range(1, self.TOP + 1):
+            p = np.zeros(2 * d + 1)
+            p[1::2] = 1.0 / d
+            u = boundary_uniforms(d)
+            expected = 1 + 2 * np.minimum((u * d).astype(np.int64), d - 1)
+            assert np.array_equal(datadriven._draw_density(datadriven._guide_table(p), u), expected)
+
+    @staticmethod
+    def mixed_graph():
+        """Unit-weight rows with unit self-loops, and every third row weighted."""
+        g = sparse_graph(400, 5, seed=3)
+        weight = np.where(g.src % 3 == 0, 1.0 + np.random.default_rng(4).uniform(size=g.num_edges), 1.0)
+        return tosca.from_edge_list(g.n, zip(g.src.tolist(), g.dst.tolist(), weight.tolist()))
+
+    @pytest.mark.parametrize("density", [tosca.uniform_density, weighted_density],
+                             ids=["uniform", "zero_masses"])
+    @pytest.mark.parametrize("trajectory", [False, True])
+    def test_mixed_rows_follow_the_rule(self, density, trajectory, monkeypatch):
+        s = tosca.transition_matrix(self.mixed_graph())
+        even = s._cumulative_rows.even
+        assert 0 < (even > 0).sum() < s.n
+        mu = density(s.n)
+        step = step_rule(s)
+        sampler = tosca.sample_trajectory if trajectory else tosca.sample_pairs
+        # every stored cum and the cell edges of the even rows, then random uniforms
+        edges = np.concatenate([boundary_uniforms(d) for d in np.unique(even[even > 0])])
+        stored = s._cumulative_rows.cum[s._cumulative_rows.cum < 1.0]
+        rng_uniforms = np.random.default_rng(8).random(3000)
+        uniforms = np.r_[edges, stored, np.nextafter(stored, 0.0), rng_uniforms].tolist()
+        m = len(uniforms) // 2 - 1
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ListRng(uniforms))
+        sample = sampler(s, mu, m)
+        if trajectory:
+            path = [density_rule(mu.p, uniforms[0])]
+            for u in uniforms[1 : m + 1]:
+                path.append(step(path[-1], u))
+            xs, ys = path[:-1], path[1:]
+        else:
+            xs = [density_rule(mu.p, u) for u in uniforms[:m]]
+            ys = [step(x, u) for x, u in zip(xs, uniforms[m : 2 * m])]
+        assert sample.xs.tolist() == xs
+        assert sample.ys.tolist() == ys
+        visited = even[sample.xs]
+        assert (visited > 0).any() and (visited == 0).any()
+
+    @pytest.mark.parametrize("trajectory", [False, True])
+    def test_without_even_rows_every_draw_is_searched(self, trajectory, monkeypatch):
+        # random weights leave no row of equal probabilities: both samplers
+        # draw as searchsorted on the dense cumulative rows at every stored
+        # cum, and every walker of sample_pairs is searched.
+        g = sparse_graph(150, 3, seed=5)
+        weight = np.random.default_rng(6).uniform(0.5, 1.5, g.num_edges)
+        s = tosca.transition_matrix(tosca.Graph(g.n, g.src, g.dst, weight))
+        assert not s._cumulative_rows.even.any()
+        stored = s._cumulative_rows.cum[s._cumulative_rows.cum < 1.0]
+        uniforms = np.r_[stored, np.nextafter(stored, 0.0), 0.0].tolist()
+        m = len(uniforms) // 2
+        searched, first_above = [], datadriven._first_above
+        monkeypatch.setattr(datadriven, "_first_above",
+                            lambda *args: searched.append(len(args[3])) or first_above(*args))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ListRng(uniforms))
+        mu = weighted_density(s.n)
+        sampler = tosca.sample_trajectory if trajectory else tosca.sample_pairs
+        sample = sampler(s, mu, m)
+        xs, ys = dense_reference_walk(s, mu, m, None, trajectory)
+        assert np.array_equal(sample.xs, xs)
+        assert np.array_equal(sample.ys, ys)
+        assert searched == ([1] if trajectory else [m, m])
+
+
+class TestDanglingRows:
+    def test_samplers_reject_an_empty_row(self):
+        import scipy.sparse as sp
+
+        s = tosca.TransitionMatrix(s=sp.csr_matrix(np.array([[0, 1, 0], [0, 0, 0], [0.5, 0, 0.5]])))
+        at_one = tosca.Density(np.eye(3)[1])
+        for sampler in (tosca.sample_pairs, tosca.sample_trajectory):
+            with pytest.raises(DanglingVertexError) as caught:
+                sampler(s, at_one, 5)
+            assert caught.value.vertex == 1
+
+    def test_first_empty_row_is_named(self):
+        import scipy.sparse as sp
+
+        s = tosca.TransitionMatrix(s=sp.csr_matrix((4, 4)))
+        with pytest.raises(DanglingVertexError) as caught:
+            s._cumulative_rows
+        assert caught.value.vertex == 0
 
 
 class TestSamplingTables:
@@ -298,8 +520,9 @@ class TestSamplingTables:
 
     def test_tables_held_after_a_trajectory(self):
         # What S keeps after one trajectory at the benchmark size (167792
-        # stored entries): the cumulative rows, nnz floats and n + 1 int64
-        # (1.34 MiB); 1.46 MiB measured, bounded at 2 MiB. The walk's own
+        # stored entries): the cumulative rows, nnz floats, n + 1 int64 row
+        # starts and n int64 counts of even rows (1.40 MiB); 1.41 MiB
+        # measured, bounded at 2 MiB. The walk's own
         # lists are freed when it returns: kept as per-vertex lists they
         # held 8.15 MiB, and a second copy of the cums (1.28 MiB) would not
         # fit either.

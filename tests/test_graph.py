@@ -1258,6 +1258,28 @@ def test_write_rows_equals_per_field_writer(tmp_path_factory, data, rows, kinds,
     assert (folder / "new.txt").read_bytes() == (folder / "old.txt").read_bytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 25),
+       least=st.one_of(st.sampled_from([-(2**63), 2**63 - 26, -(10**17) - 7, -1, 0]),
+                       st.integers(-(2**63), 2**63 - 26)),
+       sep=st.sampled_from([",", "\t", " "]))
+def test_write_rows_narrow_integer_ranges_equal_per_field_writer(
+    tmp_path_factory, data, rows, least, sep
+):
+    # an integer column whose values span no more than its length is
+    # formatted from its whole range, not from its distinct values: spans 0
+    # and rows - 1 always are, span rows only when the values miss an end
+    columns = [
+        np.array(data.draw(st.lists(st.integers(least, least + span), min_size=rows, max_size=rows)),
+                 dtype=np.int64)
+        for span in (0, rows - 1, rows)
+    ]
+    folder = tmp_path_factory.mktemp("rows")
+    graph_module._write_rows(folder / "new.txt", columns, sep, ["x,y,z"])
+    per_field_write_rows(folder / "old.txt", columns, sep, ["x,y,z"])
+    assert (folder / "new.txt").read_bytes() == (folder / "old.txt").read_bytes()
+
+
 def test_writers_on_graph_without_edges(tmp_path):
     g = tosca.from_edge_list(3, [])
     tosca.write_matrix_market(g, tmp_path / "g.mtx")
