@@ -124,8 +124,9 @@ class TransitionMatrix:
     with equal probabilities, the columns being ``s``'s own. Beside the
     2.0 MiB of ``s`` at n = 8000 with 168k stored entries they hold
     1.4 MiB; beside the 27 MiB of ``s`` at n = 10^5 with 2.3M entries,
-    19 MiB. A row with no stored entry raises ``DanglingVertexError`` when
-    they are built. ``s`` is not to be changed in place.
+    19 MiB. A row with no stored entry, or whose stored entries are all
+    <= 0, raises ``DanglingVertexError`` when they are built. ``s`` is not
+    to be changed in place.
     """
 
     s: sp.csr_matrix
@@ -148,10 +149,14 @@ class TransitionMatrix:
         if (degree == 0).any():
             raise DanglingVertexError(int(np.argmax(degree == 0)))
         cum = csr.data.astype(np.float64)  # a copy: the cumsum runs in place
-        # A row is even when its least and largest entries are equal and > 0
-        # (a nan makes both nan).
+        # A row whose largest entry is <= 0 has no step to take. A row is even
+        # when its least and largest entries are equal and > 0 (a nan makes
+        # both nan).
+        largest = np.maximum.reduceat(cum, indptr[:-1])
+        if (largest <= 0.0).any():
+            raise DanglingVertexError(int(np.argmax(largest <= 0.0)))
         least = np.minimum.reduceat(cum, indptr[:-1])
-        even = np.where((least == np.maximum.reduceat(cum, indptr[:-1])) & (least > 0.0), degree, 0)
+        even = np.where((least == largest) & (least > 0.0), degree, 0)
         # Position j of every row with more than j entries in one vectorised
         # step: O(nnz) work in max-degree steps, with no padding to max degree.
         order = np.argsort(degree, kind="stable")

@@ -474,6 +474,19 @@ class TestDanglingRows:
                 sampler(s, at_one, 5)
             assert caught.value.vertex == 1
 
+    def test_samplers_reject_a_row_of_stored_zeros(self):
+        import scipy.sparse as sp
+
+        # Row 1 stores one explicit 0.0 at column 2 and nothing else.
+        s = tosca.TransitionMatrix(
+            s=sp.csr_matrix(([1.0, 0.0, 0.5, 0.5], [1, 2, 0, 2], [0, 1, 2, 4]), shape=(3, 3))
+        )
+        at_one = tosca.Density(np.eye(3)[1])
+        for sampler in (tosca.sample_pairs, tosca.sample_trajectory):
+            with pytest.raises(DanglingVertexError) as caught:
+                sampler(s, at_one, 5)
+            assert caught.value.vertex == 1
+
     def test_first_empty_row_is_named(self):
         import scipy.sparse as sp
 
